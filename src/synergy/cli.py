@@ -18,6 +18,7 @@ from .core import (
     Instance,
     InteractionReport,
     coalition_members,
+    format_coalition,
     validate_instance,
 )
 from .exceptions import SynergyError
@@ -228,8 +229,7 @@ def cmd_decompose(args) -> int:
                 for mask in range(1 << synergies.n)
             )
             for members, value in rows:
-                label = "+".join(str(i) for i in members) if members else "-"
-                lines.append(f"{label};{value!r}")
+                lines.append(f"{format_coalition(members)};{value!r}")
             _emit(args, "\n".join(lines))
         else:
             _emit(args, json.dumps(synergies.to_json_dict(), indent=2))
@@ -239,7 +239,7 @@ def cmd_decompose(args) -> int:
         if args.output == "csv":
             lines = ["coalition;m;c"]
             for coalition in sorted(pieces):
-                label = "+".join(str(i) for i in coalition) if coalition else "-"
+                label = format_coalition(coalition)
                 terms = pieces[coalition].terms
                 for m in sorted(terms):
                     exponents = ",".join(str(e) for e in m)
@@ -306,9 +306,8 @@ def cmd_compare(args) -> int:
     if args.output == "csv":
         lines = [f"coalition;{args.left};{args.right};abs_diff"]
         for c in coalitions:
-            label = "+".join(str(i) for i in c) if c else "-"
             lines.append(
-                f"{label};{left.entries[c]!r};{right.entries[c]!r};{diffs[c]!r}"
+                f"{format_coalition(c)};{left.entries[c]!r};{right.entries[c]!r};{diffs[c]!r}"
             )
         lines.append(f"max_abs_diff;;;{max_diff!r}")
         _emit(args, "\n".join(lines))

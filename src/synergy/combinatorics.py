@@ -85,10 +85,15 @@ def monomial_mass(k: int, support: Sequence[int], exponents: Sequence) -> int | 
     return total
 
 
+def require_order(n: int, k: int) -> None:
+    """Reject an interaction order outside 1..n."""
+    if not 1 <= k <= n:
+        raise ValueError(f"order k must satisfy 1 <= k <= n, got k={k}, n={n}")
+
+
 def enumerate_coalitions(n: int, k: int) -> list[tuple[int, ...]]:
     """All subsets of {1..n} of size <= k, ordered by size then lexicographically."""
-    if not 1 <= k <= n:
-        raise ValueError(f"enumerate_coalitions requires 1 <= k <= n, got k={k}, n={n}")
+    require_order(n, k)
     if n > MAX_FEATURES:
         raise CapExceededError(f"n={n} exceeds the {MAX_FEATURES}-feature cap")
     count = sum(math.comb(n, size) for size in range(k + 1))

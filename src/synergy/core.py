@@ -45,7 +45,8 @@ class Instance:
 
 
 def validate_instance(inst: Instance) -> None:
-    """Raise unless dimensions agree and both points sit inside the box."""
+    """Raise unless dimensions agree, every coordinate is finite and both
+    points sit inside the box."""
     n = len(inst.x)
     if n < 1:
         raise DimensionMismatchError("instance needs at least one feature")
@@ -55,10 +56,17 @@ def validate_instance(inst: Instance) -> None:
         raise DimensionMismatchError(
             f"x has {n} features but baseline has {len(inst.baseline)}"
         )
+    points = [("x", inst.x), ("baseline", inst.baseline)]
     if inst.box is not None:
         lower, upper = inst.box
         if len(lower) != n or len(upper) != n:
             raise DimensionMismatchError("box corners must match the feature count")
+        points += [("box lower", lower), ("box upper", upper)]
+    for label, point in points:
+        for i, value in enumerate(point):
+            if not math.isfinite(value):
+                raise NonFiniteError(f"{label}[{i + 1}]={value} is not finite")
+    if inst.box is not None:
         for label, point in (("x", inst.x), ("baseline", inst.baseline)):
             for i, value in enumerate(point):
                 if not lower[i] <= value <= upper[i]:
@@ -98,7 +106,8 @@ def masked_point(inst: Instance, members: Iterable[int]) -> Point:
     )
 
 
-def _format_coalition(members: Coalition) -> str:
+def format_coalition(members: Coalition) -> str:
+    """CSV label of a coalition: members joined by '+', or '-' when empty."""
     return "+".join(str(i) for i in members) if members else "-"
 
 
@@ -165,7 +174,7 @@ class InteractionReport:
     def to_csv(self) -> str:
         lines = ["coalition;value"]
         for coalition in sorted(self.entries):
-            lines.append(f"{_format_coalition(coalition)};{self.entries[coalition]!r}")
+            lines.append(f"{format_coalition(coalition)};{self.entries[coalition]!r}")
         return "\n".join(lines) + "\n"
 
 

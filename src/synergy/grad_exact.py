@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Sequence
 
-from .combinatorics import binomial, enumerate_coalitions, monomial_mass
+from .combinatorics import binomial, enumerate_coalitions, monomial_mass, require_order
 from .core import Coalition, Instance, InteractionReport
 from .exceptions import CapExceededError, DimensionMismatchError
 from .polynomials import MultiIndex, SparsePolynomial, support
@@ -58,7 +58,7 @@ def integrated_gradients(p: SparsePolynomial, x: Sequence[float]) -> Interaction
 def integrated_hessian(p: SparsePolynomial, x: Sequence[float], k: int) -> InteractionReport:
     """Order-k nested path-integral interaction: monomial mass spread over all
     nonempty subsets of the support in proportion to expansion coefficients."""
-    _require_order(p.n, k)
+    require_order(p.n, k)
     entries = _empty_entries(p.n, k)
     for m, value in _term_values(p, x):
         total_degree = sum(m)
@@ -79,7 +79,7 @@ def augmented_integrated_hessian(
     p: SparsePolynomial, x: Sequence[float], k: int
 ) -> InteractionReport:
     """Order-k variant pinning monomials with support size <= k to their support."""
-    _require_order(p.n, k)
+    require_order(p.n, k)
     entries = _empty_entries(p.n, k)
     for m, value in _term_values(p, x):
         total_degree = sum(m)
@@ -104,7 +104,7 @@ def sum_of_powers(p: SparsePolynomial, x: Sequence[float], k: int) -> Interactio
     on their size-k subsets, weighted by the subset's share of the exponents.
 
     Order 1 is integrated gradients by definition."""
-    _require_order(p.n, k)
+    require_order(p.n, k)
     if k == 1:
         return integrated_gradients(p, x)
     entries = _empty_entries(p.n, k)
@@ -141,7 +141,7 @@ def sum_of_powers_nested(
     tabulate the result, and run the frozen-feature Shapley-Taylor on it.
 
     Oracle scale only (n <= 6, k <= 3)."""
-    _require_order(p.n, k)
+    require_order(p.n, k)
     if p.n > ORACLE_MAX_FEATURES or k > SOP_ORACLE_MAX_ORDER:
         raise CapExceededError(
             f"nested oracle capped at n <= {ORACLE_MAX_FEATURES}, k <= {SOP_ORACLE_MAX_ORDER}"
@@ -208,8 +208,3 @@ def integrated_hessian_pairwise(p: SparsePolynomial, x: Sequence[float]) -> Inte
                 )
             entries[(i,)] += c * (first + second)
     return InteractionReport(n=p.n, order=2, entries=entries)
-
-
-def _require_order(n: int, k: int) -> None:
-    if not 1 <= k <= n:
-        raise ValueError(f"order k must satisfy 1 <= k <= n, got k={k}, n={n}")

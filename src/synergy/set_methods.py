@@ -22,6 +22,7 @@ from .combinatorics import (
     binomial,
     enumerate_coalitions,
     enumerate_sequences,
+    require_order,
     surjective_sequence_count,
 )
 from .core import (
@@ -129,28 +130,30 @@ def build_table(inst: Instance, f: Callable[[Point], float]) -> SetFunctionTable
     return SetFunctionTable(n, values)
 
 
-@lru_cache(maxsize=64)
-def _indices_with_bit(n: int, bit_index: int) -> np.ndarray:
-    masks = np.arange(1 << n)
-    return masks[(masks >> bit_index & 1) == 1]
+def _sweep(values: np.ndarray, n: int, combine, supersets: bool = False) -> np.ndarray:
+    """One pass per bit 0..n-1 over a copy of `values`: every coalition without
+    the bit is paired with the coalition that adds it, and `combine` updates
+    the larger one from the smaller (subset direction) or the smaller from the
+    larger (superset direction)."""
+    a = np.array(values, dtype=float)
+    for bit_index in range(n):
+        pairs = a.reshape(-1, 2, 1 << bit_index)
+        without, with_ = pairs[:, 0], pairs[:, 1]
+        if supersets:
+            combine(without, with_, out=without)
+        else:
+            combine(with_, without, out=with_)
+    return a
 
 
 def mobius(table: SetFunctionTable) -> SynergyTable:
     """Alternating-sum transform via the O(n 2^n) in-place subset recursion."""
-    a = table.values.copy()
-    for bit_index in range(table.n):
-        idx = _indices_with_bit(table.n, bit_index)
-        a[idx] -= a[idx ^ (1 << bit_index)]
-    return SynergyTable(table.n, a)
+    return SynergyTable(table.n, _sweep(table.values, table.n, np.subtract))
 
 
 def mobius_inverse(synergies: SynergyTable) -> SetFunctionTable:
     """Zeta transform: values[S] = sum of synergies over subsets of S."""
-    v = synergies.values.copy()
-    for bit_index in range(synergies.n):
-        idx = _indices_with_bit(synergies.n, bit_index)
-        v[idx] += v[idx ^ (1 << bit_index)]
-    return SetFunctionTable(synergies.n, v)
+    return SetFunctionTable(synergies.n, _sweep(synergies.values, synergies.n, np.add))
 
 
 @lru_cache(maxsize=256)
@@ -159,17 +162,6 @@ def _coalition_masks(n: int, k: int) -> tuple[tuple[Coalition, int], ...]:
         (members, coalition_mask(members, n))
         for members in enumerate_coalitions(n, k)
     )
-
-
-def _strict_supersets(mask: int, n: int) -> list[int]:
-    complement = (1 << n) - 1 ^ mask
-    out = []
-    u = complement
-    while u:
-        out.append(mask | u)
-        u = (u - 1) & complement
-    out.sort()
-    return out
 
 
 def _report(table: SetFunctionTable, k: int, fill) -> InteractionReport:
@@ -181,84 +173,71 @@ def _report(table: SetFunctionTable, k: int, fill) -> InteractionReport:
 
 # ---------------------------------------------------------------------------
 # Distribution-rule implementations (production path)
+#
+# Every rule is one row of per-size weights on the same superset sum of the
+# synergy table:
+#     entry[S] = own(|S|) syn[S] + spread(|S|) sum_{T ⊇ S} w(|T|) syn[T],
+# with entry[∅] = F(baseline).
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=32)
+def _sizes(n: int) -> np.ndarray:
+    """|S| for every subset encoding S in 0..2^n - 1."""
+    sizes = np.zeros(1, dtype=np.uint8)
+    for _ in range(n):
+        sizes = np.concatenate([sizes, sizes + 1])
+    sizes.setflags(write=False)
+    return sizes
+
+
+@lru_cache(maxsize=256)
+def _weight_rows(rule: str, n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w, own, spread) of one rule, each indexed by coalition size 0..n."""
+    w, own, spread = np.zeros(n + 1), np.zeros(n + 1), np.zeros(n + 1)
+    for size in range(1, n + 1):
+        if rule == "shapley-taylor":
+            w[size] = 1 / binomial(size, k) if size >= k else 0.0
+            own[size] = size < k
+            spread[size] = size == k
+        else:
+            w[size] = 1 / size**k if rule == "rs" or size > k else 0.0
+            own[size] = rule == "rs-aug"
+            spread[size] = surjective_sequence_count(k, size)
+    for row in (w, own, spread):
+        row.setflags(write=False)
+    return w, own, spread
+
+
+def _superset_rule(table: SetFunctionTable, k: int, rule: str) -> InteractionReport:
+    require_order(table.n, k)
+    n = table.n
+    w, own, spread = _weight_rows(rule, n, k)
+    syn = mobius(table).values
+    sizes = _sizes(n)
+    sums = _sweep(w[sizes] * syn, n, np.add, supersets=True)
+    entry = own[sizes] * syn + spread[sizes] * sums
+    entry[0] = table.values[0]
+    return _report(table, k, lambda members, mask: entry[mask])
+
 
 def shapley(table: SetFunctionTable) -> InteractionReport:
     """Shapley attribution: each synergy split equally among its members."""
-    syn = mobius(table).values.tolist()
-    n = table.n
-
-    def fill(members: Coalition, mask: int) -> float:
-        if not members:
-            return float(table.values[0])
-        i_bit = mask
-        total = 0.0
-        for s_mask in range(1 << n):
-            if s_mask & i_bit:
-                total += syn[s_mask] / s_mask.bit_count()
-        return total
-
-    return _report(table, 1, fill)
+    return _superset_rule(table, 1, "rs")
 
 
 def shapley_taylor(table: SetFunctionTable, k: int) -> InteractionReport:
     """Shapley-Taylor index: top-distributing synergy rule."""
-    _require_order(table.n, k)
-    syn = mobius(table).values.tolist()
-    n = table.n
-
-    def fill(members: Coalition, mask: int) -> float:
-        size = len(members)
-        if size < k:
-            return syn[mask]
-        total = syn[mask]
-        for s_mask in _strict_supersets(mask, n):
-            total += syn[s_mask] / binomial(s_mask.bit_count(), k)
-        return total
-
-    return _report(table, k, fill)
+    return _superset_rule(table, k, "shapley-taylor")
 
 
 def recursive_shapley(table: SetFunctionTable, k: int) -> InteractionReport:
     """Recursive Shapley: synergy of S sends weight N^k_|T| / |S|^k to each T within S."""
-    _require_order(table.n, k)
-    syn = mobius(table).values.tolist()
-    n = table.n
-
-    def fill(members: Coalition, mask: int) -> float:
-        if not members:
-            return float(table.values[0])
-        count = surjective_sequence_count(k, len(members))
-        total = syn[mask] * (count / len(members) ** k)
-        for s_mask in _strict_supersets(mask, n):
-            total += syn[s_mask] * (count / s_mask.bit_count() ** k)
-        return total
-
-    return _report(table, k, fill)
+    return _superset_rule(table, k, "rs")
 
 
 def augmented_recursive_shapley(table: SetFunctionTable, k: int) -> InteractionReport:
     """Recursive Shapley with synergies of size <= k pinned to their own group."""
-    _require_order(table.n, k)
-    syn = mobius(table).values.tolist()
-    n = table.n
-
-    def fill(members: Coalition, mask: int) -> float:
-        if not members:
-            return float(table.values[0])
-        count = surjective_sequence_count(k, len(members))
-        total = syn[mask]
-        for s_mask in _strict_supersets(mask, n):
-            if s_mask.bit_count() > k:
-                total += syn[s_mask] * (count / s_mask.bit_count() ** k)
-        return total
-
-    return _report(table, k, fill)
-
-
-def _require_order(n: int, k: int) -> None:
-    if not 1 <= k <= n:
-        raise ValueError(f"order k must satisfy 1 <= k <= n, got k={k}, n={n}")
+    return _superset_rule(table, k, "rs-aug")
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +280,7 @@ def shapley_from_marginals(table: SetFunctionTable) -> InteractionReport:
 
 def shapley_taylor_from_marginals(table: SetFunctionTable, k: int) -> InteractionReport:
     """Shapley-Taylor via its discrete-derivative averaging formula."""
-    _require_order(table.n, k)
+    require_order(table.n, k)
     n = table.n
 
     def fill(members: Coalition, mask: int) -> float:
@@ -341,7 +320,7 @@ def recursive_shapley_nested(table: SetFunctionTable, k: int) -> InteractionRepo
     Oracle scale only (n <= 6, k <= 4); shares retabulations across sequences
     through a prefix cache.
     """
-    _require_order(table.n, k)
+    require_order(table.n, k)
     if table.n > ORACLE_MAX_FEATURES or k > ORACLE_MAX_ORDER:
         raise CapExceededError(
             f"nested oracle capped at n <= {ORACLE_MAX_FEATURES}, k <= {ORACLE_MAX_ORDER}"

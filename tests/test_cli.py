@@ -136,6 +136,18 @@ def test_interact_malformed_x_is_usage_error(capsys):
     assert "comma-separated" in err
 
 
+@pytest.mark.parametrize("x, baseline", [("nan,1", "0,0"), ("1,1", "-inf,0")])
+def test_interact_non_finite_instance_is_usage_error(capsys, x, baseline):
+    # feature 1 is unused by the expression, so only validation can catch it
+    code, out, err = run_cli(
+        capsys, "interact", "--expr", "x2", "--x", x, "--baseline", baseline,
+        "--method", "shapley",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "not finite" in err
+
+
 def test_interact_unknown_method_is_usage_error(capsys):
     code, _, _ = run_cli(
         capsys, "interact", "--expr", "x1", "--x", "1", "--method", "banzhaf"

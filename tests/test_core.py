@@ -64,6 +64,10 @@ def test_masked_point_idempotent():
     [
         ((2.0,), (0.0,), ((0.0,), (1.0,)), OutOfBoxError),
         ((0.5, 0.5), (0.0,), None, DimensionMismatchError),
+        ((float("nan"), 1.0), (0.0, 0.0), None, NonFiniteError),
+        ((1.0,), (float("inf"),), None, NonFiniteError),
+        ((0.5,), (0.0,), ((float("-inf"),), (1.0,)), NonFiniteError),
+        ((0.5,), (0.0,), ((0.0,), (float("nan"),)), NonFiniteError),
     ],
 )
 def test_validate_instance_rejects(x, baseline, box, error):

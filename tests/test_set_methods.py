@@ -157,6 +157,24 @@ def test_shapley_agrees_with_marginal_formula(rng):
         assert a.max_abs_difference(b) < 1e-10
 
 
+def test_binary_rules_at_order_one_equal_shapley(rng):
+    for n in range(1, 9):
+        for _ in range(3):
+            table = make_table(rng, n)
+            reference = shapley(table)
+            for rule in (shapley_taylor, recursive_shapley, augmented_recursive_shapley):
+                assert rule(table, 1).max_abs_difference(reference) < 1e-12
+
+
+def test_rules_agree_with_marginal_formulas_at_n10(rng):
+    table = make_table(rng, 10)
+    assert shapley(table).max_abs_difference(shapley_from_marginals(table)) < 1e-9
+    for k in (2, 3):
+        a = shapley_taylor(table, k)
+        b = shapley_taylor_from_marginals(table, k)
+        assert a.max_abs_difference(b) < 1e-9
+
+
 def test_shapley_taylor_distribution_on_pure_synergy():
     # oversized synergy: split equally over size-k subsets of S
     table = pure_synergy_table(4, (1, 2, 3), 0.9)
