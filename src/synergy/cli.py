@@ -462,6 +462,9 @@ def main(argv=None) -> int:
     except (SynergyError, ValueError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except OverflowError as err:
+        print(f"error: numeric overflow: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,7 +10,8 @@ Grammar (EBNF):
     func   := 'sin' | 'cos' | 'exp'
 
 Implicit multiplication is rejected. Named constants must be bound at parse
-time; unbound identifiers are errors. Every expression built from these
+time; unbound identifiers are errors. Parentheses, function calls and unary
+minus nest at most MAX_NESTING levels deep. Every expression built from these
 primitives is real-analytic, so symbolic differentiation is total.
 """
 from __future__ import annotations
@@ -29,6 +30,8 @@ from .polynomials import MAX_TERMS, MultiIndex, SparsePolynomial
 
 TAYLOR_MAX_ORDER = 12
 TAYLOR_MAX_FEATURES = 6
+# Keeps the recursive parser and tree walkers well inside Python's stack limit.
+MAX_NESTING = 100
 
 FUNCTIONS = ("sin", "cos", "exp")
 
@@ -190,6 +193,7 @@ class _Parser:
         self.pos = 0
         self.n = n
         self.bindings = bindings
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -203,6 +207,11 @@ class _Parser:
         token = self.advance()
         if token.kind != "op" or token.text != text:
             raise ParseError(f"expected {text!r}", token.position)
+
+    def nest(self, token: _Token) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", token.position)
 
     def parse(self) -> Expr:
         expr = self.expr()
@@ -250,20 +259,27 @@ class _Parser:
                     )
                 return Var(index)
             if token.text in FUNCTIONS:
+                self.nest(token)
                 self.expect_op("(")
                 arg = self.expr()
                 self.expect_op(")")
+                self.depth -= 1
                 return call(token.text, arg)
             if token.text in self.bindings:
                 return Const(float(self.bindings[token.text]))
             raise ParseError(f"unknown identifier {token.text!r}", token.position)
         if token.kind == "op":
             if token.text == "(":
+                self.nest(token)
                 inner = self.expr()
                 self.expect_op(")")
+                self.depth -= 1
                 return inner
             if token.text == "-":
-                return neg(self.atom())
+                self.nest(token)
+                inner = self.atom()
+                self.depth -= 1
+                return neg(inner)
         raise ParseError(f"unexpected {token.text or 'end of input'!r}", token.position)
 
 

@@ -73,9 +73,9 @@ def ig_quadrature(
         delta = inst.x[i - 1] - inst.baseline[i - 1]
         if delta == 0.0:
             continue
-        samples = np.broadcast_to(
-            np.asarray(evaluate(partial(expr, i), path), dtype=float), t.shape
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.asarray(evaluate(partial(expr, i), path), dtype=float)
+        samples = np.broadcast_to(values, t.shape)
         entries[(i,)] = delta * float(w @ _finite(samples, f"dF/dx{i}"))
     return InteractionReport(n=n, order=1, entries=entries)
 
@@ -95,10 +95,9 @@ def ih2_quadrature(
     deltas = [inst.x[i] - inst.baseline[i] for i in range(n)]
 
     def sample(e: Expr, what: str) -> np.ndarray:
-        return _finite(
-            np.broadcast_to(np.asarray(evaluate(e, grid), dtype=float), st.shape),
-            what,
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.asarray(evaluate(e, grid), dtype=float)
+        return _finite(np.broadcast_to(values, st.shape), what)
 
     entries = _empty_entries(n, 2)
     entries[()] = float(evaluate(expr, inst.baseline))

@@ -71,13 +71,15 @@ class SparsePolynomial:
                 f"point has {len(y)} components, polynomial has {self.n}"
             )
         shifted = [y[i] - self.center[i] for i in range(self.n)]
+        # out-of-place products and sums: on broadcast column arrays (see
+        # set_methods.build_table) the result's shape grows term by term
         total = 0.0
         for m in sorted(self.terms):
             value = self.terms[m]
             for i, e in enumerate(m):
                 if e:
-                    value *= shifted[i] ** e
-            total += value
+                    value = value * shifted[i] ** e
+            total = total + value
         return total
 
     def __add__(self, other: "SparsePolynomial") -> "SparsePolynomial":

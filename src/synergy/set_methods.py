@@ -29,7 +29,6 @@ from .core import (
     Coalition,
     Instance,
     InteractionReport,
-    Point,
     coalition_mask,
 )
 from .exceptions import CapExceededError, DimensionMismatchError, NonFiniteError
@@ -114,17 +113,31 @@ class SynergyTable:
         return {"n": self.n, "values": self.values.tolist()}
 
 
-def build_table(inst: Instance, f: Callable[[Point], float]) -> SetFunctionTable:
-    """Evaluate f at every masked point, ascending subset encoding."""
+def build_table(
+    inst: Instance, f: Callable[[tuple[np.ndarray, ...]], object]
+) -> SetFunctionTable:
+    """Evaluate f at every masked point, ascending subset encoding, in one call.
+
+    f receives a tuple of n arrays, one per feature, broadcastable to the
+    grid (2,)*n: component i is [baseline[i], x[i]] laid along axis n-1-i,
+    so the C-order ravel of the grid is the subset encoding. f must return
+    an array or scalar broadcastable to that grid; elementwise numpy
+    arithmetic (as `expressions.evaluate` and `SparsePolynomial.evaluate`
+    do) qualifies, and a subexpression over features S then costs 2^|S|
+    elements, not 2^n.
+    """
     n = inst.n
     if n > MAX_TABLE_FEATURES:
         raise CapExceededError(f"build_table capped at n <= {MAX_TABLE_FEATURES}")
-    values = np.empty(1 << n)
-    for mask in range(1 << n):
-        point = tuple(
-            inst.x[i] if mask >> i & 1 else inst.baseline[i] for i in range(n)
+    columns = tuple(
+        np.array([inst.baseline[i], inst.x[i]], dtype=float).reshape(
+            (1,) * (n - 1 - i) + (2,) + (1,) * i
         )
-        values[mask] = f(point)
+        for i in range(n)
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.asarray(f(columns), dtype=float)
+    values = np.broadcast_to(grid, (2,) * n).reshape(-1)
     if not np.isfinite(values).all():
         raise NonFiniteError("function produced a non-finite value on the lattice")
     return SetFunctionTable(n, values)
@@ -397,14 +410,14 @@ def permute_table(table: SetFunctionTable, permutation: Sequence[int]) -> SetFun
     n = table.n
     if sorted(permutation) != list(range(1, n + 1)):
         raise ValueError("permutation must rearrange 1..n")
-    out = np.empty_like(table.values)
-    for mask in range(1 << n):
-        image = 0
-        for i in range(n):
-            if mask >> i & 1:
-                image |= 1 << (permutation[i] - 1)
-        out[image] = table.values[mask]
-    return SetFunctionTable(n, out)
+    # on the (2,)*n grid view feature i lives on axis n - i, so new axis
+    # n - pi(i) takes old axis n - i
+    source = [0] * n
+    for i, image in enumerate(permutation, start=1):
+        source[n - image] = n - i
+    return SetFunctionTable(
+        n, np.transpose(table.values.reshape((2,) * n), source).reshape(-1)
+    )
 
 
 def pure_synergy_table(n: int, members: Sequence[int], value: float) -> SetFunctionTable:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -146,6 +147,45 @@ def test_interact_non_finite_instance_is_usage_error(capsys, x, baseline):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "not finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("interact", "--expr", "exp(x1)", "--x", "1000", "--method", "shapley"),
+        ("interact", "--expr", "x1^300", "--x", "1e10", "--method", "shapley"),
+        ("interact", "--expr", "exp(x1)", "--x", "1000", "--method", "ig"),
+        ("interact", "--expr", "x1^100", "--x", "1e10", "--method", "ig"),
+        ("decompose", "--expr", "x1^100*x2^20", "--x", "1e10,1e10"),
+        ("interact", "--expr", "(" * 3000 + "x1" + ")" * 3000, "--x", "1",
+         "--method", "shapley"),
+    ],
+    ids=["exp-shapley", "pow-shapley", "exp-ig", "pow-ig", "pow-decompose", "deep-parens"],
+)
+def test_overflow_and_deep_nesting_are_usage_errors(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["parens", "calls", "unary-minus"])
+def test_nesting_cap_is_one_hundred_levels(capsys, kind):
+    def nested(depth):
+        if kind == "parens":
+            return "(" * depth + "x1" + ")" * depth
+        if kind == "calls":
+            return "sin(" * depth + "x1" + ")" * depth
+        return "-" * depth + "x1"
+
+    for depth, expected in ((100, 0), (101, 2)):
+        code, _, err = run_cli(
+            capsys, "interact", f"--expr={nested(depth)}", "--x", "0.5", "--method", "shapley"
+        )
+        assert code == expected
+    assert "nesting deeper than 100 levels" in err
 
 
 def test_interact_unknown_method_is_usage_error(capsys):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synergy.core import Instance
+from synergy.core import Instance, coalition_members, masked_point
 from synergy.exceptions import CapExceededError
 from synergy.expressions import evaluate, parse
 from synergy.polynomials import SparsePolynomial
@@ -74,7 +74,75 @@ def test_build_table_rejects_non_finite_evaluation():
 
     inst = Instance(x=(1.0,), baseline=(0.0,))
     with pytest.raises(NonFiniteError):
-        build_table(inst, lambda p: float("inf") if p[0] else 0.0)
+        build_table(inst, lambda p: np.where(p[0] != 0.0, np.inf, 0.0))
+
+
+def test_build_table_calls_f_once_on_two_element_columns():
+    inst = Instance(x=(1.0, 2.0, 3.0, 4.0), baseline=(-1.0, -2.0, -3.0, -4.0))
+    calls = []
+
+    def f(columns):
+        calls.append(columns)
+        return columns[0] + 10 * columns[1] + 100 * columns[2] + 1000 * columns[3]
+
+    table = build_table(inst, f)
+    assert len(calls) == 1
+    (columns,) = calls
+    assert len(columns) == 4
+    for i, column in enumerate(columns):
+        assert column.size == 2 and column.shape[4 - 1 - i] == 2
+        assert column.ravel().tolist() == [inst.baseline[i], inst.x[i]]
+    for mask in range(1 << 4):
+        point = masked_point(inst, coalition_members(mask))
+        assert table.values[mask] == point[0] + 10 * point[1] + 100 * point[2] + 1000 * point[3]
+
+
+def _random_expression(rng, n, terms, max_support):
+    """Text of a sum of sin/cos/exp/power terms, each over a few features."""
+    pieces = []
+    for _ in range(terms):
+        support = rng.choice(n, size=int(rng.integers(1, max_support + 1)), replace=False)
+        factors = [f"x{i + 1}" for i in sorted(support)]
+        coefficient = f"{rng.uniform(-2, 2):.6f}"
+        kind = int(rng.integers(5))
+        if kind == 0:
+            inner = "*".join(factors)
+            pieces.append(f"{coefficient}*{inner}^{int(rng.integers(1, 6))}")
+        elif kind == 1:
+            inner = " + ".join(factors)
+            pieces.append(f"{coefficient}*({inner} + 0.5)^{int(rng.integers(2, 6))}")
+        else:
+            func = ("sin", "cos", "exp")[kind - 2]
+            pieces.append(f"{coefficient}*{func}({rng.uniform(-1, 1):.6f}*{'*'.join(factors)})")
+    return " + ".join(pieces)
+
+
+def _assert_matches_masked_points(tree, inst, table, masks):
+    expected = np.array(
+        [evaluate(tree, masked_point(inst, coalition_members(int(m)))) for m in masks]
+    )
+    scale = np.abs(expected).max()
+    np.testing.assert_allclose(table.values[masks], expected, rtol=1e-13, atol=1e-13 * scale)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_build_table_matches_scalar_evaluation_at_masked_points(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    tree = parse(_random_expression(rng, n, int(rng.integers(1, 9)), min(n, 3)), n)
+    inst = Instance(x=tuple(rng.uniform(-1.5, 1.5, n)), baseline=tuple(rng.uniform(-0.5, 0.5, n)))
+    table = build_table(inst, lambda p: evaluate(tree, p))
+    _assert_matches_masked_points(tree, inst, table, np.arange(1 << n))
+
+
+def test_build_table_n20_sparse_interactions():
+    rng = np.random.default_rng(2020)
+    n = 20
+    tree = parse(_random_expression(rng, n, 40, 3), n)
+    inst = Instance(x=tuple(rng.uniform(-1, 1, n)), baseline=tuple(rng.uniform(-0.2, 0.2, n)))
+    table = build_table(inst, lambda p: evaluate(tree, p))
+    masks = np.concatenate([[0, (1 << n) - 1], rng.integers(0, 1 << n, size=62)])
+    _assert_matches_masked_points(tree, inst, table, masks)
 
 
 def test_table_json_roundtrip(rng):
@@ -278,6 +346,18 @@ def test_augmented_completeness(rng):
         report = augmented_recursive_shapley(table, k)
         target = table.values[-1] - table.values[0]
         assert report.total() == pytest.approx(target, rel=1e-9, abs=1e-9)
+
+
+def test_permute_table_matches_relabelling_loop(rng):
+    for n in range(1, 7):
+        table = make_table(rng, n)
+        for _ in range(10):
+            permutation = [int(v) + 1 for v in rng.permutation(n)]
+            expected = np.empty(1 << n)
+            for mask in range(1 << n):
+                image = sum(1 << (permutation[i] - 1) for i in range(n) if mask >> i & 1)
+                expected[image] = table.values[mask]
+            assert np.array_equal(permute_table(table, permutation).values, expected)
 
 
 def test_methods_are_symmetric_under_relabeling(rng):
