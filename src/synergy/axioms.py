@@ -13,7 +13,6 @@ reproducible from (seed, config).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import combinations_with_replacement
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -24,7 +23,7 @@ from .core import Instance, InteractionReport
 from .exceptions import SynergyError
 from .expressions import Expr
 from .grad_numeric import QuadratureConfig, ig_quadrature, ih2_quadrature
-from .polynomials import SparsePolynomial
+from .polynomials import SparsePolynomial, multi_indices
 from .set_methods import SetFunctionTable, mobius, permute_table, pure_synergy_table
 
 AXIOMS = (
@@ -223,17 +222,6 @@ def _pick_order(mut: MethodUnderTest, rng: np.random.Generator, n: int) -> int:
     return int(rng.integers(2, min(3, n) + 1))
 
 
-def _multi_indices(n: int, max_total: int):
-    out = set()
-    for total in range(max_total + 1):
-        for slots in combinations_with_replacement(range(n), total):
-            m = [0] * n
-            for s in slots:
-                m[s] += 1
-            out.add(tuple(m))
-    return sorted(out)
-
-
 def _random_polynomial(
     rng: np.random.Generator,
     n: int,
@@ -242,7 +230,7 @@ def _random_polynomial(
     exclude: int | None = None,
 ) -> SparsePolynomial:
     terms = {}
-    for m in _multi_indices(n, degree):
+    for m in multi_indices(n, degree):
         if exclude is not None and m[exclude - 1] > 0:
             continue
         if rng.uniform() < density:

@@ -19,14 +19,19 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core import Point
 from .exceptions import CapExceededError, DimensionMismatchError, ParseError
-from .polynomials import MAX_TERMS, MultiIndex, SparsePolynomial
+from .polynomials import (
+    MAX_TERMS,
+    MAX_TOTAL_DEGREE,
+    MultiIndex,
+    SparsePolynomial,
+    multi_indices,
+)
 
 TAYLOR_MAX_ORDER = 12
 TAYLOR_MAX_FEATURES = 6
@@ -430,10 +435,21 @@ def _convolve(a: dict[MultiIndex, float], b: dict[MultiIndex, float]) -> dict:
     return {m: c for m, c in out.items() if c != 0.0}
 
 
+def _degree(terms: dict[MultiIndex, float]) -> int:
+    return max((sum(m) for m in terms), default=0)
+
+
+def _require_degree(degree: int) -> None:
+    if degree > MAX_TOTAL_DEGREE:
+        raise CapExceededError(f"total degree {degree} exceeds cap {MAX_TOTAL_DEGREE}")
+
+
 def to_polynomial(expr: Expr, center: Point) -> SparsePolynomial | None:
     """Exact expansion in powers of (y - center), or None when transcendental.
 
     Recenters by substituting y_i = (y_i - center_i) + center_i and expanding.
+    The degree cap applies to every intermediate product and power before it
+    is expanded, so terms that would cancel later still count.
     """
     if not is_polynomial(expr):
         return None
@@ -458,33 +474,22 @@ def to_polynomial(expr: Expr, center: Point) -> SparsePolynomial | None:
                     out[m] = out.get(m, 0.0) + c
             return {m: c for m, c in out.items() if c != 0.0}
         if isinstance(e, Mul):
+            factors = [walk(f) for f in e.factors]
+            _require_degree(sum(_degree(f) for f in factors))
             out = {zero: 1.0}
-            for f in e.factors:
-                out = _convolve(out, walk(f))
+            for f in factors:
+                out = _convolve(out, f)
             return out
         if isinstance(e, Pow):
-            out = {zero: 1.0}
             base = walk(e.base)
+            _require_degree(_degree(base) * e.exponent)
+            out = {zero: 1.0}
             for _ in range(e.exponent):
                 out = _convolve(out, base)
             return out
         raise TypeError(f"unknown node {e!r}")
 
     return SparsePolynomial(center, walk(expr))
-
-
-def _multi_indices(n: int, max_total: int) -> list[MultiIndex]:
-    """All exponent vectors with total degree <= max_total, in graded order."""
-    out: list[MultiIndex] = []
-    for total in range(max_total + 1):
-        block = set()
-        for slots in combinations_with_replacement(range(n), total):
-            m = [0] * n
-            for s in slots:
-                m[s] += 1
-            block.add(tuple(m))
-        out.extend(sorted(block))
-    return out
 
 
 def taylor(expr: Expr, center: Point, order: int) -> SparsePolynomial:
@@ -509,7 +514,9 @@ def taylor(expr: Expr, center: Point, order: int) -> SparsePolynomial:
         )
     derivatives: dict[MultiIndex, Expr] = {(0,) * n: expr}
     terms: dict[MultiIndex, float] = {}
-    for m in _multi_indices(n, order):
+    # lexicographic order: each vector's parent (one less at its first
+    # nonzero position) comes before it
+    for m in multi_indices(n, order):
         if m not in derivatives:
             j = next(i for i, e in enumerate(m) if e > 0)
             parent = m[:j] + (m[j] - 1,) + m[j + 1 :]

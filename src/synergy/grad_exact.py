@@ -7,10 +7,11 @@ is bit-reproducible.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
-from .combinatorics import binomial, enumerate_coalitions, monomial_mass, require_order
+from .combinatorics import binomial, enumerate_coalitions, require_order
 from .core import Coalition, Instance, InteractionReport
 from .exceptions import CapExceededError, DimensionMismatchError
 from .polynomials import MultiIndex, SparsePolynomial, support
@@ -23,104 +24,103 @@ from .set_methods import (
 SOP_ORACLE_MAX_ORDER = 3
 
 
-def _term_values(p: SparsePolynomial, x: Sequence[float]) -> list[tuple[MultiIndex, float]]:
-    """Each term's monomial value c * (x - center)^m, in sorted term order."""
+def _empty_entries(n: int, k: int) -> dict[Coalition, float]:
+    return {c: 0.0 for c in enumerate_coalitions(n, k)}
+
+
+# A share row depends on the rule, k and the monomial's positive exponents,
+# never on where its support sits, so coalitions and shares are cached apart.
+
+@lru_cache(maxsize=4096)
+def _coalitions(k: int, members: Coalition) -> tuple[Coalition, ...]:
+    """Subsets of `members` of size min(k, |members|) down to 1, each size in
+    lexicographic order: the coalitions an unpinned share row runs over."""
+    return tuple(
+        subset
+        for size in range(min(k, len(members)), 0, -1)
+        for subset in combinations(members, size)
+    )
+
+
+@lru_cache(maxsize=4096)
+def _shares(rule: str, k: int, exponents: tuple[int, ...]) -> tuple[float, ...]:
+    """Fraction of an unpinned monomial's value per coalition of `_coalitions`.
+
+    `ih` (and `ih-aug` above size k) gives S mass(S) / |m|^k, where mass is
+    the Möbius transform of U -> m(U)^k on the support lattice and m(U) the
+    exponent sum on U; `sop`'s row is the size-k block only, m(S) / |m| over
+    the C(s-1, k-1) size-k subsets through each feature. Weights stay exact
+    integers until the one division.
+    """
+    size, degree = len(exponents), sum(exponents)
+    if rule == "sop":
+        scale = binomial(size - 1, k - 1) * degree
+        return tuple(sum(parts) / scale for parts in combinations(exponents, k))
+    # subsets of size <= k as bit masks over support positions: the family is
+    # closed under removing an element, so the per-bit Möbius sweep stays in it
+    masks = [
+        sum(1 << i for i in subset)
+        for width in range(min(k, size), -1, -1)
+        for subset in combinations(range(size), width)
+    ]
+    mass = {mask: sum(e for i, e in enumerate(exponents) if mask >> i & 1) ** k for mask in masks}
+    for bit in (1 << i for i in range(size)):
+        for mask in masks:
+            if mask & bit:
+                mass[mask] -= mass[mask ^ bit]
+    return tuple(mass[mask] / degree**k for mask in masks[:-1])
+
+
+def _termwise(p: SparsePolynomial, x: Sequence[float], k: int, rule: str) -> InteractionReport:
+    """Scatter each monomial's value c * (x - center)^m over its share row, in
+    sorted term order. A term adds to each coalition at most once, so the
+    order of coalitions within a row does not change the result."""
+    require_order(p.n, k)
     if len(x) != p.n:
         raise DimensionMismatchError(f"point has {len(x)} components, expected {p.n}")
     shifted = [x[i] - p.center[i] for i in range(p.n)]
-    out = []
+    entries = _empty_entries(p.n, k)
     for m in sorted(p.terms):
         value = p.terms[m]
         for i, e in enumerate(m):
             if e:
                 value *= shifted[i] ** e
-        out.append((m, value))
-    return out
-
-
-def _empty_entries(n: int, k: int) -> dict[Coalition, float]:
-    return {c: 0.0 for c in enumerate_coalitions(n, k)}
+        members = support(m)
+        # constants, and supports of size <= k under ih-aug and sop, are pinned
+        if not members or (rule != "ih" and len(members) <= k):
+            entries[members] += value
+            continue
+        shares = _shares(rule, k, tuple(e for e in m if e))
+        # zip stops where the row does: sop's row is the leading size-k block
+        for subset, share in zip(_coalitions(k, members), shares):
+            entries[subset] += value * share
+    return InteractionReport(n=p.n, order=k, entries=entries)
 
 
 def integrated_gradients(p: SparsePolynomial, x: Sequence[float]) -> InteractionReport:
     """Path-integral attribution: a monomial sends the share m_i / |m| to feature i."""
-    entries = _empty_entries(p.n, 1)
-    for m, value in _term_values(p, x):
-        total_degree = sum(m)
-        if total_degree == 0:
-            entries[()] += value
-            continue
-        for i in support(m):
-            entries[(i,)] += value * m[i - 1] / total_degree
-    return InteractionReport(n=p.n, order=1, entries=entries)
+    return _termwise(p, x, 1, "ih")
 
 
 def integrated_hessian(p: SparsePolynomial, x: Sequence[float], k: int) -> InteractionReport:
     """Order-k nested path-integral interaction: monomial mass spread over all
     nonempty subsets of the support in proportion to expansion coefficients."""
-    require_order(p.n, k)
-    entries = _empty_entries(p.n, k)
-    for m, value in _term_values(p, x):
-        total_degree = sum(m)
-        if total_degree == 0:
-            entries[()] += value
-            continue
-        members = support(m)
-        denominator = total_degree**k
-        for size in range(1, min(k, len(members)) + 1):
-            for subset in combinations(members, size):
-                mass = monomial_mass(k, subset, m)
-                if mass:
-                    entries[subset] += value * (mass / denominator)
-    return InteractionReport(n=p.n, order=k, entries=entries)
+    return _termwise(p, x, k, "ih")
 
 
 def augmented_integrated_hessian(
     p: SparsePolynomial, x: Sequence[float], k: int
 ) -> InteractionReport:
     """Order-k variant pinning monomials with support size <= k to their support."""
-    require_order(p.n, k)
-    entries = _empty_entries(p.n, k)
-    for m, value in _term_values(p, x):
-        total_degree = sum(m)
-        if total_degree == 0:
-            entries[()] += value
-            continue
-        members = support(m)
-        if len(members) <= k:
-            entries[members] += value
-            continue
-        denominator = total_degree**k
-        for size in range(1, k + 1):
-            for subset in combinations(members, size):
-                mass = monomial_mass(k, subset, m)
-                if mass:
-                    entries[subset] += value * (mass / denominator)
-    return InteractionReport(n=p.n, order=k, entries=entries)
+    return _termwise(p, x, k, "ih-aug")
 
 
 def sum_of_powers(p: SparsePolynomial, x: Sequence[float], k: int) -> InteractionReport:
     """Top-distributing gradient method: oversized monomial supports land only
     on their size-k subsets, weighted by the subset's share of the exponents.
 
-    Order 1 is integrated gradients by definition."""
-    require_order(p.n, k)
-    if k == 1:
-        return integrated_gradients(p, x)
-    entries = _empty_entries(p.n, k)
-    for m, value in _term_values(p, x):
-        total_degree = sum(m)
-        if total_degree == 0:
-            entries[()] += value
-            continue
-        members = support(m)
-        if len(members) <= k:
-            entries[members] += value
-            continue
-        scale = binomial(len(members) - 1, k - 1) * total_degree
-        for subset in combinations(members, k):
-            entries[subset] += value * (sum(m[i - 1] for i in subset) / scale)
-    return InteractionReport(n=p.n, order=k, entries=entries)
+    Order 1 is integrated gradients."""
+    return _termwise(p, x, k, "sop")
 
 
 def ig_polynomial(p: SparsePolynomial, i: int) -> SparsePolynomial:

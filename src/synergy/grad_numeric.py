@@ -19,6 +19,11 @@ from .expressions import Expr, evaluate, partial
 from .grad_exact import _empty_entries
 
 
+# Nodes times panels: the 1-D rule's length. ih2 samples its square per
+# feature pair, so this also bounds that grid (1024^2 doubles = 8 MiB).
+MAX_QUADRATURE_POINTS = 1024
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     nodes: int = 64
@@ -29,6 +34,11 @@ class QuadratureConfig:
             raise ValueError("nodes must be >= 2")
         if self.panels < 1:
             raise ValueError("panels must be >= 1")
+        if self.nodes * self.panels > MAX_QUADRATURE_POINTS:
+            raise ValueError(
+                f"nodes * panels = {self.nodes * self.panels} exceeds the cap "
+                f"{MAX_QUADRATURE_POINTS}"
+            )
 
 
 DEFAULT_CONFIG = QuadratureConfig()

@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import lru_cache
+from typing import Mapping, Sequence
 
 from .core import Coalition, Point, as_point
 from .exceptions import CapExceededError, DimensionMismatchError, NonFiniteError
@@ -19,6 +20,17 @@ MAX_TOTAL_DEGREE = 128
 MAX_TERMS = 10**6
 
 MultiIndex = tuple[int, ...]
+
+
+@lru_cache(maxsize=256)
+def multi_indices(n: int, max_total: int) -> tuple[MultiIndex, ...]:
+    """Every length-n exponent vector of total degree <= max_total, in
+    lexicographic order: a vector sorts after every vector it dominates."""
+    if n == 0:
+        return ((),)
+    return tuple(
+        (e,) + rest for e in range(max_total + 1) for rest in multi_indices(n - 1, max_total - e)
+    )
 
 
 def support(m: MultiIndex) -> Coalition:
@@ -151,9 +163,3 @@ class SparsePolynomial:
             for item in payload["terms"]
         }
         return cls(center, terms)
-
-
-def from_terms(
-    center: Iterable[float], terms: Mapping[MultiIndex, float]
-) -> SparsePolynomial:
-    return SparsePolynomial(as_point(center), dict(terms))

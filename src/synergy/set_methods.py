@@ -11,7 +11,6 @@ sum_{i in S} 2^(i-1); index 0 is the baseline, index 2^n - 1 the input.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
@@ -356,27 +355,6 @@ def recursive_shapley_nested(table: SetFunctionTable, k: int) -> InteractionRepo
         return total
 
     return _report(table, k, fill)
-
-
-def shapley_with_frozen(table: SetFunctionTable, j: int, frozen: int) -> float:
-    """Shapley value of feature j with feature `frozen` held at its input value."""
-    n = table.n
-    if n < 2:
-        raise ValueError("needs at least two features")
-    values = table.values
-    bit_j = 1 << (j - 1)
-    bit_i = 1 << (frozen - 1)
-    total = 0.0
-    for s in range(1 << n):
-        if s & (bit_i | bit_j):
-            continue
-        weight = (
-            math.factorial(s.bit_count())
-            * math.factorial(n - s.bit_count() - 2)
-            / math.factorial(n - 1)
-        )
-        total += weight * (values[s | bit_i | bit_j] - values[s | bit_i])
-    return total
 
 
 def shapley_taylor_frozen(

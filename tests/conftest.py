@@ -1,4 +1,5 @@
 """Shared generators for the test suite. Everything is seeded explicitly."""
+import math
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -24,6 +25,28 @@ def make_polynomial(rng, n, degree=5, density=0.3):
 
 def make_table(rng, n):
     return SetFunctionTable(n, rng.uniform(-1, 1, size=1 << n))
+
+
+def shapley_with_frozen(table, j, frozen):
+    """Shapley value of feature j with feature `frozen` held at its input value
+    (reference for the frozen-feature oracles)."""
+    n = table.n
+    if n < 2:
+        raise ValueError("needs at least two features")
+    values = table.values
+    bit_j = 1 << (j - 1)
+    bit_i = 1 << (frozen - 1)
+    total = 0.0
+    for s in range(1 << n):
+        if s & (bit_i | bit_j):
+            continue
+        weight = (
+            math.factorial(s.bit_count())
+            * math.factorial(n - s.bit_count() - 2)
+            / math.factorial(n - 1)
+        )
+        total += weight * (values[s | bit_i | bit_j] - values[s | bit_i])
+    return total
 
 
 @pytest.fixture

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -169,6 +173,32 @@ def test_overflow_and_deep_nesting_are_usage_errors(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("interact", "--expr", "(x1+1)^5000", "--x", "0.5", "--method", "ig"),
+        ("interact", "--expr", "(x1+1)^200 - (x1+1)^200", "--x", "0.5", "--method", "ig"),
+        ("interact", "--expr", "sin(x1)*x2", "--x", "0.5,0.3", "--method", "ig",
+         "--quad-nodes", "100000000"),
+    ],
+    ids=["degree-before-expansion", "degree-of-cancelling-powers", "quadrature-size"],
+)
+def test_size_caps_apply_before_work_starts(argv):
+    """Each cap rejects its input before expanding or allocating anything, in
+    a fresh interpreter under a time bound."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "synergy.cli", *argv],
+        capture_output=True, text=True, timeout=20, env=env,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+    assert "exceeds" in done.stderr
 
 
 @pytest.mark.parametrize("kind", ["parens", "calls", "unary-minus"])

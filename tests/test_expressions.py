@@ -143,6 +143,16 @@ def test_to_polynomial_recenters_exactly(rng):
         assert p.evaluate(y) == pytest.approx(ex.evaluate(tree, y), rel=1e-10, abs=1e-10)
 
 
+def test_to_polynomial_bounds_degree_before_expanding():
+    center = (0.25, -0.5)
+    at_cap = ex.to_polynomial(ex.parse("(x1+1)^128", 2), center)
+    assert at_cap.degree() == 128
+    cancelling = ("(x1+1)^200 - (x1+1)^200", "x1^100*x2^29 - x2^29*x1^100")
+    for text in ("(x1+1)^5000", "((x1*x2)^8)^9", *cancelling):
+        with pytest.raises(CapExceededError, match="exceeds cap 128"):
+            ex.to_polynomial(ex.parse(text, 2), center)
+
+
 def test_taylor_sine():
     p = ex.taylor(ex.parse("sin(x1)", 1), (0.0,), 3)
     assert p.terms == pytest.approx({(1,): 1.0, (3,): -1.0 / 6.0})

@@ -1,8 +1,14 @@
+from itertools import combinations, product
+
+import numpy as np
 import pytest
 
+from synergy.combinatorics import monomial_mass
 from synergy.core import Instance
 from synergy.exceptions import CapExceededError
 from synergy.grad_exact import (
+    _coalitions,
+    _shares,
     augmented_integrated_hessian,
     ig_polynomial,
     integrated_gradients,
@@ -12,8 +18,14 @@ from synergy.grad_exact import (
     sum_of_powers_nested,
 )
 from synergy.polynomials import SparsePolynomial
-from synergy.set_methods import build_table, shapley, shapley_with_frozen
-from tests.conftest import make_polynomial
+from synergy.set_methods import (
+    augmented_recursive_shapley,
+    build_table,
+    recursive_shapley,
+    shapley,
+    shapley_taylor,
+)
+from tests.conftest import make_polynomial, shapley_with_frozen
 
 MONO_100_1 = SparsePolynomial((0.0, 0.0), {(100, 1): 1.0})
 X1X2_IN_3 = SparsePolynomial((0.0, 0.0, 0.0), {(1, 1, 0): 1.0})
@@ -255,3 +267,49 @@ def test_exact_methods_linearity(rng):
         for coalition, value in mixed.entries.items():
             expected = a * left.entries[coalition] + b * right.entries[coalition]
             assert value == pytest.approx(expected, rel=1e-10, abs=1e-10)
+
+
+def test_ih_share_rows_equal_composition_masses():
+    """The Möbius-transform row matches the composition sum of the order-k
+    expansion, exactly, on every small exponent tuple."""
+    for size in range(1, 5):
+        members = tuple(range(1, size + 1))
+        for exponents in product(range(1, 5), repeat=size):
+            degree = sum(exponents)
+            for k in range(1, 6):
+                coalitions = _coalitions(k, members)
+                assert sorted(coalitions) == sorted(
+                    subset
+                    for width in range(1, min(k, size) + 1)
+                    for subset in combinations(members, width)
+                )
+                expected = tuple(
+                    monomial_mass(k, subset, exponents) / degree**k for subset in coalitions
+                )
+                assert _shares("ih", k, exponents) == expected
+
+
+def test_gradient_rules_equal_binary_rules_on_multilinear_polynomials():
+    """With every exponent 0 or 1 a monomial's exponent shares are its
+    support sizes, so each gradient rule is its binary counterpart."""
+    rng = np.random.default_rng(77)
+    for n in range(1, 8):
+        for _ in range(3):
+            terms = {
+                m: float(rng.uniform(-1, 1))
+                for m in product((0, 1), repeat=n)
+                if rng.uniform() < 0.6
+            }
+            p = SparsePolynomial(tuple(rng.uniform(-0.5, 0.5, n)), terms)
+            x = tuple(np.array(p.center) + rng.uniform(-1, 1, n))
+            table = build_table(Instance(x=x, baseline=p.center), p.evaluate)
+            pairs = [(shapley(table), integrated_gradients(p, x))]
+            for k in range(1, n + 1):
+                pairs += [
+                    (recursive_shapley(table, k), integrated_hessian(p, x, k)),
+                    (augmented_recursive_shapley(table, k),
+                     augmented_integrated_hessian(p, x, k)),
+                    (shapley_taylor(table, k), sum_of_powers(p, x, k)),
+                ]
+            for binary, gradient in pairs:
+                assert binary.max_abs_difference(gradient) < 1e-12

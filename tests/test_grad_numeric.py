@@ -6,7 +6,12 @@ import pytest
 from synergy import expressions as ex
 from synergy.core import Instance
 from synergy.grad_exact import integrated_gradients, integrated_hessian
-from synergy.grad_numeric import QuadratureConfig, ig_quadrature, ih2_quadrature
+from synergy.grad_numeric import (
+    MAX_QUADRATURE_POINTS,
+    QuadratureConfig,
+    ig_quadrature,
+    ih2_quadrature,
+)
 from tests.conftest import make_polynomial
 
 
@@ -15,6 +20,14 @@ def test_config_validation():
         QuadratureConfig(nodes=1)
     with pytest.raises(ValueError):
         QuadratureConfig(panels=0)
+
+
+def test_config_caps_nodes_times_panels():
+    assert QuadratureConfig(nodes=256, panels=4).nodes == 256
+    QuadratureConfig(nodes=MAX_QUADRATURE_POINTS, panels=1)
+    for nodes, panels in ((MAX_QUADRATURE_POINTS + 1, 1), (257, 4), (10**8, 4)):
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            QuadratureConfig(nodes=nodes, panels=panels)
 
 
 def test_ig_quadrature_quadratic_example():

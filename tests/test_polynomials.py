@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from synergy.core import Instance
 from synergy.exceptions import CapExceededError
-from synergy.polynomials import SparsePolynomial, from_terms, support
+from synergy.polynomials import SparsePolynomial, multi_indices, support
 from synergy.set_methods import build_table, mobius
 from tests.conftest import make_polynomial
 
@@ -138,6 +140,15 @@ def test_support():
     assert support((0, 0)) == ()
 
 
+def test_multi_indices_are_every_vector_in_lexicographic_order():
+    for n in range(4):
+        for max_total in range(5):
+            vectors = multi_indices(n, max_total)
+            assert list(vectors) == sorted(set(vectors))
+            assert len(vectors) == math.comb(n + max_total, n)
+            assert all(sum(m) <= max_total and len(m) == n for m in vectors)
+
+
 def test_degree_cap():
     with pytest.raises(CapExceededError):
         SparsePolynomial((0.0,), {(129,): 1.0})
@@ -149,6 +160,6 @@ def test_json_roundtrip():
     assert SparsePolynomial.from_json_dict(payload) == QUADRATIC
 
 
-def test_from_terms_drops_zeros():
-    p = from_terms([0.0, 0.0], {(1, 0): 0.0, (0, 1): 2.0})
+def test_zero_coefficients_are_dropped():
+    p = SparsePolynomial((0.0, 0.0), {(1, 0): 0.0, (0, 1): 2.0, (1, 1): -0.0})
     assert p.terms == {(0, 1): 2.0}

@@ -24,9 +24,8 @@ from synergy.set_methods import (
     shapley_taylor,
     shapley_taylor_from_marginals,
     shapley_taylor_frozen,
-    shapley_with_frozen,
 )
-from tests.conftest import make_table
+from tests.conftest import make_table, shapley_with_frozen
 
 
 def _mobius_direct(table):
