@@ -1,5 +1,6 @@
 """A small analytic expression language: parsing, evaluation, exact symbolic
-partial derivatives, polynomial extraction, and Taylor expansion.
+partial derivatives, and power series (exact polynomial expansion and
+truncated Taylor expansion, one series walker for both).
 
 Grammar (EBNF):
 
@@ -12,11 +13,13 @@ Grammar (EBNF):
 Implicit multiplication is rejected. Named constants must be bound at parse
 time; unbound identifiers are errors. Parentheses, function calls and unary
 minus nest at most MAX_NESTING levels deep. Every expression built from these
-primitives is real-analytic, so symbolic differentiation is total.
+primitives is real-analytic, so symbolic differentiation and truncated
+power-series expansion are total.
 """
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -30,7 +33,6 @@ from .polynomials import (
     MAX_TOTAL_DEGREE,
     MultiIndex,
     SparsePolynomial,
-    multi_indices,
 )
 
 TAYLOR_MAX_ORDER = 12
@@ -332,6 +334,28 @@ def evaluate(expr: Expr, y: Sequence):
     raise TypeError(f"unknown node {expr!r}")
 
 
+def tree_size(expr: Expr, memo: dict[int, int]) -> int:
+    """Nodes `evaluate` visits walking `expr` as a tree. A subtree shared
+    by several parents is counted once per use but sized once, through
+    `memo`, keyed by node identity: the count costs one step per distinct
+    node, however large the tree."""
+    size = memo.get(id(expr))
+    if size is None:
+        if isinstance(expr, (Neg, Call)):
+            children: tuple[Expr, ...] = (expr.arg,)
+        elif isinstance(expr, Pow):
+            children = (expr.base,)
+        elif isinstance(expr, Add):
+            children = expr.terms
+        elif isinstance(expr, Mul):
+            children = expr.factors
+        else:
+            children = ()
+        size = 1 + sum(tree_size(child, memo) for child in children)
+        memo[id(expr)] = size
+    return size
+
+
 def _print_atom(expr: Expr) -> str:
     text = to_text(expr)
     if isinstance(expr, (Var, Call)):
@@ -424,11 +448,21 @@ def is_polynomial(expr: Expr) -> bool:
     raise TypeError(f"unknown node {expr!r}")
 
 
-def _convolve(a: dict[MultiIndex, float], b: dict[MultiIndex, float]) -> dict:
+def _convolve(
+    a: dict[MultiIndex, float], b: dict[MultiIndex, float], order: int | None
+) -> dict[MultiIndex, float]:
+    """Series product, pairs in dict order; with an `order`, every pair of
+    total degree above it is skipped. Exact products (order None) are checked
+    against the degree cap before they are expanded, so none is skipped."""
+    limit = MAX_TOTAL_DEGREE if order is None else order
+    b_items = [(mb, cb, sum(mb)) for mb, cb in b.items()]
     out: dict[MultiIndex, float] = {}
     for ma, ca in a.items():
-        for mb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ma, mb))
+        room = limit - sum(ma)
+        for mb, cb, degree in b_items:
+            if degree > room:
+                continue
+            key = tuple(map(operator.add, ma, mb))
             out[key] = out.get(key, 0.0) + ca * cb
             if len(out) > MAX_TERMS:
                 raise CapExceededError("polynomial expansion exceeds the term cap")
@@ -444,6 +478,100 @@ def _require_degree(degree: int) -> None:
         raise CapExceededError(f"total degree {degree} exceeds cap {MAX_TOTAL_DEGREE}")
 
 
+# Derivatives of sin, cos and exp at a0, repeating with period 4, 4 and 1.
+_DERIVATIVE_CYCLES = {
+    "sin": lambda a0: (math.sin(a0), math.cos(a0), -math.sin(a0), -math.cos(a0)),
+    "cos": lambda a0: (math.cos(a0), -math.sin(a0), -math.cos(a0), math.sin(a0)),
+    "exp": lambda a0: (math.exp(a0),),
+}
+
+
+def _split(
+    series: dict[MultiIndex, float], zero: MultiIndex
+) -> tuple[float, dict[MultiIndex, float]]:
+    """The constant term of a series and the series without it."""
+    return series.get(zero, 0.0), {m: c for m, c in series.items() if m != zero}
+
+
+def _compose(
+    rest: dict[MultiIndex, float], weights: Sequence[float], zero: MultiIndex, order: int
+) -> dict[MultiIndex, float]:
+    """Sum of weights[j]·rest^j over ascending j: a univariate function with
+    Taylor coefficients `weights` at a series' constant term, applied to the
+    rest of that series. Each power of `rest` is built once, and the sum stops
+    early when one is empty."""
+    out: dict[MultiIndex, float] = {}
+    power = {zero: 1.0}
+    for j, weight in enumerate(weights):
+        if j:
+            power = _convolve(power, rest, order)
+            if not power:
+                break
+        if weight != 0.0:
+            for m, c in power.items():
+                out[m] = out.get(m, 0.0) + weight * c
+    return {m: c for m, c in out.items() if c != 0.0}
+
+
+def _series(e: Expr, center: Point, order: int | None) -> dict[MultiIndex, float]:
+    """Power series of `e` in (y - center), as exponent vector -> coefficient.
+
+    With `order` None this is the exact expansion of a polynomial expression:
+    the degree cap is checked before every product and power, which are
+    expanded by repeated convolution. With an integer `order` every term of
+    total degree above it is dropped as soon as it would arise, and powers and
+    sin/cos/exp compose their argument's series with their own Taylor
+    coefficients at its constant term.
+    """
+    n = len(center)
+    zero = (0,) * n
+    if isinstance(e, Const):
+        return {zero: e.value} if e.value != 0.0 else {}
+    if isinstance(e, Var):
+        out = {}
+        if order is None or order >= 1:
+            out[tuple(1 if j == e.index - 1 else 0 for j in range(n))] = 1.0
+        if center[e.index - 1] != 0.0:
+            out[zero] = center[e.index - 1]
+        return out
+    if isinstance(e, Neg):
+        return {m: -c for m, c in _series(e.arg, center, order).items()}
+    if isinstance(e, Add):
+        out = {}
+        for t in e.terms:
+            for m, c in _series(t, center, order).items():
+                out[m] = out.get(m, 0.0) + c
+        return {m: c for m, c in out.items() if c != 0.0}
+    if isinstance(e, Mul):
+        factors = [_series(f, center, order) for f in e.factors]
+        if order is None:
+            _require_degree(sum(_degree(f) for f in factors))
+        out = {zero: 1.0}
+        for f in factors:
+            out = _convolve(out, f, order)
+        return out
+    if isinstance(e, Pow):
+        base = _series(e.base, center, order)
+        k = e.exponent
+        if order is None:
+            _require_degree(_degree(base) * k)
+            out = {zero: 1.0}
+            for _ in range(k):
+                out = _convolve(out, base, None)
+            return out
+        a0, rest = _split(base, zero)
+        weights = [math.comb(k, j) * a0 ** (k - j) for j in range(min(k, order) + 1)]
+        return _compose(rest, weights, zero, order)
+    if isinstance(e, Call):
+        if order is None:
+            raise ValueError(f"{e.func} has no exact polynomial expansion")
+        a0, rest = _split(_series(e.arg, center, order), zero)
+        cycle = _DERIVATIVE_CYCLES[e.func](a0)
+        weights = [cycle[j % len(cycle)] / math.factorial(j) for j in range(order + 1)]
+        return _compose(rest, weights, zero, order)
+    raise TypeError(f"unknown node {e!r}")
+
+
 def to_polynomial(expr: Expr, center: Point) -> SparsePolynomial | None:
     """Exact expansion in powers of (y - center), or None when transcendental.
 
@@ -453,80 +581,31 @@ def to_polynomial(expr: Expr, center: Point) -> SparsePolynomial | None:
     """
     if not is_polynomial(expr):
         return None
-    n = len(center)
-    zero = (0,) * n
-
-    def walk(e: Expr) -> dict[MultiIndex, float]:
-        if isinstance(e, Const):
-            return {zero: e.value} if e.value != 0.0 else {}
-        if isinstance(e, Var):
-            unit = tuple(1 if j == e.index - 1 else 0 for j in range(n))
-            out = {unit: 1.0}
-            if center[e.index - 1] != 0.0:
-                out[zero] = center[e.index - 1]
-            return out
-        if isinstance(e, Neg):
-            return {m: -c for m, c in walk(e.arg).items()}
-        if isinstance(e, Add):
-            out: dict[MultiIndex, float] = {}
-            for t in e.terms:
-                for m, c in walk(t).items():
-                    out[m] = out.get(m, 0.0) + c
-            return {m: c for m, c in out.items() if c != 0.0}
-        if isinstance(e, Mul):
-            factors = [walk(f) for f in e.factors]
-            _require_degree(sum(_degree(f) for f in factors))
-            out = {zero: 1.0}
-            for f in factors:
-                out = _convolve(out, f)
-            return out
-        if isinstance(e, Pow):
-            base = walk(e.base)
-            _require_degree(_degree(base) * e.exponent)
-            out = {zero: 1.0}
-            for _ in range(e.exponent):
-                out = _convolve(out, base)
-            return out
-        raise TypeError(f"unknown node {e!r}")
-
-    return SparsePolynomial(center, walk(expr))
+    return SparsePolynomial(center, _series(expr, center, None))
 
 
 def taylor(expr: Expr, center: Point, order: int) -> SparsePolynomial:
     """Degree-`order` Taylor polynomial at `center`.
 
     Polynomial expressions are expanded exactly and truncated. Transcendental
-    expressions go through nested symbolic differentiation with the derivative
-    tree memoized per exponent vector; those are capped at order 12 and 6
-    features.
+    expressions are expanded in truncated power-series arithmetic by the same
+    walk as `to_polynomial`: every product drops the terms above total degree
+    `order`, and sin, cos, exp and powers apply their univariate Taylor
+    coefficients at the argument's constant term to the rest of its series.
+    No derivative is taken. These are capped at order 12 and 6 features.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     exact = to_polynomial(expr, center)
     if exact is not None:
         return exact.truncate(order)
-    n = len(center)
     if order > TAYLOR_MAX_ORDER:
         raise CapExceededError(f"taylor order capped at {TAYLOR_MAX_ORDER}")
-    if n > TAYLOR_MAX_FEATURES:
+    if len(center) > TAYLOR_MAX_FEATURES:
         raise CapExceededError(
             f"taylor of transcendental expressions capped at {TAYLOR_MAX_FEATURES} features"
         )
-    derivatives: dict[MultiIndex, Expr] = {(0,) * n: expr}
-    terms: dict[MultiIndex, float] = {}
-    # lexicographic order: each vector's parent (one less at its first
-    # nonzero position) comes before it
-    for m in multi_indices(n, order):
-        if m not in derivatives:
-            j = next(i for i, e in enumerate(m) if e > 0)
-            parent = m[:j] + (m[j] - 1,) + m[j + 1 :]
-            derivatives[m] = partial(derivatives[parent], j + 1)
-        coefficient = evaluate(derivatives[m], center)
-        for e in m:
-            coefficient /= math.factorial(e)
-        if coefficient != 0.0:
-            terms[m] = coefficient
-    return SparsePolynomial(center, terms)
+    return SparsePolynomial(center, _series(expr, center, order))
 
 
 def from_polynomial(p: SparsePolynomial) -> Expr:

@@ -3,19 +3,20 @@
 Integrals run along the straight baseline-to-input path only. Integrands use
 exact symbolic partial derivatives; composite Gauss-Legendre quadrature is the
 single source of numeric error. Summation order is fixed (ascending node, then
-panel) for deterministic output.
+panel) for deterministic output. The integrands' tree sizes times their sample
+counts are capped (MAX_QUADRATURE_WORK) before anything is sampled.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
 from .core import Instance, InteractionReport
-from .exceptions import NonFiniteError
-from .expressions import Expr, evaluate, partial
+from .exceptions import CapExceededError, NonFiniteError
+from .expressions import Expr, evaluate, partial, tree_size
 from .grad_exact import _empty_entries
 
 
@@ -42,6 +43,24 @@ class QuadratureConfig:
 
 
 DEFAULT_CONFIG = QuadratureConfig()
+
+# Tree nodes that evaluate visits, times the samples it visits them on, summed
+# over the integrands of one quadrature call. The largest call in the tests
+# and benchmark workloads does 1.6e8 (ih2 of a 49-term degree-6 polynomial);
+# a call at the cap takes about 8 s on a 2-vCPU Xeon VM.
+MAX_QUADRATURE_WORK = 2 * 10**9
+
+
+def _require_work(integrands: list[Expr], samples: int) -> None:
+    """Raise before any sampling when evaluating every integrand on `samples`
+    points would exceed MAX_QUADRATURE_WORK node visits."""
+    memo: dict[int, int] = {}
+    work = samples * sum(tree_size(e, memo) for e in integrands)
+    if work > MAX_QUADRATURE_WORK:
+        raise CapExceededError(
+            f"quadrature work {work:.3g} node evaluations exceeds the cap "
+            f"{MAX_QUADRATURE_WORK:.3g}"
+        )
 
 
 @lru_cache(maxsize=32)
@@ -77,16 +96,16 @@ def ig_quadrature(
     n = inst.n
     t, w = _unit_interval_rule(config.nodes, config.panels)
     path = _path_points(inst, t)
+    deltas = [inst.x[i] - inst.baseline[i] for i in range(n)]
+    partials = {i: partial(expr, i) for i in range(1, n + 1) if deltas[i - 1] != 0.0}
+    _require_work(list(partials.values()), t.size)
     entries = _empty_entries(n, 1)
     entries[()] = float(evaluate(expr, inst.baseline))
-    for i in range(1, n + 1):
-        delta = inst.x[i - 1] - inst.baseline[i - 1]
-        if delta == 0.0:
-            continue
+    for i, derivative in partials.items():
         with np.errstate(over="ignore", invalid="ignore"):
-            values = np.asarray(evaluate(partial(expr, i), path), dtype=float)
+            values = np.asarray(evaluate(derivative, path), dtype=float)
         samples = np.broadcast_to(values, t.shape)
-        entries[(i,)] = delta * float(w @ _finite(samples, f"dF/dx{i}"))
+        entries[(i,)] = deltas[i - 1] * float(w @ _finite(samples, f"dF/dx{i}"))
     return InteractionReport(n=n, order=1, entries=entries)
 
 
@@ -109,20 +128,22 @@ def ih2_quadrature(
             values = np.asarray(evaluate(e, grid), dtype=float)
         return _finite(np.broadcast_to(values, st.shape), what)
 
+    active = [i for i in range(1, n + 1) if deltas[i - 1] != 0.0]
+    first_partials = {i: partial(expr, i) for i in active}
+    second_partials = {
+        (i, j): partial(first_partials[i], j)
+        for i, j in combinations_with_replacement(active, 2)
+    }
+    _require_work([*first_partials.values(), *second_partials.values()], st.size)
     entries = _empty_entries(n, 2)
     entries[()] = float(evaluate(expr, inst.baseline))
-    first_partials = {i: partial(expr, i) for i in range(1, n + 1)}
-    for i, j in combinations(range(1, n + 1), 2):
-        if deltas[i - 1] == 0.0 or deltas[j - 1] == 0.0:
-            continue
-        cross = partial(first_partials[i], j)
+    for i, j in combinations(active, 2):
+        cross = second_partials[(i, j)]
         integral = float(np.sum(weights * st * sample(cross, f"d2F/dx{i}dx{j}")))
         entries[(i, j)] = 2.0 * deltas[i - 1] * deltas[j - 1] * integral
-    for i in range(1, n + 1):
-        if deltas[i - 1] == 0.0:
-            continue
+    for i in active:
         gradient_part = float(np.sum(weights * sample(first_partials[i], f"dF/dx{i}")))
-        curvature = partial(first_partials[i], i)
+        curvature = second_partials[(i, i)]
         curvature_part = float(
             np.sum(weights * st * sample(curvature, f"d2F/dx{i}^2"))
         )

@@ -5,7 +5,8 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
-from synergy.polynomials import SparsePolynomial
+from synergy import expressions as ex
+from synergy.polynomials import SparsePolynomial, multi_indices
 from synergy.set_methods import SetFunctionTable
 
 
@@ -47,6 +48,29 @@ def shapley_with_frozen(table, j, frozen):
         )
         total += weight * (values[s | bit_i | bit_j] - values[s | bit_i])
     return total
+
+
+def reference_taylor(expr, center, order):
+    """Taylor polynomial by nested symbolic differentiation: one derivative
+    tree per exponent vector, each the partial of its parent, evaluated at
+    the center and divided by the factorials (reference for the series
+    walker behind `taylor`)."""
+    n = len(center)
+    derivatives = {(0,) * n: expr}
+    terms = {}
+    # lexicographic order: each vector's parent (one less at its first
+    # nonzero position) comes before it
+    for m in multi_indices(n, order):
+        if m not in derivatives:
+            j = next(i for i, e in enumerate(m) if e > 0)
+            parent = m[:j] + (m[j] - 1,) + m[j + 1 :]
+            derivatives[m] = ex.partial(derivatives[parent], j + 1)
+        coefficient = ex.evaluate(derivatives[m], center)
+        for e in m:
+            coefficient /= math.factorial(e)
+        if coefficient != 0.0:
+            terms[m] = coefficient
+    return SparsePolynomial(center, terms)
 
 
 @pytest.fixture

@@ -182,8 +182,11 @@ def test_overflow_and_deep_nesting_are_usage_errors(capsys, argv):
         ("interact", "--expr", "(x1+1)^200 - (x1+1)^200", "--x", "0.5", "--method", "ig"),
         ("interact", "--expr", "sin(x1)*x2", "--x", "0.5,0.3", "--method", "ig",
          "--quad-nodes", "100000000"),
+        ("interact", "--expr", "sin(" * 100 + "x1*x2" + ")" * 100, "--x", "0.5,0.3",
+         "--method", "ih", "-k", "2"),
     ],
-    ids=["degree-before-expansion", "degree-of-cancelling-powers", "quadrature-size"],
+    ids=["degree-before-expansion", "degree-of-cancelling-powers", "quadrature-size",
+         "quadrature-work"],
 )
 def test_size_caps_apply_before_work_starts(argv):
     """Each cap rejects its input before expanding or allocating anything, in

@@ -1,11 +1,13 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from synergy import expressions as ex
-from synergy.exceptions import CapExceededError, ParseError
+from synergy.exceptions import CapExceededError, NonFiniteError, ParseError
 from synergy.polynomials import SparsePolynomial
+from tests.conftest import reference_taylor
 
 
 def _random_expr(rng, n, depth=0):
@@ -186,6 +188,118 @@ def test_taylor_caps():
         ex.taylor(sine, (0.0,), 13)
     with pytest.raises(CapExceededError):
         ex.taylor(ex.parse("sin(x1*x7)", 7), (0.0,) * 7, 4)
+
+
+def _random_analytic(rng, n, depth=0):
+    """A random expression with at least one sin, cos or exp at its root
+    level, built from sums, products, negations and small powers."""
+    roll = rng.uniform()
+    if depth >= 2 or roll < 0.2:
+        if rng.uniform() < 0.4:
+            return ex.Const(float(rng.uniform(-1.5, 1.5)))
+        return ex.Var(int(rng.integers(1, n + 1)))
+    if roll < 0.4:
+        return ex.add(*(_random_analytic(rng, n, depth + 1) for _ in range(2)))
+    if roll < 0.6:
+        return ex.mul(*(_random_analytic(rng, n, depth + 1) for _ in range(2)))
+    if roll < 0.7:
+        return ex.neg(_random_analytic(rng, n, depth + 1))
+    if roll < 0.8:
+        return ex.power(_random_analytic(rng, n, depth + 1), int(rng.integers(2, 5)))
+    func = str(rng.choice(ex.FUNCTIONS))
+    return ex.call(func, ex.mul(ex.Const(0.7), _random_analytic(rng, n, depth + 1)))
+
+
+def _assert_same_series(p, q, rel=1e-12):
+    scale = max(abs(c) for c in q.terms.values())
+    for m in set(p.terms) | set(q.terms):
+        assert abs(p.terms.get(m, 0.0) - q.terms.get(m, 0.0)) <= rel * scale, m
+
+
+def test_taylor_matches_nested_differentiation():
+    rng = np.random.default_rng(515)
+    checked = 0
+    while checked < 80:
+        n = int(rng.integers(1, 4))
+        func = str(rng.choice(ex.FUNCTIONS))
+        tree = ex.add(
+            ex.call(func, _random_analytic(rng, n)),
+            ex.mul(_random_analytic(rng, n), _random_analytic(rng, n)),
+        )
+        if ex.is_polynomial(tree):
+            continue
+        center = tuple(float(v) for v in rng.uniform(-0.8, 0.8, n))
+        order = int(rng.integers(0, 7))
+        expected = reference_taylor(tree, center, order)
+        if not expected.terms:
+            continue
+        _assert_same_series(ex.taylor(tree, center, order), expected)
+        checked += 1
+
+
+def test_taylor_closed_forms():
+    p = ex.taylor(ex.parse("exp(x1*x2)", 2), (0.0, 0.0), 12)
+    assert p.terms == {(j, j): 1.0 / math.factorial(j) for j in range(7)}
+    c = 0.7
+    sine = ex.taylor(ex.parse("sin(x1)", 1), (c,), 5)
+    assert sine.terms == pytest.approx(
+        {(j,): d / math.factorial(j)
+         for j, d in enumerate([math.sin(c), math.cos(c), -math.sin(c), -math.cos(c),
+                                math.sin(c), math.cos(c)])},
+        rel=1e-15,
+    )
+    cosine = ex.taylor(ex.parse("cos(x1)", 1), (c,), 5)
+    assert cosine.terms == pytest.approx(
+        {(j,): d / math.factorial(j)
+         for j, d in enumerate([math.cos(c), -math.sin(c), -math.cos(c), math.sin(c),
+                                math.cos(c), -math.sin(c)])},
+        rel=1e-15,
+    )
+    # e^sin(x) = 1 + x + x^2/2 - x^4/8 - x^5/15 - x^6/240 + O(x^7)
+    nested = ex.taylor(ex.parse("exp(sin(x1))", 1), (0.0,), 6)
+    assert nested.terms == pytest.approx(
+        {(0,): 1.0, (1,): 1.0, (2,): 0.5, (4,): -1 / 8, (5,): -1 / 15, (6,): -1 / 240},
+        rel=1e-14, abs=1e-16,
+    )
+    tree = ex.parse("x3^2*exp(0.2*x2) + sin(x1*x2) - cos(x1 + x3) + x2", 3)
+    center = (0.4, -0.3, 0.9)
+    constant = ex.taylor(tree, center, 0)
+    assert constant.terms == {(0, 0, 0): pytest.approx(ex.evaluate(tree, center), rel=1e-15)}
+
+
+def test_taylor_takes_no_derivatives(monkeypatch):
+    def refuse(expr, i):
+        raise AssertionError("taylor differentiated symbolically")
+
+    monkeypatch.setattr(ex, "partial", refuse)
+    p = ex.taylor(ex.parse("sin(x1*x2) + exp(x3)", 3), (0.0, 0.0, 0.0), 4)
+    assert p.terms == pytest.approx(
+        {(1, 1, 0): 1.0, (0, 0, 0): 1.0, (0, 0, 1): 1.0, (0, 0, 2): 0.5,
+         (0, 0, 3): 1 / 6, (0, 0, 4): 1 / 24},
+        rel=1e-15,
+    )
+
+
+@pytest.mark.parametrize(
+    "text, n", [("sin(x1)^1000000", 1), ("cos(x1+x2)^100000000", 2)]
+)
+def test_taylor_of_huge_powers_is_quick(text, n):
+    tree = ex.parse(text, n)
+    center = (0.0,) * n
+    started = time.perf_counter()
+    p = ex.taylor(tree, center, 6)
+    assert time.perf_counter() - started < 1.0
+    expected = reference_taylor(tree, center, 6)
+    assert set(p.terms) == set(expected.terms)
+    if expected.terms:
+        _assert_same_series(p, expected)
+
+
+def test_taylor_overflow_is_never_a_non_finite_coefficient():
+    with pytest.raises(OverflowError):
+        ex.taylor(ex.parse("exp(x1)", 1), (1000.0,), 4)
+    with pytest.raises(NonFiniteError):
+        ex.taylor(ex.parse("exp(x1)*exp(x1)", 1), (700.0,), 4)
 
 
 def test_print_parse_is_fixed_point(rng):

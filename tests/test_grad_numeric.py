@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from synergy import expressions as ex
+from synergy import grad_numeric
 from synergy.core import Instance
+from synergy.exceptions import CapExceededError
 from synergy.grad_exact import integrated_gradients, integrated_hessian
 from synergy.grad_numeric import (
     MAX_QUADRATURE_POINTS,
@@ -128,3 +130,29 @@ def test_quadrature_skips_features_at_baseline():
     report = ig_quadrature(tree, inst)
     assert report.value((2,)) == 0.0
     assert report.total() == pytest.approx(0.5, abs=1e-12)
+
+
+def test_quadrature_work_cap_counts_tree_nodes_times_samples(monkeypatch):
+    # ig samples dF/dx1 = x2 and dF/dx2 = x1 (one node each) on 256 points;
+    # ih2 adds the three second partials 0, 1, 0 on a 256 x 256 grid
+    tree = ex.parse("x1*x2", 2)
+    inst = Instance(x=(0.7, -1.2), baseline=(0.0, 0.0))
+    for engine, work in ((ig_quadrature, 2 * 256), (ih2_quadrature, 5 * 256**2)):
+        monkeypatch.setattr(grad_numeric, "MAX_QUADRATURE_WORK", work)
+        engine(tree, inst)
+        monkeypatch.setattr(grad_numeric, "MAX_QUADRATURE_WORK", work - 1)
+        with pytest.raises(CapExceededError, match="quadrature work"):
+            engine(tree, inst)
+
+
+def test_quadrature_work_cap_rejects_nested_input_before_sampling(monkeypatch):
+    text = "sin(" * 100 + "x1*x2" + ")" * 100
+    tree = ex.parse(text, 2)
+    inst = Instance(x=(0.5, 0.3), baseline=(0.0, 0.0))
+
+    def refuse(expr, y):
+        raise AssertionError("sampled an integrand over the work cap")
+
+    monkeypatch.setattr(grad_numeric, "evaluate", refuse)
+    with pytest.raises(CapExceededError, match="exceeds the cap"):
+        ih2_quadrature(tree, inst)
