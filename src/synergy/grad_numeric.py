@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
@@ -51,7 +52,7 @@ DEFAULT_CONFIG = QuadratureConfig()
 MAX_QUADRATURE_WORK = 2 * 10**9
 
 
-def _require_work(integrands: list[Expr], samples: int) -> None:
+def _require_work(integrands: Iterable[Expr], samples: int) -> None:
     """Raise before any sampling when evaluating every integrand on `samples`
     points would exceed MAX_QUADRATURE_WORK node visits."""
     memo: dict[int, int] = {}
@@ -98,7 +99,7 @@ def ig_quadrature(
     path = _path_points(inst, t)
     deltas = [inst.x[i] - inst.baseline[i] for i in range(n)]
     partials = {i: partial(expr, i) for i in range(1, n + 1) if deltas[i - 1] != 0.0}
-    _require_work(list(partials.values()), t.size)
+    _require_work(partials.values(), t.size)
     entries = _empty_entries(n, 1)
     entries[()] = float(evaluate(expr, inst.baseline))
     for i, derivative in partials.items():
