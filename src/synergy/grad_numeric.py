@@ -1,13 +1,18 @@
 """Quadrature oracle for the path-integral methods on analytic expressions.
 
 Integrals run along the straight baseline-to-input path only. Integrands use
-exact symbolic partial derivatives; composite Gauss-Legendre quadrature is the
-single source of numeric error. Summation order is fixed (ascending node, then
-panel) for deterministic output. The integrands' tree sizes times their sample
-counts are capped (MAX_QUADRATURE_WORK) before anything is sampled.
+exact symbolic partial derivatives; the quadrature rule is the single source
+of numeric error. `ig` uses composite Gauss-Legendre on [0, 1]. The order-2
+integrated Hessian is a double integral over s, t whose integrands depend on
+s and t only through u = st, so it is the 1-D integral of g(u)(-ln u) over
+[0, 1]: one composite Gauss rule for the weight -ln u, sampled on the same
+1-D path as `ig`. Summation order is fixed for deterministic output. The
+integrands' tree sizes times their per-node sampling cost are capped
+(MAX_QUADRATURE_WORK) before anything is sampled.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -21,8 +26,8 @@ from .expressions import Expr, evaluate, partial, tree_size
 from .grad_exact import _empty_entries
 
 
-# Nodes times panels: the 1-D rule's length. ih2 samples its square per
-# feature pair, so this also bounds that grid (1024^2 doubles = 8 MiB).
+# Nodes times panels: the length of either 1-D rule, so the samples per
+# integrand.
 MAX_QUADRATURE_POINTS = 1024
 
 
@@ -45,22 +50,30 @@ class QuadratureConfig:
 
 DEFAULT_CONFIG = QuadratureConfig()
 
-# Tree nodes that evaluate visits, times the samples it visits them on, summed
-# over the integrands of one quadrature call. The largest call in the tests
-# and benchmark workloads does 1.6e8 (ih2 of a 49-term degree-6 polynomial);
-# a call at the cap takes about 8 s on a 2-vCPU Xeon VM.
+# Work is counted in units of one sample of one tree node. Besides its
+# per-sample cost, `evaluate` pays a fixed cost per node (one numpy call on
+# a short array) worth NODE_COST_IN_SAMPLES samples: fitted on a 2-vCPU Xeon
+# VM as about 1000 on polynomial trees and 300 on sin-heavy ones, whose
+# samples cost more. A call's work is the integrand nodes that `evaluate`
+# visits times (samples + NODE_COST_IN_SAMPLES). The largest call in the
+# tests and benchmark workloads does 5.1e6 (4030 nodes on 256 samples). On
+# that VM a call at the cap takes about 6 s on sin-heavy trees at 256
+# samples and about 7.5 s at 1024; 100 nested levels of sin under ih2
+# (2.17e6 nodes, 2.7e9) are refused.
+NODE_COST_IN_SAMPLES = 1000
 MAX_QUADRATURE_WORK = 2 * 10**9
 
 
 def _require_work(integrands: Iterable[Expr], samples: int) -> None:
     """Raise before any sampling when evaluating every integrand on `samples`
-    points would exceed MAX_QUADRATURE_WORK node visits."""
+    points would exceed MAX_QUADRATURE_WORK."""
     memo: dict[int, int] = {}
-    work = samples * sum(tree_size(e, memo) for e in integrands)
+    nodes = sum(tree_size(e, memo) for e in integrands)
+    work = nodes * (samples + NODE_COST_IN_SAMPLES)
     if work > MAX_QUADRATURE_WORK:
         raise CapExceededError(
-            f"quadrature work {work:.3g} node evaluations exceeds the cap "
-            f"{MAX_QUADRATURE_WORK:.3g}"
+            f"quadrature work {work:.4g} ({nodes} integrand nodes on {samples} "
+            f"samples) exceeds the cap {MAX_QUADRATURE_WORK:.4g}"
         )
 
 
@@ -75,6 +88,114 @@ def _unit_interval_rule(nodes: int, panels: int) -> tuple[np.ndarray, np.ndarray
         left = panel * width
         points.append(left + (raw_nodes + 1.0) * (width / 2.0))
         weights.append(raw_weights * (width / 2.0))
+    return np.concatenate(points), np.concatenate(weights)
+
+
+def _log_moments(left: float, width: float, count: int) -> np.ndarray:
+    """Modified moments m_l = int_0^1 p_l(v) (-ln(left + width*v)) dv for
+    l < count, against the orthonormal shifted Legendre polynomials
+    p_l(v) = sqrt(2l+1) P_l(2v - 1).
+
+    On [0, h] the weight is -ln h - ln v, whose moments are -ln h (l = 0)
+    plus the closed form (-1)^l sqrt(2l+1)/(l(l+1)) of -ln v. On a panel
+    off zero, with z = (2*left + width)/width > 1, they are
+    (-1)^l (Q_{l-1}(z) - Q_{l+1}(z))/sqrt(2l+1) in the Legendre functions of
+    the second kind, which decay in l: their ratios come from the backward
+    recurrence (Miller's algorithm, started 40 terms beyond the last one
+    needed), their products may underflow to 0 harmlessly.
+    """
+    l = np.arange(1, count, dtype=float)
+    sign = (-1.0) ** l
+    moments = np.empty(count)
+    if left == 0.0:
+        moments[0] = 1.0 - math.log(width)
+        moments[1:] = sign * np.sqrt(2.0 * l + 1.0) / (l * (l + 1.0))
+        return moments
+    ratio = width / left
+    moments[0] = 1.0 - math.log(left + width) - math.log1p(ratio) / ratio
+    z = 1.0 + 2.0 / ratio
+    ratios = np.empty(count + 40)  # ratios[n - 1] = Q_n(z) / Q_{n-1}(z)
+    r = 0.0
+    for n in range(count + 40, 0, -1):
+        r = n / ((2 * n + 1) * z - (n + 1) * r)
+        ratios[n - 1] = r
+    q = 0.5 * math.log1p(ratio) * np.cumprod(np.concatenate(([1.0], ratios[:count])))
+    moments[1:] = sign * (q[:-2] - q[2:]) / np.sqrt(2.0 * l + 1.0)
+    return moments
+
+
+def _gauss_rule(moments: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule on [0, 1] for the weight with the given Legendre modified
+    moments (2*nodes of them).
+
+    Gautschi's modified Chebyshev algorithm (Orthogonal Polynomials:
+    Computation and Approximation, 2004, sec. 2.1.7) gives the weight's
+    recurrence coefficients alpha_k, beta_k. It runs on the mixed moments
+    <q_k, p_l> of the orthonormal polynomials q_k of the weight against the
+    orthonormal Legendre p_l, which stay of order one where the monic ones
+    overflow. The nodes are the eigenvalues of the Jacobi matrix (Golub and
+    Welsch, Math. Comp. 23, 1969); the weights are the Christoffel numbers
+    at them, which spares the eigenvectors (LAPACK's eigh with vectors runs
+    10-100 times slower than eigvalsh at 64-128 nodes on a multithreaded
+    OpenBLAS).
+    """
+    size = 2 * nodes
+    l = np.arange(1, size + 1, dtype=float)
+    # u p_l = b[l+1] p_{l+1} + p_l / 2 + b[l] p_{l-1}
+    b = np.concatenate(([0.0], l / (2.0 * np.sqrt(4.0 * l * l - 1.0))))
+    alpha = np.empty(nodes)
+    beta = np.empty(nodes)
+    beta[0] = moments[0]
+    previous = np.zeros(size)
+    current = moments / math.sqrt(moments[0])
+    alpha[0] = 0.5 + b[1] * current[1] / current[0]
+    root_beta = 0.0
+    for k in range(nodes - 1):
+        lo, hi = k + 1, size - k - 1
+        following = np.zeros(size)
+        following[lo:hi] = (
+            b[lo + 1 : hi + 1] * current[lo + 1 : hi + 1]
+            + (0.5 - alpha[k]) * current[lo:hi]
+            + b[lo:hi] * current[lo - 1 : hi - 1]
+            - root_beta * previous[lo:hi]
+        )
+        beta[k + 1] = b[k + 1] * following[k + 1] / current[k]
+        root_beta = math.sqrt(beta[k + 1])
+        previous, current = current, following / root_beta
+        alpha[k + 1] = 0.5 + (
+            b[k + 2] * current[k + 2] - root_beta * previous[k + 1]
+        ) / current[k + 1]
+    root_beta = np.sqrt(beta)
+    jacobi = np.diag(alpha) + np.diag(root_beta[1:], 1) + np.diag(root_beta[1:], -1)
+    points = np.linalg.eigvalsh(jacobi)
+    # Christoffel numbers 1 / sum_k q_k(x)^2, with q_k by their recurrence
+    # x q_k = root_beta[k+1] q_{k+1} + alpha[k] q_k + root_beta[k] q_{k-1}
+    q_previous = np.zeros(nodes)
+    q = np.full(nodes, 1.0 / root_beta[0])
+    squares = q * q
+    for k in range(nodes - 1):
+        q_next = ((points - alpha[k]) * q - root_beta[k] * q_previous) / root_beta[k + 1]
+        q_previous, q = q, q_next
+        squares += q * q
+    return points, 1.0 / squares
+
+
+@lru_cache(maxsize=32)
+def _log_weight_rule(nodes: int, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss rule for int_0^1 g(u) (-ln u) du: on each panel
+    [a, a + h], the `nodes`-point Gauss rule for the weight -ln(a + h*v) on
+    [0, 1], scaled by h. On the first panel that weight is -ln h - ln v, so
+    one rule carries both h*(-ln h)*int g and h*int g*(-ln v). Every panel is
+    exact for g of degree < 2*nodes. Points ascend: panel by panel, nodes
+    ascending within each."""
+    width = 1.0 / panels
+    points = []
+    weights = []
+    for panel in range(panels):
+        left = panel * width
+        x, w = _gauss_rule(_log_moments(left, width, 2 * nodes), nodes)
+        points.append(left + width * x)
+        weights.append(width * w)
     return np.concatenate(points), np.concatenate(weights)
 
 
@@ -113,21 +234,19 @@ def ig_quadrature(
 def ih2_quadrature(
     expr: Expr, inst: Instance, config: QuadratureConfig = DEFAULT_CONFIG
 ) -> InteractionReport:
-    """Order-2 integrated-Hessian interactions via tensor-product quadrature
-    over the twice-scaled path; the main effect sums its two integrals."""
+    """Order-2 integrated-Hessian interactions; the main effect sums its two
+    integrals. The double path integrals over s, t are taken as 1-D
+    integrals in u = st with the weight -ln u (`_log_weight_rule`)."""
     n = inst.n
-    t, w = _unit_interval_rule(config.nodes, config.panels)
-    st = np.multiply.outer(t, t)
-    weights = np.multiply.outer(w, w)
-    grid = [
-        inst.baseline[i] + st * (inst.x[i] - inst.baseline[i]) for i in range(n)
-    ]
+    u, w = _log_weight_rule(config.nodes, config.panels)
+    wu = w * u
+    path = _path_points(inst, u)
     deltas = [inst.x[i] - inst.baseline[i] for i in range(n)]
 
     def sample(e: Expr, what: str) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
-            values = np.asarray(evaluate(e, grid), dtype=float)
-        return _finite(np.broadcast_to(values, st.shape), what)
+            values = np.asarray(evaluate(e, path), dtype=float)
+        return _finite(np.broadcast_to(values, u.shape), what)
 
     active = [i for i in range(1, n + 1) if deltas[i - 1] != 0.0]
     first_partials = {i: partial(expr, i) for i in active}
@@ -135,19 +254,15 @@ def ih2_quadrature(
         (i, j): partial(first_partials[i], j)
         for i, j in combinations_with_replacement(active, 2)
     }
-    _require_work([*first_partials.values(), *second_partials.values()], st.size)
+    _require_work([*first_partials.values(), *second_partials.values()], u.size)
     entries = _empty_entries(n, 2)
     entries[()] = float(evaluate(expr, inst.baseline))
     for i, j in combinations(active, 2):
-        cross = second_partials[(i, j)]
-        integral = float(np.sum(weights * st * sample(cross, f"d2F/dx{i}dx{j}")))
+        integral = float(wu @ sample(second_partials[(i, j)], f"d2F/dx{i}dx{j}"))
         entries[(i, j)] = 2.0 * deltas[i - 1] * deltas[j - 1] * integral
     for i in active:
-        gradient_part = float(np.sum(weights * sample(first_partials[i], f"dF/dx{i}")))
-        curvature = second_partials[(i, i)]
-        curvature_part = float(
-            np.sum(weights * st * sample(curvature, f"d2F/dx{i}^2"))
-        )
+        gradient_part = float(w @ sample(first_partials[i], f"dF/dx{i}"))
+        curvature_part = float(wu @ sample(second_partials[(i, i)], f"d2F/dx{i}^2"))
         entries[(i,)] = (
             deltas[i - 1] * gradient_part + deltas[i - 1] ** 2 * curvature_part
         )

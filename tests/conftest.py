@@ -1,11 +1,13 @@
 """Shared generators for the test suite. Everything is seeded explicitly."""
 import math
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
 
 from synergy import expressions as ex
+from synergy.core import InteractionReport
+from synergy.grad_numeric import DEFAULT_CONFIG
 from synergy.polynomials import SparsePolynomial, multi_indices
 from synergy.set_methods import SetFunctionTable
 
@@ -26,6 +28,64 @@ def make_polynomial(rng, n, degree=5, density=0.3):
 
 def make_table(rng, n):
     return SetFunctionTable(n, rng.uniform(-1, 1, size=1 << n))
+
+
+def oracle_corpus(seed=11):
+    """The inputs of acceptance criterion 5, drawn in its order from one
+    generator: 200 (table, k) for rs, 100 (polynomial, x, k) for sop and 100
+    (polynomial, x) for the order-2 integrated Hessian."""
+    rng = np.random.default_rng(seed)
+    rs_cases = []
+    for _ in range(200):
+        n = int(rng.integers(2, 6))
+        k = int(rng.integers(1, min(3, n) + 1))
+        rs_cases.append((make_table(rng, n), k))
+    sop_cases = []
+    for _ in range(100):
+        n = int(rng.integers(2, 6))
+        k = int(rng.integers(1, min(3, n) + 1))
+        p = make_polynomial(rng, n, degree=5)
+        sop_cases.append((p, tuple(rng.uniform(-1, 1, n)), k))
+    ih_cases = []
+    for _ in range(100):
+        n = int(rng.integers(2, 4))
+        p = make_polynomial(rng, n, degree=8, density=0.25)
+        ih_cases.append((p, tuple(rng.uniform(-1, 1, n))))
+    return rs_cases, sop_cases, ih_cases
+
+
+def ih2_tensor_grid(expr, inst, config=DEFAULT_CONFIG):
+    """Order-2 integrated Hessian as the double integral over (s, t) in
+    [0, 1]^2 by the tensor product of composite Gauss-Legendre rules, every
+    integrand sampled on the (nodes * panels)^2 grid of st (reference for
+    the 1-D log-weight rule of `ih2_quadrature`)."""
+    raw_nodes, raw_weights = np.polynomial.legendre.leggauss(config.nodes)
+    width = 1.0 / config.panels
+    t = np.concatenate(
+        [p * width + (raw_nodes + 1.0) * width / 2 for p in range(config.panels)]
+    )
+    w = np.tile(raw_weights * width / 2, config.panels)
+    st = np.multiply.outer(t, t)
+    weights = np.multiply.outer(w, w)
+    deltas = [a - b for a, b in zip(inst.x, inst.baseline)]
+    grid = [b + st * d for b, d in zip(inst.baseline, deltas)]
+
+    def integral(e, scale):
+        values = np.broadcast_to(np.asarray(ex.evaluate(e, grid), dtype=float), st.shape)
+        return float(np.sum(weights * scale * values))
+
+    active = [i for i in range(1, inst.n + 1) if deltas[i - 1] != 0.0]
+    firsts = {i: ex.partial(expr, i) for i in active}
+    entries = {c: 0.0 for size in (1, 2) for c in combinations(range(1, inst.n + 1), size)}
+    entries[()] = float(ex.evaluate(expr, inst.baseline))
+    for i, j in combinations(active, 2):
+        cross = integral(ex.partial(firsts[i], j), st)
+        entries[(i, j)] = 2.0 * deltas[i - 1] * deltas[j - 1] * cross
+    for i in active:
+        gradient = integral(firsts[i], 1.0)
+        curvature = integral(ex.partial(firsts[i], i), st)
+        entries[(i,)] = deltas[i - 1] * gradient + deltas[i - 1] ** 2 * curvature
+    return InteractionReport(n=inst.n, order=2, entries=entries)
 
 
 def shapley_with_frozen(table, j, frozen):

@@ -41,7 +41,7 @@ from synergy.set_methods import (
     shapley,
     shapley_taylor,
 )
-from tests.conftest import make_polynomial, make_table
+from tests.conftest import make_table, oracle_corpus
 
 
 def _verdict(criterion: str, ok: bool, detail: str) -> None:
@@ -160,34 +160,24 @@ def test_criterion_4_synergy_decomposition_example(capsys):
 
 def test_criterion_5_oracle_equivalences():
     start = time.perf_counter()
-    rng = np.random.default_rng(11)
+    rs_cases, sop_cases, ih_cases = oracle_corpus(11)
 
     worst_rs = 0.0
-    for _ in range(200):
-        n = int(rng.integers(2, 6))
-        k = int(rng.integers(1, min(3, n) + 1))
-        table = make_table(rng, n)
+    for table, k in rs_cases:
         diff = recursive_shapley(table, k).max_abs_difference(
             recursive_shapley_nested(table, k)
         )
         worst_rs = max(worst_rs, diff)
 
     worst_sop = 0.0
-    for _ in range(100):
-        n = int(rng.integers(2, 6))
-        k = int(rng.integers(1, min(3, n) + 1))
-        p = make_polynomial(rng, n, degree=5)
-        x = tuple(rng.uniform(-1, 1, n))
+    for p, x, k in sop_cases:
         diff = sum_of_powers(p, x, k).max_abs_difference(
             sum_of_powers_nested(p, x, k)
         )
         worst_sop = max(worst_sop, diff)
 
     worst_ih = 0.0
-    for _ in range(100):
-        n = int(rng.integers(2, 4))
-        p = make_polynomial(rng, n, degree=8, density=0.25)
-        x = tuple(rng.uniform(-1, 1, n))
+    for p, x in ih_cases:
         inst = Instance(x=x, baseline=p.center)
         generic = integrated_hessian(p, x, 2)
         closed = integrated_hessian_pairwise(p, x)

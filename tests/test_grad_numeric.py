@@ -14,7 +14,7 @@ from synergy.grad_numeric import (
     ig_quadrature,
     ih2_quadrature,
 )
-from tests.conftest import make_polynomial
+from tests.conftest import ih2_tensor_grid, make_polynomial, oracle_corpus
 
 
 def test_config_validation():
@@ -96,6 +96,50 @@ def test_ih2_quadrature_completeness_transcendental():
     assert report.total() == pytest.approx(target, abs=1e-7)
 
 
+@pytest.mark.parametrize("panels", [1, 4])
+@pytest.mark.parametrize("nodes", [2, 64, 1024])
+def test_log_weight_rule_is_gauss(nodes, panels):
+    """Every node inside (0, 1), every weight positive, and the moments
+    int_0^1 u^d (-ln u) du = 1/(d+1)^2 exact to 1e-13 for d < 2*nodes."""
+    u, w = grad_numeric._log_weight_rule(nodes, panels)
+    assert u.size == w.size == nodes * panels
+    assert np.all((u > 0.0) & (u < 1.0))
+    assert np.all(np.diff(u) > 0.0)
+    assert np.all(w > 0.0)
+    for d in range(min(2 * nodes, 128)):
+        assert float(w @ u**d) == pytest.approx(1.0 / (d + 1) ** 2, rel=1e-13, abs=0.0)
+
+
+def test_ih2_log_weight_rule_matches_tensor_grid_on_oracle_corpus():
+    """The acceptance corpus of degree-8 polynomials: the integrands have
+    degree <= 7 in s and in t, so the 16-node tensor grid is exact there up
+    to rounding, like the default 64 x 4 one."""
+    worst = 0.0
+    for p, x in oracle_corpus(11)[2]:
+        inst = Instance(x=x, baseline=p.center)
+        tree = ex.from_polynomial(p)
+        reference = ih2_tensor_grid(tree, inst, QuadratureConfig(nodes=16, panels=1))
+        worst = max(worst, ih2_quadrature(tree, inst).max_abs_difference(reference))
+    assert worst <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "text, x, baseline",
+    [
+        ("exp(0.5*x1)*sin(x2) + x1*cos(x2)", (0.8, -0.6), (0.0, 0.0)),
+        ("sin(3*x1*x2) + exp(x1)*cos(2*x2)", (1.3, -0.9), (0.2, 0.4)),
+        ("exp(x1*x2*x3) - cos(x1 + x3)", (0.9, 0.7, -1.1), (0.0, 0.0, 0.0)),
+        ("sin(x1)^3*exp(-x2) + cos(5*x1)*x2^2", (2.0, 1.5), (-0.5, 0.0)),
+        ("x1*sin(x2*x3)*exp(cos(x1))", (1.1, -0.8, 1.6), (0.3, 0.0, -0.2)),
+    ],
+)
+def test_ih2_log_weight_rule_matches_tensor_grid_on_transcendental(text, x, baseline):
+    tree = ex.parse(text, len(x))
+    inst = Instance(x=x, baseline=baseline)
+    reference = ih2_tensor_grid(tree, inst)
+    assert ih2_quadrature(tree, inst).max_abs_difference(reference) <= 1e-10
+
+
 def test_ig_quadrature_completeness_transcendental():
     tree = ex.parse("exp(x1*x2) - 1 + 0.3*sin(x1)", 2)
     inst = Instance(x=(0.9, 0.4), baseline=(0.0, 0.0))
@@ -134,10 +178,13 @@ def test_quadrature_skips_features_at_baseline():
 
 def test_quadrature_work_cap_counts_tree_nodes_times_samples(monkeypatch):
     # ig samples dF/dx1 = x2 and dF/dx2 = x1 (one node each) on 256 points;
-    # ih2 adds the three second partials 0, 1, 0 on a 256 x 256 grid
+    # ih2 adds the three second partials 0, 1, 0 on the same number of points
+    # of its log-weight rule; each node costs its samples plus the fixed
+    # per-node cost
     tree = ex.parse("x1*x2", 2)
     inst = Instance(x=(0.7, -1.2), baseline=(0.0, 0.0))
-    for engine, work in ((ig_quadrature, 2 * 256), (ih2_quadrature, 5 * 256**2)):
+    per_node = 256 + grad_numeric.NODE_COST_IN_SAMPLES
+    for engine, work in ((ig_quadrature, 2 * per_node), (ih2_quadrature, 5 * per_node)):
         monkeypatch.setattr(grad_numeric, "MAX_QUADRATURE_WORK", work)
         engine(tree, inst)
         monkeypatch.setattr(grad_numeric, "MAX_QUADRATURE_WORK", work - 1)
