@@ -13,16 +13,17 @@ reproducible from (seed, config).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import expressions as ex
-from . import grad_exact, set_methods
-from .core import Instance, InteractionReport
+from . import set_methods
+from .core import Instance, InteractionReport, json_field
 from .exceptions import SynergyError
 from .expressions import Expr
-from .grad_numeric import QuadratureConfig, ig_quadrature, ih2_quadrature
+from .grad_numeric import DEFAULT_CONFIG, QuadratureConfig
+from .methods import REGISTRY, SUITE_METHODS, Method
 from .polynomials import SparsePolynomial, multi_indices
 from .set_methods import SetFunctionTable, mobius, permute_table, pure_synergy_table
 
@@ -38,63 +39,7 @@ AXIOMS = (
 
 SUITE_QUAD_CONFIG = QuadratureConfig(nodes=32, panels=2)
 
-
-@dataclass(frozen=True)
-class MethodUnderTest:
-    """A method implementation plus the capabilities the harness needs."""
-
-    id: str
-    kind: str  # table | polynomial | analytic
-    fixed_order: int | None  # None = any 1 <= k <= n
-    run: Callable
-
-    def report(self, trial: "Trial") -> InteractionReport:
-        if self.kind == "table":
-            return self.run(trial.table, trial.k)
-        if self.kind == "polynomial":
-            return self.run(trial.poly, trial.x, trial.k)
-        return self.run(trial.expr, trial.instance, trial.k)
-
-
-def _quad_engine(fn):
-    return lambda expr, inst, k: fn(expr, inst, SUITE_QUAD_CONFIG)
-
-
-METHODS: dict[str, MethodUnderTest] = {
-    "shapley": MethodUnderTest(
-        "shapley", "table", 1, lambda t, k: set_methods.shapley(t)
-    ),
-    "shapley-taylor": MethodUnderTest(
-        "shapley-taylor", "table", None, set_methods.shapley_taylor
-    ),
-    "rs": MethodUnderTest("rs", "table", None, set_methods.recursive_shapley),
-    "rs-aug": MethodUnderTest(
-        "rs-aug", "table", None, set_methods.augmented_recursive_shapley
-    ),
-    "ig": MethodUnderTest(
-        "ig", "polynomial", 1, lambda p, x, k: grad_exact.integrated_gradients(p, x)
-    ),
-    "ih": MethodUnderTest("ih", "polynomial", None, grad_exact.integrated_hessian),
-    "ih-aug": MethodUnderTest(
-        "ih-aug", "polynomial", None, grad_exact.augmented_integrated_hessian
-    ),
-    "sop": MethodUnderTest("sop", "polynomial", None, grad_exact.sum_of_powers),
-    "ig-quad": MethodUnderTest("ig-quad", "analytic", 1, _quad_engine(ig_quadrature)),
-    "ih-quad": MethodUnderTest("ih-quad", "analytic", 2, _quad_engine(ih2_quadrature)),
-}
-
-PUBLIC_METHOD_IDS = (
-    "shapley",
-    "shapley-taylor",
-    "rs",
-    "rs-aug",
-    "ig",
-    "ih",
-    "ih-aug",
-    "sop",
-)
-
-_ALL_PASS = {m: "pass" for m in METHODS}
+_ALL_PASS = {m: "pass" for m in SUITE_METHODS}
 
 EXPECTED_STATUS: dict[str, dict[str, str]] = {
     "completeness": dict(_ALL_PASS),
@@ -115,7 +60,8 @@ EXPECTED_STATUS: dict[str, dict[str, str]] = {
         "ih-quad": "fail",
     },
     "continuity": {
-        m: ("pass" if METHODS[m].kind == "polynomial" else "n/a") for m in METHODS
+        m: ("pass" if method.kind == "polynomial" else "n/a")
+        for m, method in SUITE_METHODS.items()
     },
 }
 
@@ -216,9 +162,9 @@ def _rng(seed: int, counter: int) -> np.random.Generator:
     return np.random.default_rng([seed, counter])
 
 
-def _pick_order(mut: MethodUnderTest, rng: np.random.Generator, n: int) -> int:
-    if mut.fixed_order is not None:
-        return mut.fixed_order
+def _pick_order(mut: Method, rng: np.random.Generator, n: int) -> int:
+    if mut.order is not None:
+        return mut.order
     return int(rng.integers(2, min(3, n) + 1))
 
 
@@ -270,7 +216,7 @@ def _signed_uniform(rng: np.random.Generator, low=0.25, high=1.0) -> float:
     return float(rng.uniform(low, high) * rng.choice([-1.0, 1.0]))
 
 
-def _random_trial(mut: MethodUnderTest, rng: np.random.Generator) -> Trial:
+def _random_trial(mut: Method, rng: np.random.Generator) -> Trial:
     if mut.kind == "table":
         n = int(rng.integers(3, 6))
         k = _pick_order(mut, rng, n)
@@ -293,7 +239,7 @@ def _random_trial(mut: MethodUnderTest, rng: np.random.Generator) -> Trial:
 
 
 def _null_feature_trial(
-    mut: MethodUnderTest, rng: np.random.Generator
+    mut: Method, rng: np.random.Generator
 ) -> tuple[Trial, int]:
     if mut.kind == "table":
         n = int(rng.integers(3, 6))
@@ -324,7 +270,7 @@ def _null_feature_trial(
 
 
 def _pure_synergy_trial(
-    mut: MethodUnderTest, rng: np.random.Generator, within_order: bool
+    mut: Method, rng: np.random.Generator, within_order: bool
 ) -> tuple[Trial, tuple[int, ...]]:
     """A pure interaction of a random coalition, plus that coalition.
 
@@ -425,13 +371,23 @@ def _permute_trial(trial: Trial, permutation: Sequence[int]) -> Trial:
 # Checks
 # ---------------------------------------------------------------------------
 
-def _resolve(mut) -> MethodUnderTest:
-    if isinstance(mut, MethodUnderTest):
+def _resolve(mut) -> Method:
+    if isinstance(mut, Method):
         return mut
-    return METHODS[mut]
+    if mut not in SUITE_METHODS:
+        raise SynergyError(f"unknown method {mut!r}")
+    return SUITE_METHODS[mut]
 
 
-def _tolerance(mut: MethodUnderTest, axiom: str, override: float | None) -> float:
+def _report(mut: Method, trial: Trial) -> InteractionReport:
+    if mut.kind == "table":
+        return mut.run(trial.table, trial.k)
+    if mut.kind == "polynomial":
+        return mut.run(trial.poly, trial.x, trial.k)
+    return mut.run(trial.expr, trial.instance, SUITE_QUAD_CONFIG)
+
+
+def _tolerance(mut: Method, axiom: str, override: float | None) -> float:
     if override is not None:
         return override
     return TOLERANCES[axiom][mut.kind]
@@ -466,7 +422,7 @@ def check_completeness(mut, trials: int, seed: int = 0, tol: float | None = None
     worst, witness = 0.0, None
     for t in range(trials):
         trial = _random_trial(mut, _rng(seed, t))
-        report = mut.report(trial)
+        report = _report(mut, trial)
         target = trial.difference()
         residual = abs(report.total() - target) / max(1.0, abs(target))
         if residual > worst:
@@ -492,9 +448,9 @@ def check_linearity(mut, trials: int, seed: int = 0, tol: float | None = None) -
         else:
             trial_b = replace(trial_a, expr=_random_analytic(rng, trial_a.n))
         a, b = float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))
-        combined = mut.report(_combine(trial_a, trial_b, a, b))
-        left = mut.report(trial_a)
-        right = mut.report(trial_b)
+        combined = _report(mut, _combine(trial_a, trial_b, a, b))
+        left = _report(mut, trial_a)
+        right = _report(mut, trial_b)
         residual = 0.0
         for coalition, value in combined.entries.items():
             mix = a * left.entries[coalition] + b * right.entries[coalition]
@@ -513,7 +469,7 @@ def check_null_feature(mut, trials: int, seed: int = 0, tol: float | None = None
     worst, witness = 0.0, None
     for t in range(trials):
         trial, i = _null_feature_trial(mut, _rng(seed, t))
-        report = mut.report(trial)
+        report = _report(mut, trial)
         for coalition, value in report.entries.items():
             if i in coalition and abs(value) > worst:
                 worst = abs(value)
@@ -530,8 +486,8 @@ def check_symmetry(mut, trials: int, seed: int = 0, tol: float | None = None) ->
         rng = _rng(seed, t)
         trial = _random_trial(mut, rng)
         permutation = [int(v) for v in rng.permutation(range(1, trial.n + 1))]
-        base = mut.report(trial)
-        image = mut.report(_permute_trial(trial, permutation))
+        base = _report(mut, trial)
+        image = _report(mut, _permute_trial(trial, permutation))
         residual = 0.0
         for coalition, value in base.entries.items():
             mapped = tuple(sorted(permutation[i - 1] for i in coalition))
@@ -554,7 +510,7 @@ def check_baseline_test(
     for t in range(trials):
         rng = _rng(seed, t)
         trial, members = _pure_synergy_trial(mut, rng, within_order=True)
-        report = mut.report(trial)
+        report = _report(mut, trial)
         member_set = set(members)
         for coalition, value in report.entries.items():
             if set(coalition) < member_set and abs(value) > worst:
@@ -573,7 +529,7 @@ def check_interaction_distribution(
     """Pure interactions of any size must give zero to proper subsets of size < k."""
     mut = _resolve(mut)
     expected = EXPECTED_STATUS["interaction-distribution"].get(mut.id, "pass")
-    if expected == "n/a" or mut.fixed_order == 1:
+    if expected == "n/a" or mut.order == 1:
         return CheckResult(
             method=mut.id,
             axiom="interaction-distribution",
@@ -587,7 +543,7 @@ def check_interaction_distribution(
     for t in range(trials):
         rng = _rng(seed, t)
         trial, members = _pure_synergy_trial(mut, rng, within_order=False)
-        report = mut.report(trial)
+        report = _report(mut, trial)
         member_set = set(members)
         for coalition, value in report.entries.items():
             if (
@@ -614,10 +570,11 @@ def check_continuity(
 ) -> CheckResult:
     """Reports of Taylor truncations must converge as the order grows.
 
-    Uses the quadrature engines as the reference for integrated gradients
-    (k=1) and the order-2 integrated Hessian; other methods have no
-    independent oracle and fall back to the Cauchy criterion on successive
-    truncations, which the result records openly.
+    A method with a quadrature engine in the registry (integrated gradients,
+    and the integrated Hessian at order 2) is measured against that engine
+    at the default rule; other methods have no independent oracle and fall
+    back to the Cauchy criterion on successive truncations, which the result
+    records openly.
     """
     mut = _resolve(mut)
     if mut.kind != "polynomial":
@@ -630,12 +587,11 @@ def check_continuity(
             trials=0,
         )
     tol = tol if tol is not None else TOLERANCES["continuity"]["polynomial"]
-    order = k if k is not None else (mut.fixed_order or 2)
+    order = k if k is not None else (mut.order or 2)
     reference: InteractionReport | None = None
-    if mut.id == "ig":
-        reference = ig_quadrature(expr, instance)
-    elif mut.id == "ih" and order == 2:
-        reference = ih2_quadrature(expr, instance)
+    quadrature = REGISTRY.get(mut.quadrature)
+    if quadrature is not None and (mut.order or order) == quadrature.order:
+        reference = quadrature.run(expr, instance, DEFAULT_CONFIG)
     levels = list(range(2, max_order + 1, 2))
     reports = {}
     for level in levels:
@@ -721,15 +677,26 @@ class SuiteConfig:
     axioms: tuple[str, ...] | None = None
     tolerance_overrides: Mapping[str, float] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if self.trials < 1:
+            raise SynergyError(f"trials must be >= 1, got {self.trials}")
+
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "SuiteConfig":
+        what = "suite config"
         return cls(
-            seed=int(payload.get("seed", 2024)),
-            trials=int(payload.get("trials", 1000)),
-            methods=tuple(payload["methods"]) if "methods" in payload else None,
-            axioms=tuple(payload["axioms"]) if "axioms" in payload else None,
-            tolerance_overrides=dict(payload.get("tolerance_overrides", {})),
+            seed=json_field(payload, "seed", what, int, 2024),
+            trials=json_field(payload, "trials", what, int, 1000),
+            methods=json_field(payload, "methods", what, _names, None),
+            axioms=json_field(payload, "axioms", what, _names, None),
+            tolerance_overrides=json_field(payload, "tolerance_overrides", what, dict, {}),
         )
+
+
+def _names(value) -> tuple[str, ...]:
+    if isinstance(value, str) or not all(isinstance(v, str) for v in value):
+        raise TypeError(f"expected a list of names, got {value!r}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -763,14 +730,14 @@ _CHECKS = {
 
 def run_suite(
     config: SuiteConfig = SuiteConfig(),
-    methods: Mapping[str, MethodUnderTest] | None = None,
+    methods: Mapping[str, Method] | None = None,
 ) -> SuiteResult:
     """Run every selected check over every selected method, deterministically.
 
     Quadrature-backed engines run a tenth of the configured trials (they are
     oracles, and two orders of magnitude slower than the exact paths).
     """
-    registry = methods if methods is not None else METHODS
+    registry = methods if methods is not None else SUITE_METHODS
     selected_methods = (
         config.methods if config.methods is not None else tuple(registry)
     )
@@ -779,6 +746,9 @@ def run_suite(
     unknown = [a for a in selected_axioms if a not in known]
     if unknown:
         raise SynergyError(f"unknown axiom {unknown[0]!r}")
+    unknown = [m for m in selected_methods if m not in registry]
+    if unknown:
+        raise SynergyError(f"unknown method {unknown[0]!r}")
     results: list[CheckResult] = []
     cell = 0
     for axiom in selected_axioms:
@@ -797,7 +767,7 @@ def run_suite(
                 probe = ex.parse(CONTINUITY_PROBE, 2)
                 inst = Instance(x=(0.5, 0.5), baseline=(0.0, 0.0))
                 results.append(
-                    check_continuity(mut, probe, inst, max_order=12, k=mut.fixed_order or 2, tol=override)
+                    check_continuity(mut, probe, inst, max_order=12, k=mut.order or 2, tol=override)
                 )
                 continue
             trials = config.trials

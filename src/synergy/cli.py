@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 
 from . import expressions as ex
-from . import grad_exact, set_methods
+from . import set_methods
 from .axioms import SuiteConfig, run_suite
 from .core import (
     Instance,
@@ -22,31 +22,16 @@ from .core import (
     validate_instance,
 )
 from .exceptions import SynergyError
-from .grad_numeric import QuadratureConfig, ig_quadrature, ih2_quadrature
+from .grad_numeric import QuadratureConfig
+from .methods import REGISTRY, Method
 from .polynomials import SparsePolynomial
 
+# A view of the public binary runners. Table-kind dispatch looks a method up
+# here before its registry record, so perfbench/selftest.py can swap in a
+# failing runner.
 TABLE_METHODS = {
-    "shapley": lambda table, k: set_methods.shapley(table),
-    "shapley-taylor": set_methods.shapley_taylor,
-    "rs": set_methods.recursive_shapley,
-    "rs-aug": set_methods.augmented_recursive_shapley,
+    m.id: m.run for m in REGISTRY.values() if m.kind == "table" and not m.oracle
 }
-GRADIENT_METHODS = {
-    "ig": lambda poly, x, k: grad_exact.integrated_gradients(poly, x),
-    "ih": grad_exact.integrated_hessian,
-    "ih-aug": grad_exact.augmented_integrated_hessian,
-    "sop": grad_exact.sum_of_powers,
-}
-METHOD_IDS = (*TABLE_METHODS, *GRADIENT_METHODS)
-ORACLE_IDS = (
-    "shapley-marginal",
-    "st-marginal",
-    "rs-nested",
-    "sop-nested",
-    "ih2-closed",
-    "ig-quad",
-    "ih2-quad",
-)
 
 
 class UsageError(SynergyError):
@@ -141,64 +126,53 @@ def _source_polynomial(source: FunctionSource, inst: Instance) -> SparsePolynomi
 def _source_expression(source: FunctionSource) -> ex.Expr:
     if source.kind == "expr":
         return source.expr
-    if source.kind == "poly":
-        return ex.from_polynomial(source.poly)
-    raise UsageError("this engine needs an expression or polynomial source")
+    return ex.from_polynomial(source.poly)
 
 
 def _quad_config(args) -> QuadratureConfig:
     return QuadratureConfig(nodes=args.quad_nodes, panels=args.quad_panels)
 
 
+def _check_order(method: Method, k: int) -> None:
+    if method.order is not None and k != method.order:
+        raise UsageError(f"method {method.id!r} only supports -k {method.order}")
+
+
+def _require_x(method: Method, inst: Instance | None) -> Instance:
+    if inst is None:
+        raise UsageError(f"--x is required with --poly for method {method.id!r}")
+    return inst
+
+
 def _run_engine(engine: str, source: FunctionSource, inst: Instance | None, k: int, args) -> InteractionReport:
-    if engine in TABLE_METHODS or engine in ("shapley-marginal", "st-marginal", "rs-nested"):
+    """Resolve the source into the input the engine's kind takes, check the
+    order, and run it."""
+    method = REGISTRY[engine]
+    if method.kind == "table":
         table = _source_table(source, inst)
-        if engine == "shapley-marginal":
-            _require_k(engine, k, 1)
-            return set_methods.shapley_from_marginals(table)
-        if engine == "st-marginal":
-            return set_methods.shapley_taylor_from_marginals(table, k)
-        if engine == "rs-nested":
-            return set_methods.recursive_shapley_nested(table, k)
-        if engine == "shapley":
-            _require_k(engine, k, 1)
-        return TABLE_METHODS[engine](table, k)
+        _check_order(method, k)
+        return TABLE_METHODS.get(engine, method.run)(table, k)
     if source.kind == "table":
         raise UsageError(f"method {engine!r} needs gradients; a table source only supports "
                          f"{', '.join(sorted(TABLE_METHODS))}")
-    if engine in ("ig-quad", "ih2-quad"):
+    if method.kind == "analytic":
         expr = _source_expression(source)
         config = _quad_config(args)
-        if engine == "ig-quad":
-            _require_k(engine, k, 1)
-            return ig_quadrature(expr, inst, config)
-        _require_k(engine, k, 2)
-        return ih2_quadrature(expr, inst, config)
+        _check_order(method, k)
+        return method.run(expr, _require_x(method, inst), config)
     poly = _source_polynomial(source, inst)
     if poly is None:
-        # transcendental expression: the two path-integral methods have a
-        # quadrature form; the others need a polynomial source
-        if engine == "ig" and k == 1:
-            return ig_quadrature(source.expr, inst, _quad_config(args))
-        if engine == "ih" and k == 2:
-            return ih2_quadrature(source.expr, inst, _quad_config(args))
-        raise UsageError(
-            f"method {engine!r} (k={k}) needs a polynomial-expressible source; "
-            "this expression is transcendental"
-        )
-    if engine == "sop-nested":
-        return grad_exact.sum_of_powers_nested(poly, inst.x, k)
-    if engine == "ih2-closed":
-        _require_k(engine, k, 2)
-        return grad_exact.integrated_hessian_pairwise(poly, inst.x)
-    if engine == "ig":
-        _require_k(engine, k, 1)
-    return GRADIENT_METHODS[engine](poly, inst.x, k)
-
-
-def _require_k(engine: str, k: int, expected: int) -> None:
-    if k != expected:
-        raise UsageError(f"method {engine!r} only supports -k {expected}")
+        # transcendental expression: a method with a quadrature form runs it
+        # at that form's order; the others need a polynomial source
+        quadrature = REGISTRY.get(method.quadrature)
+        if quadrature is None or k != quadrature.order:
+            raise UsageError(
+                f"method {engine!r} (k={k}) needs a polynomial-expressible source; "
+                "this expression is transcendental"
+            )
+        return quadrature.run(source.expr, inst, _quad_config(args))
+    _check_order(method, k)
+    return method.run(poly, _require_x(method, inst).x, k)
 
 
 def _emit(args, text: str) -> None:
@@ -400,7 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     interact = sub.add_parser("interact", help="run one method on one instance")
     _add_source_flags(interact)
-    interact.add_argument("--method", required=True, choices=METHOD_IDS)
+    interact.add_argument(
+        "--method", required=True, choices=[m.id for m in REGISTRY.values() if not m.oracle]
+    )
     interact.add_argument("-k", type=int, default=1, help="interaction order (default 1)")
     _add_output_flag(interact)
     interact.set_defaults(handler=cmd_interact)
@@ -413,8 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     decompose.set_defaults(handler=cmd_decompose)
 
     compare = sub.add_parser("compare", help="run two engines side by side")
-    compare.add_argument("left", choices=METHOD_IDS + ORACLE_IDS)
-    compare.add_argument("right", choices=METHOD_IDS + ORACLE_IDS)
+    compare.add_argument("left", choices=list(REGISTRY))
+    compare.add_argument("right", choices=list(REGISTRY))
     _add_source_flags(compare)
     compare.add_argument("-k", type=int, default=1, help="interaction order (default 1)")
     _add_output_flag(compare)

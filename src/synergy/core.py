@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .combinatorics import MAX_FEATURES, enumerate_coalitions
 from .exceptions import (
@@ -17,6 +17,7 @@ from .exceptions import (
     InvalidCoalitionError,
     NonFiniteError,
     OutOfBoxError,
+    SynergyError,
 )
 
 Point = tuple[float, ...]
@@ -25,6 +26,30 @@ Coalition = tuple[int, ...]
 
 def as_point(values: Iterable[float]) -> Point:
     return tuple(float(v) for v in values)
+
+
+_REQUIRED = object()
+
+
+def json_field(
+    payload: Any, name: str, what: str, convert: Callable = lambda v: v, default: Any = _REQUIRED
+) -> Any:
+    """`convert(payload[name])` from a parsed JSON object describing `what`.
+
+    A payload that is not an object, a missing field without a default, and
+    a value of the wrong type (a TypeError from `convert`) raise a
+    SynergyError that names the field.
+    """
+    if not isinstance(payload, Mapping):
+        raise SynergyError(f"{what} must be a JSON object, got {type(payload).__name__}")
+    if name not in payload:
+        if default is _REQUIRED:
+            raise SynergyError(f"{what} has no {name!r} field")
+        return default
+    try:
+        return convert(payload[name])
+    except TypeError as err:
+        raise SynergyError(f"{what} field {name!r}: {err}") from None
 
 
 @dataclass(frozen=True)

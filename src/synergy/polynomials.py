@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .core import Coalition, Point, as_point
+from .core import Coalition, Point, as_point, json_field
 from .exceptions import CapExceededError, DimensionMismatchError, NonFiniteError
 
 MAX_TOTAL_DEGREE = 128
@@ -154,12 +154,18 @@ class SparsePolynomial:
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "SparsePolynomial":
-        n = int(payload["n"])
-        center = as_point(payload.get("center", [0.0] * n))
+        n = json_field(payload, "n", "polynomial", int)
+        center = json_field(payload, "center", "polynomial", as_point, (0.0,) * n)
         if len(center) != n:
             raise DimensionMismatchError("center length does not match n")
-        terms = {
-            tuple(int(e) for e in item["m"]): float(item["c"])
-            for item in payload["terms"]
-        }
+        terms = {}
+        for item in json_field(payload, "terms", "polynomial", list):
+            try:
+                m = tuple(int(e) for e in item["m"])
+                terms[m] = float(item["c"])
+            except (KeyError, TypeError):
+                # raise again, naming the missing or mistyped field
+                json_field(item, "m", "polynomial term", lambda m: tuple(int(e) for e in m))
+                json_field(item, "c", "polynomial term", float)
+                raise
         return cls(center, terms)

@@ -29,8 +29,9 @@ from .core import (
     Instance,
     InteractionReport,
     coalition_mask,
+    json_field,
 )
-from .exceptions import CapExceededError, DimensionMismatchError, NonFiniteError
+from .exceptions import CapExceededError, DimensionMismatchError, NonFiniteError, SynergyError
 
 MAX_TABLE_FEATURES = 20
 ORACLE_MAX_FEATURES = 6
@@ -82,7 +83,12 @@ class SetFunctionTable:
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "SetFunctionTable":
-        return cls(int(payload["n"]), payload["values"])
+        n = json_field(payload, "n", "table", int)
+        values = json_field(payload, "values", "table")
+        try:
+            return cls(n, values)
+        except TypeError as err:
+            raise SynergyError(f"table field 'values': {err}") from None
 
 
 @dataclass(frozen=True, eq=False)

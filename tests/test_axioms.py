@@ -1,8 +1,6 @@
 from synergy import expressions as ex
 from synergy import set_methods
 from synergy.axioms import (
-    METHODS,
-    MethodUnderTest,
     SuiteConfig,
     check_baseline_test,
     check_completeness,
@@ -15,6 +13,7 @@ from synergy.axioms import (
     run_suite,
 )
 from synergy.core import Instance, InteractionReport
+from synergy.methods import SUITE_METHODS, Method
 
 
 def _scaled_shapley(table, k, factor=0.9):
@@ -24,7 +23,7 @@ def _scaled_shapley(table, k, factor=0.9):
     return InteractionReport(n=report.n, order=1, entries=entries)
 
 
-BROKEN_COMPLETENESS = MethodUnderTest("broken", "table", 1, _scaled_shapley)
+BROKEN_COMPLETENESS = Method("broken", "table", 1, _scaled_shapley)
 
 
 def _leaky_shapley(table, k):
@@ -34,7 +33,7 @@ def _leaky_shapley(table, k):
     return InteractionReport(n=report.n, order=1, entries=entries)
 
 
-BROKEN_NULL = MethodUnderTest("leaky", "table", 1, _leaky_shapley)
+BROKEN_NULL = Method("leaky", "table", 1, _leaky_shapley)
 
 
 def test_completeness_passes_for_shapley():
@@ -142,8 +141,8 @@ def test_suite_honors_expected_failures():
 
 
 def test_suite_flags_unexpected_failure():
-    registry = dict(METHODS)
-    registry["shapley"] = MethodUnderTest("shapley", "table", 1, _scaled_shapley)
+    registry = dict(SUITE_METHODS)
+    registry["shapley"] = Method("shapley", "table", 1, _scaled_shapley)
     config = SuiteConfig(seed=3, trials=10, methods=("shapley",), axioms=("completeness",))
     result = run_suite(config, methods=registry)
     assert not result.ok

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from synergy.cli import main
+from synergy.methods import REGISTRY
 
 QUADRATIC = "2*x1 - 3*x2 + x1*x3 - 15"
 
@@ -67,13 +68,17 @@ def test_interact_table_source_with_binary_method(tmp_path, capsys):
     assert entries[(2,)] == pytest.approx(2.5)
 
 
-def test_interact_table_with_gradient_method_is_capability_error(tmp_path, capsys):
+@pytest.mark.parametrize("method", [m.id for m in REGISTRY.values() if m.kind != "table"])
+def test_interact_table_with_gradient_method_is_capability_error(tmp_path, capsys, method):
     table = tmp_path / "t.json"
     table.write_text(json.dumps({"n": 2, "values": [0.0, 1.0, 2.0, 4.0]}))
-    code, out, err = run_cli(
-        capsys, "interact", "--table", str(table), "--method", "ig"
-    )
+    if REGISTRY[method].oracle:
+        argv = ("compare", method, method, "--table", str(table))
+    else:
+        argv = ("interact", "--table", str(table), "--method", method)
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
+    assert out == ""
     assert "table source" in err
 
 
@@ -382,9 +387,69 @@ def test_check_bad_config_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
-def test_missing_source_is_usage_error(capsys):
-    code, _, _ = run_cli(capsys, "interact", "--method", "shapley")
+def test_missing_source_is_usage_error(tmp_path, capsys):
+    poly = tmp_path / "p.json"
+    poly.write_text(json.dumps({"n": 2, "terms": [{"m": [1, 1], "c": 2.0}]}))
+    for argv in (
+        ("interact", "--method", "shapley"),
+        # a gradient engine on a polynomial needs the point x
+        ("compare", "ig", "ig-quad", "--poly", str(poly)),
+        ("compare", "ih", "ih2-closed", "--poly", str(poly), "-k", "2"),
+        ("compare", "sop", "sop-nested", "--poly", str(poly), "-k", "2"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "is required" in err
+
+
+@pytest.mark.parametrize(
+    "flag, payload, field",
+    [
+        ("--table", {"values": [0.0, 1.0]}, "'n'"),
+        ("--poly", {"n": 1, "terms": [{"m": [1]}]}, "'c'"),
+        ("--table", [0.0, 1.0], "JSON object"),
+        ("--poly", [{"m": [1], "c": 1.0}], "JSON object"),
+        ("--config", [{"seed": 1}], "JSON object"),
+        ("--config", {"methods": "shapley"}, "'methods'"),
+    ],
+    ids=["table-without-n", "term-without-c", "table-list", "poly-list", "config-list",
+         "config-methods-string"],
+)
+def test_malformed_input_file_is_usage_error(tmp_path, capsys, flag, payload, field):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    if flag == "--config":
+        argv = ("check", "--config", str(path))
+    else:
+        argv = ("interact", flag, str(path), "--x", "1", "--method", "shapley")
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert field in err
+
+
+@pytest.mark.parametrize(
+    "flags, config",
+    [
+        (("--method", "bogus"), None),
+        ((), {"methods": ["shapley", "bogus"]}),
+        (("--trials", "0"), None),
+        (("--trials", "-1"), None),
+    ],
+    ids=["unknown-method", "config-unknown-method", "zero-trials", "negative-trials"],
+)
+def test_check_unknown_method_or_trials_below_one_is_usage_error(tmp_path, capsys, flags, config):
+    argv = ["check", "--axiom", "completeness", *flags]
+    if config is not None:
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and ("bogus" in err or "trials" in err)
 
 
 def test_poly_baseline_must_match_center(tmp_path, capsys):

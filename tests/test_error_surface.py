@@ -1,0 +1,102 @@
+"""Property test of the CLI's error surface: every request built from the
+method registry either succeeds or is a usage error (exit 2, nothing on
+stdout), within a time bound, and no exception escapes `main`."""
+import contextlib
+import io
+import json
+import time
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from synergy.cli import main
+from synergy.methods import REGISTRY, SUITE_METHODS
+
+IDS = sorted({*REGISTRY, *SUITE_METHODS, "bogus"})
+EXPRESSIONS = (
+    "x1",
+    "2*x1 - 3",
+    "x1*x2 + x2^3",
+    "sin(x1)*x2",
+    "exp(x1*x2*x3) - x3",
+    "x1^2*x3 + cos(x2)",
+)
+COORDINATES = ("-1.5", "-0.25", "0", "0.5", "2")
+TIME_BOUND_S = 5.0
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("sources")
+    paths = {}
+    for n in (1, 2, 3):
+        poly = {
+            "n": n,
+            "terms": [
+                {"m": [1] * n, "c": 1.5},
+                {"m": [2] + [0] * (n - 1), "c": -0.5},
+                {"m": [0] * n, "c": 0.25},
+            ],
+        }
+        table = {"n": n, "values": [float(mask * mask - 1) for mask in range(1 << n)]}
+        for kind, payload in (("poly", poly), ("table", table)):
+            path = root / f"{kind}{n}.json"
+            path.write_text(json.dumps(payload))
+            paths[kind, n] = str(path)
+    return paths
+
+
+def requests(files):
+    @st.composite
+    def source(draw):
+        kind = draw(st.sampled_from(("expr", "poly", "table")))
+        n = draw(st.integers(1, 3))
+        if kind == "expr":
+            argv = ["--expr", draw(st.sampled_from(EXPRESSIONS))]
+        else:
+            argv = [f"--{kind}", files[kind, n]]
+        if draw(st.booleans()):
+            point = draw(st.lists(st.sampled_from(COORDINATES), min_size=n, max_size=n))
+            argv += ["--x", ",".join(point)]
+        return argv
+
+    method = st.sampled_from(IDS)
+    k = st.integers(0, 4).map(str)
+    output = st.sampled_from(("json", "csv"))
+    return st.one_of(
+        st.builds(
+            lambda src, m, k, out: ["interact", *src, "--method", m, "-k", k, "--output", out],
+            source(), method, k, output,
+        ),
+        st.builds(lambda src, out: ["decompose", *src, "--output", out], source(), output),
+        st.builds(
+            lambda left, right, src, k, out: [
+                "compare", left, right, *src, "-k", k, "--output", out
+            ],
+            method, method, source(), k, output,
+        ),
+        st.builds(
+            lambda m, out: [
+                "check", "--method", m, "--axiom", "completeness", "--trials", "2",
+                "--output", out,
+            ],
+            method, output,
+        ),
+    )
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_every_request_succeeds_or_is_a_usage_error(files, data):
+    argv = data.draw(requests(files), label="argv")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    elapsed = time.perf_counter() - start
+    assert code in (0, 2), stderr.getvalue()
+    if code == 2:
+        assert stdout.getvalue() == ""
+        assert stderr.getvalue()
+    assert elapsed < TIME_BOUND_S
