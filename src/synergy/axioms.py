@@ -680,6 +680,12 @@ class SuiteConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise SynergyError(f"trials must be >= 1, got {self.trials}")
+        for key, tol in self.tolerance_overrides.items():
+            real = isinstance(tol, (int, float)) and not isinstance(tol, bool)
+            if not (real and 0 <= tol < np.inf):
+                raise SynergyError(
+                    f"tolerance_overrides[{key!r}] must be a finite number >= 0, got {tol!r}"
+                )
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "SuiteConfig":

@@ -17,8 +17,8 @@ from .axioms import SuiteConfig, run_suite
 from .core import (
     Instance,
     InteractionReport,
-    coalition_members,
     format_coalition,
+    report_from_values,
     validate_instance,
 )
 from .exceptions import SynergyError
@@ -175,7 +175,7 @@ def _run_engine(engine: str, source: FunctionSource, inst: Instance | None, k: i
     return method.run(poly, _require_x(method, inst).x, k)
 
 
-def _emit(args, text: str) -> None:
+def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
@@ -188,26 +188,12 @@ def cmd_interact(args) -> int:
     if source.kind == "poly" and inst is None:
         raise UsageError("--x is required with --poly for interact")
     report = _run_engine(args.method, source, inst, args.k, args)
-    _emit(args, report.to_csv() if args.output == "csv" else report.to_json())
+    _emit(report.to_csv() if args.output == "csv" else report.to_json())
     return 0
 
 
 def cmd_decompose(args) -> int:
     source, inst = _load_source(args)
-    if source.kind == "table":
-        synergies = set_methods.mobius(source.table)
-        if args.output == "csv":
-            lines = ["coalition;value"]
-            rows = sorted(
-                (coalition_members(mask), float(synergies.values[mask]))
-                for mask in range(1 << synergies.n)
-            )
-            for members, value in rows:
-                lines.append(f"{format_coalition(members)};{value!r}")
-            _emit(args, "\n".join(lines))
-        else:
-            _emit(args, json.dumps(synergies.to_json_dict(), indent=2))
-        return 0
     if source.kind == "poly" and inst is None:
         pieces = source.poly.synergy_split()
         if args.output == "csv":
@@ -218,7 +204,7 @@ def cmd_decompose(args) -> int:
                 for m in sorted(terms):
                     exponents = ",".join(str(e) for e in m)
                     lines.append(f"{label};{exponents};{terms[m]!r}")
-            _emit(args, "\n".join(lines))
+            _emit("\n".join(lines))
             return 0
         payload = {
             "n": source.poly.n,
@@ -231,38 +217,23 @@ def cmd_decompose(args) -> int:
                 for coalition in sorted(pieces)
             ],
         }
-        _emit(args, json.dumps(payload, indent=2))
+        _emit(json.dumps(payload, indent=2))
         return 0
-    # evaluated route: synergy values at x (exact split for polynomials,
-    # masked-point Möbius route otherwise)
-    poly = _source_polynomial(source, inst)
-    n = inst.n
+    # evaluated routes: the order-n report of synergy values at x (exact
+    # split for polynomials, masked-point Möbius route otherwise)
+    poly = None if source.kind == "table" else _source_polynomial(source, inst)
     if poly is not None:
-        pieces = poly.synergy_split()
-        entries = {
-            coalition: piece.evaluate(inst.x) for coalition, piece in pieces.items()
-        }
-        report = InteractionReport(
-            n=n,
-            order=n,
-            entries={
-                members: entries.get(members, 0.0)
-                for mask in range(1 << n)
-                for members in [coalition_members(mask)]
-            },
-        )
+        report = report_from_values(poly.n, poly.n, {
+            coalition: piece.evaluate(inst.x) for coalition, piece in poly.synergy_split().items()
+        })
     else:
-        table = _source_table(source, inst)
-        synergies = set_methods.mobius(table)
-        report = InteractionReport(
-            n=n,
-            order=n,
-            entries={
-                coalition_members(mask): float(synergies.values[mask])
-                for mask in range(1 << n)
-            },
-        )
-    _emit(args, report.to_csv() if args.output == "csv" else report.to_json())
+        synergies = set_methods.mobius(_source_table(source, inst))
+        if source.kind == "table" and args.output == "json":
+            # a table's JSON form is the synergy table in the subset encoding
+            _emit(json.dumps(synergies.to_json_dict(), indent=2))
+            return 0
+        report = InteractionReport.from_masks(synergies.n, synergies.n, synergies.values)
+    _emit(report.to_csv() if args.output == "csv" else report.to_json())
     return 0
 
 
@@ -270,13 +241,9 @@ def cmd_compare(args) -> int:
     source, inst = _load_source(args)
     left = _run_engine(args.left, source, inst, args.k, args)
     right = _run_engine(args.right, source, inst, args.k, args)
-    if set(left.entries) != set(right.entries):
-        raise UsageError(
-            f"engines {args.left!r} and {args.right!r} report different coalition sets"
-        )
+    max_diff = left.max_abs_difference(right)
     coalitions = sorted(left.entries)
     diffs = {c: abs(left.entries[c] - right.entries[c]) for c in coalitions}
-    max_diff = max(diffs.values())
     if args.output == "csv":
         lines = [f"coalition;{args.left};{args.right};abs_diff"]
         for c in coalitions:
@@ -284,7 +251,7 @@ def cmd_compare(args) -> int:
                 f"{format_coalition(c)};{left.entries[c]!r};{right.entries[c]!r};{diffs[c]!r}"
             )
         lines.append(f"max_abs_diff;;;{max_diff!r}")
-        _emit(args, "\n".join(lines))
+        _emit("\n".join(lines))
     else:
         payload = {
             "order": left.order,
@@ -301,7 +268,7 @@ def cmd_compare(args) -> int:
             ],
             "max_abs_diff": max_diff,
         }
-        _emit(args, json.dumps(payload, indent=2))
+        _emit(json.dumps(payload, indent=2))
     return 0
 
 
@@ -335,9 +302,9 @@ def cmd_check(args) -> int:
                 f"{r.method};{r.axiom};{r.status};{r.expected};{r.max_residual!r};{r.trials}"
             )
         lines.append(f"ok;;;;{str(result.ok).lower()};")
-        _emit(args, "\n".join(lines))
+        _emit("\n".join(lines))
     else:
-        _emit(args, json.dumps(result.to_json_dict(), indent=2))
+        _emit(json.dumps(result.to_json_dict(), indent=2))
     return 0 if result.ok else 1
 
 

@@ -6,14 +6,15 @@ callers convert to float only when forming the final distribution weight.
 from __future__ import annotations
 
 import math
-import warnings
 from itertools import combinations
 from typing import Iterator, Sequence
 
 from .exceptions import CapExceededError
 
 MAX_FEATURES = 63
-ENUMERATION_WARN_THRESHOLD = 1 << 20
+MAX_TABLE_FEATURES = 20
+# The 20-feature table scale: every coalition of a full-size table.
+MAX_COALITIONS = 1 << MAX_TABLE_FEATURES
 SEQUENCE_ORACLE_MAX_LENGTH = 6
 
 
@@ -92,15 +93,17 @@ def require_order(n: int, k: int) -> None:
 
 
 def enumerate_coalitions(n: int, k: int) -> list[tuple[int, ...]]:
-    """All subsets of {1..n} of size <= k, ordered by size then lexicographically."""
-    require_order(n, k)
+    """All subsets of {1..n} of size <= k, ordered by size then lexicographically;
+    raises before building any when there are more than MAX_COALITIONS."""
+    if not 0 <= k <= n:
+        raise ValueError(f"order k must satisfy 0 <= k <= n, got k={k}, n={n}")
     if n > MAX_FEATURES:
         raise CapExceededError(f"n={n} exceeds the {MAX_FEATURES}-feature cap")
     count = sum(math.comb(n, size) for size in range(k + 1))
-    if count > ENUMERATION_WARN_THRESHOLD:
-        warnings.warn(
-            f"enumerating {count} coalitions (n={n}, k={k}); this is desk-scale only",
-            stacklevel=2,
+    if count > MAX_COALITIONS:
+        raise CapExceededError(
+            f"P_{k} over n={n} holds {count} coalitions, which exceeds the cap "
+            f"{MAX_COALITIONS}"
         )
     out: list[tuple[int, ...]] = [()]
     for size in range(1, k + 1):

@@ -2,16 +2,21 @@
 
 Feature indices are 1-based everywhere a user can see them (coalitions,
 JSON, CSV); subsets are encoded internally as bitmasks with bit i-1 for
-feature i. All types are immutable values.
+feature i. All types are immutable values. The layout of a report, P_k in
+canonical order (size, then lexicographic), is decided here alone.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain, combinations
 from typing import Any, Callable, Iterable, Mapping
 
-from .combinatorics import MAX_FEATURES, enumerate_coalitions
+import numpy as np
+
+from .combinatorics import MAX_FEATURES, MAX_TABLE_FEATURES, enumerate_coalitions
 from .exceptions import (
     DimensionMismatchError,
     InvalidCoalitionError,
@@ -136,12 +141,35 @@ def format_coalition(members: Coalition) -> str:
     return "+".join(str(i) for i in members) if members else "-"
 
 
+@lru_cache(maxsize=256)
+def coalition_layout(n: int, k: int) -> tuple[tuple[Coalition, ...], np.ndarray | None]:
+    """P_k over 1..n: its coalitions in canonical order (size, then
+    lexicographic) and, for n within the table cap, their subset encodings
+    as a read-only array (else None). Needs 0 <= k <= n; the count is capped."""
+    coalitions = tuple(enumerate_coalitions(n, k))
+    if n > MAX_TABLE_FEATURES:
+        return coalitions, None
+    # combinations() emits by position, so over the feature bits it walks
+    # the coalitions in step
+    bits = [1 << i for i in range(n)]
+    sums = chain([0], *(map(sum, combinations(bits, size)) for size in range(1, k + 1)))
+    masks = np.fromiter(sums, dtype=np.int64, count=len(coalitions))
+    masks.setflags(write=False)
+    return coalitions, masks
+
+
+def zero_entries(n: int, k: int) -> dict[Coalition, float]:
+    """A fresh accumulator holding 0.0 for every coalition of P_k, in layout order."""
+    return dict.fromkeys(coalition_layout(n, k)[0], 0.0)
+
+
 @dataclass(frozen=True)
 class InteractionReport:
     """Scores for every coalition of size <= order over n features.
 
     The entry map must cover exactly the subsets of {1..n} of size <= order,
-    the empty set included, and every value must be finite.
+    the empty set included, and every value must be finite. It is stored in
+    layout order.
     """
 
     n: int
@@ -149,19 +177,28 @@ class InteractionReport:
     entries: Mapping[Coalition, float] = field(compare=True)
 
     def __post_init__(self) -> None:
-        expected = enumerate_coalitions(self.n, self.order)
-        entries = {tuple(c): float(v) for c, v in self.entries.items()}
-        if set(entries) != set(expected):
-            missing = set(expected) - set(entries)
-            extra = set(entries) - set(expected)
+        expected, _ = coalition_layout(self.n, self.order)
+        try:
+            entries = {c: float(self.entries[c]) for c in expected}
+        except KeyError:
+            entries = None
+        if entries is None or len(entries) != len(self.entries):
+            keys = set(self.entries)
             raise InvalidCoalitionError(
-                f"report keys must cover P_{self.order} exactly "
-                f"(missing={sorted(missing)[:3]}, extra={sorted(extra)[:3]})"
+                f"report keys must cover P_{self.order} exactly (missing="
+                f"{sorted(set(expected) - keys)[:3]}, extra={sorted(keys - set(expected))[:3]})"
             )
         for coalition, value in entries.items():
             if not math.isfinite(value):
                 raise NonFiniteError(f"non-finite value for coalition {coalition}")
         object.__setattr__(self, "entries", entries)
+
+    @classmethod
+    def from_masks(cls, n: int, order: int, values: np.ndarray) -> "InteractionReport":
+        """The report taking values[S] for each coalition S, from a 2^n array
+        in the subset encoding."""
+        coalitions, masks = coalition_layout(n, order)
+        return cls(n=n, order=order, entries=dict(zip(coalitions, values[masks].tolist())))
 
     def value(self, members: Iterable[int]) -> float:
         return self.entries[tuple(sorted(members))]
@@ -207,7 +244,7 @@ def report_from_values(
     n: int, order: int, values: Mapping[Coalition, float]
 ) -> InteractionReport:
     """Build a report, filling unmentioned coalitions of P_order with zero."""
-    entries = {c: 0.0 for c in enumerate_coalitions(n, order)}
+    entries = zero_entries(n, order)
     for coalition, value in values.items():
         key = tuple(sorted(coalition))
         if key not in entries:

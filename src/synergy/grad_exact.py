@@ -11,8 +11,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
-from .combinatorics import binomial, enumerate_coalitions, require_order
-from .core import Coalition, Instance, InteractionReport
+from .combinatorics import binomial, require_order
+from .core import Coalition, Instance, InteractionReport, zero_entries
 from .exceptions import CapExceededError, DimensionMismatchError
 from .polynomials import MultiIndex, SparsePolynomial, support
 from .set_methods import (
@@ -22,10 +22,6 @@ from .set_methods import (
 )
 
 SOP_ORACLE_MAX_ORDER = 3
-
-
-def _empty_entries(n: int, k: int) -> dict[Coalition, float]:
-    return {c: 0.0 for c in enumerate_coalitions(n, k)}
 
 
 # A share row depends on the rule, k and the monomial's positive exponents,
@@ -79,7 +75,7 @@ def _termwise(p: SparsePolynomial, x: Sequence[float], k: int, rule: str) -> Int
     if len(x) != p.n:
         raise DimensionMismatchError(f"point has {len(x)} components, expected {p.n}")
     shifted = [x[i] - p.center[i] for i in range(p.n)]
-    entries = _empty_entries(p.n, k)
+    entries = zero_entries(p.n, k)
     for m in sorted(p.terms):
         value = p.terms[m]
         for i, e in enumerate(m):
@@ -150,9 +146,9 @@ def sum_of_powers_nested(
         return integrated_gradients(p, x)
     inst = Instance(x=tuple(float(v) for v in x), baseline=p.center)
     pieces = p.synergy_split()
-    entries = _empty_entries(p.n, k)
+    entries = zero_entries(p.n, k)
     entries[()] = p.constant_term()
-    for members in enumerate_coalitions(p.n, k):
+    for members in entries:
         if not members:
             continue
         if len(members) < k:
@@ -171,7 +167,7 @@ def sum_of_powers_nested(
 def integrated_hessian_pairwise(p: SparsePolynomial, x: Sequence[float]) -> InteractionReport:
     """Order-2 interactions by direct termwise reduction of the s,t double
     integrals (the pairwise form and the two-part main-effect form)."""
-    entries = _empty_entries(p.n, 2)
+    entries = zero_entries(p.n, 2)
     shifted = [x[i] - p.center[i] for i in range(p.n)]
 
     def reduced_monomial(m: MultiIndex, drop: dict[int, int]) -> float:

@@ -20,10 +20,9 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from .core import Instance, InteractionReport
+from .core import Instance, InteractionReport, report_from_values
 from .exceptions import CapExceededError, NonFiniteError
 from .expressions import Expr, evaluate, partial, tree_size
-from .grad_exact import _empty_entries
 
 
 # Nodes times panels: the length of either 1-D rule, so the samples per
@@ -221,14 +220,13 @@ def ig_quadrature(
     deltas = [inst.x[i] - inst.baseline[i] for i in range(n)]
     partials = {i: partial(expr, i) for i in range(1, n + 1) if deltas[i - 1] != 0.0}
     _require_work(partials.values(), t.size)
-    entries = _empty_entries(n, 1)
-    entries[()] = float(evaluate(expr, inst.baseline))
+    entries = {(): float(evaluate(expr, inst.baseline))}
     for i, derivative in partials.items():
         with np.errstate(over="ignore", invalid="ignore"):
             values = np.asarray(evaluate(derivative, path), dtype=float)
         samples = np.broadcast_to(values, t.shape)
         entries[(i,)] = deltas[i - 1] * float(w @ _finite(samples, f"dF/dx{i}"))
-    return InteractionReport(n=n, order=1, entries=entries)
+    return report_from_values(n, 1, entries)
 
 
 def ih2_quadrature(
@@ -255,8 +253,7 @@ def ih2_quadrature(
         for i, j in combinations_with_replacement(active, 2)
     }
     _require_work([*first_partials.values(), *second_partials.values()], u.size)
-    entries = _empty_entries(n, 2)
-    entries[()] = float(evaluate(expr, inst.baseline))
+    entries = {(): float(evaluate(expr, inst.baseline))}
     for i, j in combinations(active, 2):
         integral = float(wu @ sample(second_partials[(i, j)], f"d2F/dx{i}dx{j}"))
         entries[(i, j)] = 2.0 * deltas[i - 1] * deltas[j - 1] * integral
@@ -266,4 +263,4 @@ def ih2_quadrature(
         entries[(i,)] = (
             deltas[i - 1] * gradient_part + deltas[i - 1] ** 2 * curvature_part
         )
-    return InteractionReport(n=n, order=2, entries=entries)
+    return report_from_values(n, 2, entries)

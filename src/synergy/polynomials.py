@@ -7,7 +7,6 @@ Zero coefficients are never stored.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -148,9 +147,6 @@ class SparsePolynomial:
                 {"m": list(m), "c": self.terms[m]} for m in sorted(self.terms)
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "SparsePolynomial":

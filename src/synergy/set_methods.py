@@ -10,7 +10,6 @@ sum_{i in S} 2^(i-1); index 0 is the baseline, index 2^n - 1 the input.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
@@ -18,8 +17,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .combinatorics import (
+    MAX_TABLE_FEATURES,
     binomial,
-    enumerate_coalitions,
     enumerate_sequences,
     require_order,
     surjective_sequence_count,
@@ -28,12 +27,12 @@ from .core import (
     Coalition,
     Instance,
     InteractionReport,
+    coalition_layout,
     coalition_mask,
     json_field,
 )
 from .exceptions import CapExceededError, DimensionMismatchError, NonFiniteError, SynergyError
 
-MAX_TABLE_FEATURES = 20
 ORACLE_MAX_FEATURES = 6
 ORACLE_MAX_ORDER = 4
 
@@ -77,9 +76,6 @@ class SetFunctionTable:
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "values": self.values.tolist()}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "SetFunctionTable":
@@ -174,18 +170,9 @@ def mobius_inverse(synergies: SynergyTable) -> SetFunctionTable:
     return SetFunctionTable(synergies.n, _sweep(synergies.values, synergies.n, np.add))
 
 
-@lru_cache(maxsize=256)
-def _coalition_masks(n: int, k: int) -> tuple[tuple[Coalition, int], ...]:
-    return tuple(
-        (members, coalition_mask(members, n))
-        for members in enumerate_coalitions(n, k)
-    )
-
-
 def _report(table: SetFunctionTable, k: int, fill) -> InteractionReport:
-    entries: dict[Coalition, float] = {}
-    for members, mask in _coalition_masks(table.n, k):
-        entries[members] = fill(members, mask)
+    coalitions, masks = coalition_layout(table.n, k)
+    entries = {members: fill(members, mask) for members, mask in zip(coalitions, masks.tolist())}
     return InteractionReport(n=table.n, order=k, entries=entries)
 
 
@@ -235,7 +222,7 @@ def _superset_rule(table: SetFunctionTable, k: int, rule: str) -> InteractionRep
     sums = _sweep(w[sizes] * syn, n, np.add, supersets=True)
     entry = own[sizes] * syn + spread[sizes] * sums
     entry[0] = table.values[0]
-    return _report(table, k, lambda members, mask: entry[mask])
+    return InteractionReport.from_masks(n, k, entry)
 
 
 def shapley(table: SetFunctionTable) -> InteractionReport:

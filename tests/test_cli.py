@@ -8,8 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from synergy import expressions as ex
 from synergy.cli import main
+from synergy.core import Instance
 from synergy.methods import REGISTRY
+from synergy.set_methods import build_table
 
 QUADRATIC = "2*x1 - 3*x2 + x1*x3 - 15"
 
@@ -189,9 +192,12 @@ def test_overflow_and_deep_nesting_are_usage_errors(capsys, argv):
          "--quad-nodes", "100000000"),
         ("interact", "--expr", "sin(" * 100 + "x1*x2" + ")" * 100, "--x", "0.5,0.3",
          "--method", "ih", "-k", "2"),
+        ("interact", "--expr", "x1*x2", "--x", ",".join(["1"] * 30), "--method", "ih",
+         "-k", "30"),
+        ("decompose", "--expr", "x1*x2", "--x", ",".join(["1"] * 21)),
     ],
     ids=["degree-before-expansion", "degree-of-cancelling-powers", "quadrature-size",
-         "quadrature-work"],
+         "quadrature-work", "coalitions-of-interact", "coalitions-of-decompose"],
 )
 def test_size_caps_apply_before_work_starts(argv):
     """Each cap rejects its input before expanding or allocating anything, in
@@ -270,6 +276,33 @@ def test_decompose_table_emits_synergy_table(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["n"] == 2
     assert payload["values"] == [1.0, 2.0, 1.0, 3.0]
+
+
+def test_decompose_table_of_no_features(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"n": 0, "values": [0.25]}))
+    code, out, _ = run_cli(capsys, "decompose", "--table", str(path))
+    assert (code, out) == (0, '{\n  "n": 0,\n  "values": [\n    0.25\n  ]\n}\n')
+    code, out, _ = run_cli(capsys, "decompose", "--table", str(path), "--output", "csv")
+    assert (code, out) == (0, "coalition;value\n-;0.25\n")
+
+
+def test_decompose_table_csv_matches_expression_route(tmp_path, capsys):
+    """The table route and the expression route of a transcendental
+    expression write the same order-n report."""
+    text, x = "sin(x1*x2) + exp(x3)*x1 - cos(x2*x3) + 0.5", (0.7, -0.4, 0.9)
+    expr = ex.parse(text, 3)
+    table = build_table(Instance(x=x, baseline=(0.0,) * 3), lambda point: ex.evaluate(expr, point))
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(table.to_json_dict()))
+    from_table = run_cli(capsys, "decompose", "--table", str(path), "--output", "csv")
+    from_expr = run_cli(
+        capsys, "decompose", "--expr", text, "--x", "0.7,-0.4,0.9", "--output", "csv"
+    )
+    assert from_table == from_expr
+    code, out, _ = from_expr
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 8
 
 
 def test_decompose_polynomial_pieces_without_x(tmp_path, capsys):
@@ -412,9 +445,16 @@ def test_missing_source_is_usage_error(tmp_path, capsys):
         ("--poly", [{"m": [1], "c": 1.0}], "JSON object"),
         ("--config", [{"seed": 1}], "JSON object"),
         ("--config", {"methods": "shapley"}, "'methods'"),
+        *(
+            ("--config", {"tolerance_overrides": {"completeness": tol}, "methods": ["shapley"],
+                          "axioms": ["completeness"], "trials": 2},
+             "tolerance_overrides['completeness']")
+            for tol in ("x", True, -1.0)
+        ),
     ],
     ids=["table-without-n", "term-without-c", "table-list", "poly-list", "config-list",
-         "config-methods-string"],
+         "config-methods-string", "config-tolerance-string", "config-tolerance-bool",
+         "config-tolerance-negative"],
 )
 def test_malformed_input_file_is_usage_error(tmp_path, capsys, flag, payload, field):
     path = tmp_path / "input.json"

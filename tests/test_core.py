@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from synergy.combinatorics import enumerate_coalitions
 from synergy.core import (
     Instance,
     InteractionReport,
@@ -112,6 +113,18 @@ def test_report_csv_layout():
     assert lines[0] == "coalition;value"
     assert lines[1] == "-;-15.0"
     assert "1+3;1.0" in lines
+
+
+def test_report_from_masks_matches_per_mask_build():
+    rng = np.random.default_rng(8)
+    for n in range(9):
+        values = rng.uniform(-1, 1, 1 << n)
+        for k in range(n + 1):
+            coalitions = enumerate_coalitions(n, k)
+            report = InteractionReport.from_masks(n, k, values)
+            expected = {c: float(values[coalition_mask(c, n)]) for c in coalitions}
+            assert report.entries == expected
+            assert list(report.entries) == coalitions
 
 
 def test_report_total_skips_empty_set():
