@@ -19,7 +19,7 @@ import numpy as np
 
 from . import expressions as ex
 from . import set_methods
-from .core import Instance, InteractionReport, json_field
+from .core import Instance, InteractionReport, as_int, json_field
 from .exceptions import SynergyError
 from .expressions import Expr
 from .grad_numeric import DEFAULT_CONFIG, QuadratureConfig
@@ -80,44 +80,39 @@ TOLERANCES: dict[str, dict[str, float]] = {
 
 @dataclass(frozen=True)
 class Trial:
+    """One random instance. `function` is a SetFunctionTable (table kind), a
+    SparsePolynomial centred at 0 or an Expr with baseline 0, evaluated at
+    `x` (empty for a table)."""
+
     kind: str
     k: int
-    table: SetFunctionTable | None = None
-    poly: SparsePolynomial | None = None
-    x: tuple[float, ...] | None = None
-    expr: Expr | None = None
-    instance: Instance | None = None
+    function: SetFunctionTable | SparsePolynomial | Expr
+    x: tuple[float, ...] = ()
 
     @property
     def n(self) -> int:
-        if self.kind == "table":
-            return self.table.n
-        if self.kind == "polynomial":
-            return self.poly.n
-        return self.instance.n
+        return self.function.n if self.kind == "table" else len(self.x)
 
     def difference(self) -> float:
         """F(x) - F(baseline) for this trial's function."""
         if self.kind == "table":
-            return float(self.table.values[-1] - self.table.values[0])
+            return float(self.function.values[-1] - self.function.values[0])
         if self.kind == "polynomial":
-            return self.poly.evaluate(self.x) - self.poly.constant_term()
+            return self.function.evaluate(self.x) - self.function.constant_term()
         return float(
-            ex.evaluate(self.expr, self.instance.x)
-            - ex.evaluate(self.expr, self.instance.baseline)
+            ex.evaluate(self.function, self.x)
+            - ex.evaluate(self.function, (0.0,) * self.n)
         )
 
     def describe(self) -> dict:
         out: dict = {"kind": self.kind, "k": self.k, "n": self.n}
         if self.kind == "table":
-            out["values"] = self.table.values.tolist()
-        elif self.kind == "polynomial":
-            out["polynomial"] = self.poly.to_json_dict()
-            out["x"] = list(self.x)
+            return out | {"values": self.function.values.tolist()}
+        if self.kind == "polynomial":
+            out["polynomial"] = self.function.to_json_dict()
         else:
-            out["expr"] = ex.to_text(self.expr)
-            out["x"] = list(self.instance.x)
-        return out
+            out["expr"] = ex.to_text(self.function)
+        return out | {"x": list(self.x)}
 
 
 @dataclass(frozen=True)
@@ -216,57 +211,41 @@ def _signed_uniform(rng: np.random.Generator, low=0.25, high=1.0) -> float:
     return float(rng.uniform(low, high) * rng.choice([-1.0, 1.0]))
 
 
-def _random_trial(mut: Method, rng: np.random.Generator) -> Trial:
-    if mut.kind == "table":
-        n = int(rng.integers(3, 6))
-        k = _pick_order(mut, rng, n)
-        table = SetFunctionTable(n, rng.uniform(-1, 1, size=1 << n))
-        return Trial("table", k, table=table)
-    if mut.kind == "polynomial":
-        n = int(rng.integers(2, 5))
-        k = _pick_order(mut, rng, n)
-        poly = _random_polynomial(rng, n)
-        x = tuple(float(v) for v in rng.uniform(-1, 1, size=n))
-        return Trial("polynomial", k, poly=poly, x=x)
-    n = int(rng.integers(2, 4))
-    k = _pick_order(mut, rng, n)
-    expr = _random_analytic(rng, n)
-    inst = Instance(
-        x=tuple(float(v) for v in rng.uniform(-1, 1, size=n)),
-        baseline=(0.0,) * n,
-    )
-    return Trial("analytic", k, expr=expr, instance=inst)
+# Feature counts [low, high) of a random trial, per method kind.
+_TRIAL_SIZES = {"table": (3, 6), "polynomial": (2, 5), "analytic": (2, 4)}
 
 
-def _null_feature_trial(
-    mut: Method, rng: np.random.Generator
-) -> tuple[Trial, int]:
-    if mut.kind == "table":
-        n = int(rng.integers(3, 6))
-        k = _pick_order(mut, rng, n)
-        i = int(rng.integers(1, n + 1))
-        bit = 1 << (i - 1)
-        values = rng.uniform(-1, 1, size=1 << n)
-        for mask in range(1 << n):
-            if mask & bit:
-                values[mask] = values[mask ^ bit]
-        return Trial("table", k, table=SetFunctionTable(n, values)), i
-    if mut.kind == "polynomial":
-        n = int(rng.integers(2, 5))
-        k = _pick_order(mut, rng, n)
-        i = int(rng.integers(1, n + 1))
-        poly = _random_polynomial(rng, n, exclude=i)
-        x = tuple(float(v) for v in rng.uniform(-1, 1, size=n))
-        return Trial("polynomial", k, poly=poly, x=x), i
-    n = int(rng.integers(2, 4))
+def _random_function(
+    kind: str, rng: np.random.Generator, n: int, exclude: int | None = None
+) -> SetFunctionTable | SparsePolynomial | Expr:
+    """A random function of `kind` on n features that ignores feature `exclude`."""
+    if kind == "polynomial":
+        return _random_polynomial(rng, n, exclude=exclude)
+    if kind == "analytic":
+        return _random_analytic(rng, n, exclude=exclude)
+    values = rng.uniform(-1, 1, size=1 << n)
+    if exclude is not None:
+        # the middle axis is bit exclude-1: copy F(S) onto F(S + exclude)
+        pairs = values.reshape(-1, 2, 1 << (exclude - 1))
+        pairs[:, 1] = pairs[:, 0]
+    return SetFunctionTable(n, values)
+
+
+def _random_trial(
+    mut: Method, rng: np.random.Generator, null_feature: bool = False
+) -> tuple[Trial, int | None]:
+    """A random trial and, if asked for, the feature its function ignores.
+
+    Draw order: n, k, the null feature, the function, then x.
+    """
+    n = int(rng.integers(*_TRIAL_SIZES[mut.kind]))
     k = _pick_order(mut, rng, n)
-    i = int(rng.integers(1, n + 1))
-    expr = _random_analytic(rng, n, exclude=i)
-    inst = Instance(
-        x=tuple(float(v) for v in rng.uniform(-1, 1, size=n)),
-        baseline=(0.0,) * n,
-    )
-    return Trial("analytic", k, expr=expr, instance=inst), i
+    i = int(rng.integers(1, n + 1)) if null_feature else None
+    function = _random_function(mut.kind, rng, n, exclude=i)
+    if mut.kind == "table":
+        return Trial("table", k, function), i
+    x = tuple(float(v) for v in rng.uniform(-1, 1, size=n))
+    return Trial(mut.kind, k, function, x), i
 
 
 def _pure_synergy_trial(
@@ -294,55 +273,44 @@ def _pure_synergy_trial(
     )
     if mut.kind == "table":
         table = pure_synergy_table(n, members, _signed_uniform(rng))
-        return Trial("table", k, table=table), members
+        return Trial("table", k, table), members
     exponents = {i: int(rng.integers(1, 4)) for i in members}
     m = tuple(exponents.get(i, 0) for i in range(1, n + 1))
     x = tuple(_signed_uniform(rng) for _ in range(n))
     if mut.kind == "polynomial":
-        poly = SparsePolynomial((0.0,) * n, {m: _signed_uniform(rng)})
-        return Trial("polynomial", k, poly=poly, x=x), members
-    monomial = ex.mul(
-        ex.Const(_signed_uniform(rng)),
-        *(ex.power(ex.Var(i), exponents[i]) for i in members),
-    )
-    anchor = members[0]
-    wobble = ex.add(
-        ex.Const(1.0), ex.mul(ex.Const(0.25), ex.call("sin", ex.Var(anchor)))
-    )
-    expr = ex.mul(monomial, wobble)
-    inst = Instance(x=x, baseline=(0.0,) * n)
-    return Trial("analytic", k, expr=expr, instance=inst), members
+        function = SparsePolynomial((0.0,) * n, {m: _signed_uniform(rng)})
+    else:
+        monomial = ex.mul(
+            ex.Const(_signed_uniform(rng)),
+            *(ex.power(ex.Var(i), exponents[i]) for i in members),
+        )
+        wobble = ex.add(
+            ex.Const(1.0), ex.mul(ex.Const(0.25), ex.call("sin", ex.Var(members[0])))
+        )
+        function = ex.mul(monomial, wobble)
+    return Trial(mut.kind, k, function, x), members
 
 
 def _combine(trial_a: Trial, trial_b: Trial, a: float, b: float) -> Trial:
+    f, g = trial_a.function, trial_b.function
     if trial_a.kind == "table":
-        values = a * trial_a.table.values + b * trial_b.table.values
-        return replace(trial_a, table=SetFunctionTable(trial_a.n, values))
-    if trial_a.kind == "polynomial":
-        return replace(trial_a, poly=trial_a.poly.scale(a) + trial_b.poly.scale(b))
-    combined = ex.add(
-        ex.mul(ex.Const(a), trial_a.expr), ex.mul(ex.Const(b), trial_b.expr)
-    )
-    return replace(trial_a, expr=combined)
+        function = SetFunctionTable(trial_a.n, a * f.values + b * g.values)
+    elif trial_a.kind == "polynomial":
+        function = f.scale(a) + g.scale(b)
+    else:
+        function = ex.add(ex.mul(ex.Const(a), f), ex.mul(ex.Const(b), g))
+    return replace(trial_a, function=function)
 
 
 def _permute_trial(trial: Trial, permutation: Sequence[int]) -> Trial:
     if trial.kind == "table":
-        return replace(trial, table=permute_table(trial.table, permutation))
-    if trial.kind == "polynomial":
-        n = trial.n
-        terms = {}
-        for m, c in trial.poly.terms.items():
-            image = [0] * n
-            for i in range(n):
-                image[permutation[i] - 1] = m[i]
-            terms[tuple(image)] = c
-        x = [0.0] * n
-        for i in range(n):
-            x[permutation[i] - 1] = trial.x[i]
-        return replace(
-            trial, poly=SparsePolynomial(trial.poly.center, terms), x=tuple(x)
-        )
+        return replace(trial, function=permute_table(trial.function, permutation))
+
+    def image(values):
+        out = [0] * trial.n
+        for i, v in enumerate(values):
+            out[permutation[i] - 1] = v
+        return tuple(out)
 
     def relabel(e: Expr) -> Expr:
         if isinstance(e, ex.Var):
@@ -359,12 +327,14 @@ def _permute_trial(trial: Trial, permutation: Sequence[int]) -> Trial:
             return ex.Pow(relabel(e.base), e.exponent)
         return ex.Call(e.func, relabel(e.arg))
 
-    n = trial.n
-    x = [0.0] * n
-    for i in range(n):
-        x[permutation[i] - 1] = trial.instance.x[i]
-    inst = Instance(x=tuple(x), baseline=trial.instance.baseline)
-    return replace(trial, expr=relabel(trial.expr), instance=inst)
+    if trial.kind == "polynomial":
+        poly = trial.function
+        function = SparsePolynomial(
+            poly.center, {image(m): c for m, c in poly.terms.items()}
+        )
+    else:
+        function = relabel(trial.function)
+    return replace(trial, function=function, x=image(trial.x))
 
 
 # ---------------------------------------------------------------------------
@@ -380,147 +350,163 @@ def _resolve(mut) -> Method:
 
 
 def _report(mut: Method, trial: Trial) -> InteractionReport:
-    if mut.kind == "table":
-        return mut.run(trial.table, trial.k)
-    if mut.kind == "polynomial":
-        return mut.run(trial.poly, trial.x, trial.k)
-    return mut.run(trial.expr, trial.instance, SUITE_QUAD_CONFIG)
+    if trial.kind == "table":
+        return mut.run(trial.function, trial.k)
+    if trial.kind == "polynomial":
+        return mut.run(trial.function, trial.x, trial.k)
+    inst = Instance(x=trial.x, baseline=(0.0,) * trial.n)
+    return mut.run(trial.function, inst, SUITE_QUAD_CONFIG)
 
 
-def _tolerance(mut: Method, axiom: str, override: float | None) -> float:
-    if override is not None:
-        return override
-    return TOLERANCES[axiom][mut.kind]
+def _peak(scored) -> tuple[float, object]:
+    """The largest of (residual, key) pairs and the first key reaching it."""
+    worst, where = 0.0, None
+    for residual, key in scored:
+        if residual > worst:
+            worst, where = residual, key
+    return worst, where
 
 
-def _finish(
-    method_id: str,
-    axiom: str,
-    max_residual: float,
-    tol: float,
-    trials: int,
-    witness: dict | None,
-    details: dict | None = None,
+def _gap(u: float, v: float) -> float:
+    return abs(u - v) / max(1.0, abs(u), abs(v))
+
+
+def _not_applicable(mut: Method, axiom: str) -> CheckResult:
+    return CheckResult(
+        method=mut.id,
+        axiom=axiom,
+        status="not-applicable",
+        expected="n/a",
+        max_residual=0.0,
+        trials=0,
+    )
+
+
+def _trial_result(
+    method_id: str, axiom: str, expected: str, trials: int, seed: int, tol: float, score
 ) -> CheckResult:
-    status = "pass" if max_residual <= tol else "fail"
+    """The trial loop. `score(rng)` gives one seeded trial's residual and a
+    witness thunk; the witness is the first trial with the largest residual,
+    described only when the check fails."""
+    worst, witness = _peak(score(_rng(seed, t)) for t in range(trials))
+    status = "pass" if worst <= tol else "fail"
     return CheckResult(
         method=method_id,
         axiom=axiom,
         status=status,
-        expected=EXPECTED_STATUS[axiom].get(method_id, "pass"),
-        max_residual=max_residual,
+        expected=expected,
+        max_residual=worst,
         trials=trials,
-        witness=witness if status == "fail" else None,
-        details=details,
+        witness=witness() if status == "fail" and witness is not None else None,
     )
+
+
+def _run_trials(mut, axiom: str, trials: int, seed: int, tol: float | None, score) -> CheckResult:
+    """One method x axiom cell: `score(mut, rng)` per trial, at the axiom's tolerance."""
+    mut = _resolve(mut)
+    return _trial_result(
+        mut.id,
+        axiom,
+        EXPECTED_STATUS[axiom].get(mut.id, "pass"),
+        trials,
+        seed,
+        TOLERANCES[axiom][mut.kind] if tol is None else tol,
+        lambda rng: score(mut, rng),
+    )
+
+
+def _completeness(mut: Method, rng: np.random.Generator):
+    trial, _ = _random_trial(mut, rng)
+    target = trial.difference()
+    residual = abs(_report(mut, trial).total() - target) / max(1.0, abs(target))
+    return residual, lambda: trial.describe() | {"target": target}
+
+
+def _linearity(mut: Method, rng: np.random.Generator):
+    trial, _ = _random_trial(mut, rng)
+    other = replace(trial, function=_random_function(trial.kind, rng, trial.n))
+    a, b = float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))
+    combined = _report(mut, _combine(trial, other, a, b))
+    left = _report(mut, trial).entries
+    right = _report(mut, other).entries
+    residual = max(
+        (_gap(value, a * left[c] + b * right[c]) for c, value in combined.entries.items()),
+        default=0.0,
+    )
+    return residual, lambda: trial.describe() | {"a": a, "b": b}
+
+
+def _null_feature(mut: Method, rng: np.random.Generator):
+    trial, i = _random_trial(mut, rng, null_feature=True)
+    entries = _report(mut, trial).entries
+    residual, coalition = _peak((abs(v), c) for c, v in entries.items() if i in c)
+    return residual, lambda: trial.describe() | {
+        "null_feature": i,
+        "coalition": list(coalition),
+    }
+
+
+def _symmetry(mut: Method, rng: np.random.Generator):
+    trial, _ = _random_trial(mut, rng)
+    permutation = [int(v) for v in rng.permutation(range(1, trial.n + 1))]
+    base = _report(mut, trial).entries
+    image = _report(mut, _permute_trial(trial, permutation)).entries
+    residual = max(
+        (
+            _gap(value, image[tuple(sorted(permutation[i - 1] for i in c))])
+            for c, value in base.items()
+        ),
+        default=0.0,
+    )
+    return residual, lambda: trial.describe() | {"permutation": permutation}
+
+
+def _pure_synergy(within_order: bool):
+    """Scorer: a pure interaction must give zero to its proper subsets of size < k."""
+
+    def score(mut: Method, rng: np.random.Generator):
+        trial, members = _pure_synergy_trial(mut, rng, within_order)
+        member_set = set(members)
+        entries = _report(mut, trial).entries
+        residual, coalition = _peak(
+            (abs(v), c)
+            for c, v in entries.items()
+            if set(c) < member_set and len(c) < trial.k
+        )
+        return residual, lambda: trial.describe() | {
+            "synergy": list(members),
+            "coalition": list(coalition),
+            "value": entries[coalition],
+        }
+
+    return score
 
 
 def check_completeness(mut, trials: int, seed: int = 0, tol: float | None = None) -> CheckResult:
     """Nonempty-coalition scores must sum to F(x) - F(baseline)."""
-    mut = _resolve(mut)
-    tol = _tolerance(mut, "completeness", tol)
-    worst, witness = 0.0, None
-    for t in range(trials):
-        trial = _random_trial(mut, _rng(seed, t))
-        report = _report(mut, trial)
-        target = trial.difference()
-        residual = abs(report.total() - target) / max(1.0, abs(target))
-        if residual > worst:
-            worst, witness = residual, trial.describe() | {"target": target}
-    return _finish(mut.id, "completeness", worst, tol, trials, witness)
+    return _run_trials(mut, "completeness", trials, seed, tol, _completeness)
 
 
 def check_linearity(mut, trials: int, seed: int = 0, tol: float | None = None) -> CheckResult:
     """Report of a*F + b*G must equal a*report(F) + b*report(G) entrywise."""
-    mut = _resolve(mut)
-    tol = _tolerance(mut, "linearity", tol)
-    worst, witness = 0.0, None
-    for t in range(trials):
-        rng = _rng(seed, t)
-        trial_a = _random_trial(mut, rng)
-        if trial_a.kind == "table":
-            trial_b = replace(
-                trial_a,
-                table=SetFunctionTable(trial_a.n, rng.uniform(-1, 1, size=1 << trial_a.n)),
-            )
-        elif trial_a.kind == "polynomial":
-            trial_b = replace(trial_a, poly=_random_polynomial(rng, trial_a.n))
-        else:
-            trial_b = replace(trial_a, expr=_random_analytic(rng, trial_a.n))
-        a, b = float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))
-        combined = _report(mut, _combine(trial_a, trial_b, a, b))
-        left = _report(mut, trial_a)
-        right = _report(mut, trial_b)
-        residual = 0.0
-        for coalition, value in combined.entries.items():
-            mix = a * left.entries[coalition] + b * right.entries[coalition]
-            residual = max(
-                residual, abs(value - mix) / max(1.0, abs(value), abs(mix))
-            )
-        if residual > worst:
-            worst, witness = residual, trial_a.describe() | {"a": a, "b": b}
-    return _finish(mut.id, "linearity", worst, tol, trials, witness)
+    return _run_trials(mut, "linearity", trials, seed, tol, _linearity)
 
 
 def check_null_feature(mut, trials: int, seed: int = 0, tol: float | None = None) -> CheckResult:
     """Coalitions containing a feature the function ignores must score zero."""
-    mut = _resolve(mut)
-    tol = _tolerance(mut, "null-feature", tol)
-    worst, witness = 0.0, None
-    for t in range(trials):
-        trial, i = _null_feature_trial(mut, _rng(seed, t))
-        report = _report(mut, trial)
-        for coalition, value in report.entries.items():
-            if i in coalition and abs(value) > worst:
-                worst = abs(value)
-                witness = trial.describe() | {"null_feature": i, "coalition": list(coalition)}
-    return _finish(mut.id, "null-feature", worst, tol, trials, witness)
+    return _run_trials(mut, "null-feature", trials, seed, tol, _null_feature)
 
 
 def check_symmetry(mut, trials: int, seed: int = 0, tol: float | None = None) -> CheckResult:
     """Relabeling features must relabel the report: I_S(F) = I_piS(pi F)."""
-    mut = _resolve(mut)
-    tol = _tolerance(mut, "symmetry", tol)
-    worst, witness = 0.0, None
-    for t in range(trials):
-        rng = _rng(seed, t)
-        trial = _random_trial(mut, rng)
-        permutation = [int(v) for v in rng.permutation(range(1, trial.n + 1))]
-        base = _report(mut, trial)
-        image = _report(mut, _permute_trial(trial, permutation))
-        residual = 0.0
-        for coalition, value in base.entries.items():
-            mapped = tuple(sorted(permutation[i - 1] for i in coalition))
-            other = image.entries[mapped]
-            residual = max(
-                residual, abs(value - other) / max(1.0, abs(value), abs(other))
-            )
-        if residual > worst:
-            worst, witness = residual, trial.describe() | {"permutation": permutation}
-    return _finish(mut.id, "symmetry", worst, tol, trials, witness)
+    return _run_trials(mut, "symmetry", trials, seed, tol, _symmetry)
 
 
 def check_baseline_test(
     mut, trials: int, seed: int = 0, tol: float | None = None
 ) -> CheckResult:
     """Pure interactions of size <= k must give zero to every proper subset."""
-    mut = _resolve(mut)
-    tol = _tolerance(mut, "baseline-test", tol)
-    worst, witness = 0.0, None
-    for t in range(trials):
-        rng = _rng(seed, t)
-        trial, members = _pure_synergy_trial(mut, rng, within_order=True)
-        report = _report(mut, trial)
-        member_set = set(members)
-        for coalition, value in report.entries.items():
-            if set(coalition) < member_set and abs(value) > worst:
-                worst = abs(value)
-                witness = trial.describe() | {
-                    "synergy": list(members),
-                    "coalition": list(coalition),
-                    "value": value,
-                }
-    return _finish(mut.id, "baseline-test", worst, tol, trials, witness)
+    return _run_trials(mut, "baseline-test", trials, seed, tol, _pure_synergy(True))
 
 
 def check_interaction_distribution(
@@ -528,36 +514,10 @@ def check_interaction_distribution(
 ) -> CheckResult:
     """Pure interactions of any size must give zero to proper subsets of size < k."""
     mut = _resolve(mut)
-    expected = EXPECTED_STATUS["interaction-distribution"].get(mut.id, "pass")
-    if expected == "n/a" or mut.order == 1:
-        return CheckResult(
-            method=mut.id,
-            axiom="interaction-distribution",
-            status="not-applicable",
-            expected="n/a",
-            max_residual=0.0,
-            trials=0,
-        )
-    tol = _tolerance(mut, "interaction-distribution", tol)
-    worst, witness = 0.0, None
-    for t in range(trials):
-        rng = _rng(seed, t)
-        trial, members = _pure_synergy_trial(mut, rng, within_order=False)
-        report = _report(mut, trial)
-        member_set = set(members)
-        for coalition, value in report.entries.items():
-            if (
-                set(coalition) < member_set
-                and len(coalition) < trial.k
-                and abs(value) > worst
-            ):
-                worst = abs(value)
-                witness = trial.describe() | {
-                    "synergy": list(members),
-                    "coalition": list(coalition),
-                    "value": value,
-                }
-    return _finish(mut.id, "interaction-distribution", worst, tol, trials, witness)
+    axiom = "interaction-distribution"
+    if EXPECTED_STATUS[axiom].get(mut.id, "pass") == "n/a" or mut.order == 1:
+        return _not_applicable(mut, axiom)
+    return _run_trials(mut, axiom, trials, seed, tol, _pure_synergy(False))
 
 
 def check_continuity(
@@ -578,14 +538,7 @@ def check_continuity(
     """
     mut = _resolve(mut)
     if mut.kind != "polynomial":
-        return CheckResult(
-            method=mut.id,
-            axiom="continuity",
-            status="not-applicable",
-            expected="n/a",
-            max_residual=0.0,
-            trials=0,
-        )
+        return _not_applicable(mut, "continuity")
     tol = tol if tol is not None else TOLERANCES["continuity"]["polynomial"]
     order = k if k is not None else (mut.order or 2)
     reference: InteractionReport | None = None
@@ -610,7 +563,6 @@ def check_continuity(
         residuals[i + 1] <= residuals[i] + 1e-12 for i in range(len(residuals) - 1)
     )
     final = residuals[-1]
-    status = "pass" if (final <= tol and decayed) else "fail"
     details = {
         "mode": mode,
         "orders": levels,
@@ -618,6 +570,7 @@ def check_continuity(
         "k": order,
         "expr": ex.to_text(expr),
     }
+    status = "pass" if (final <= tol and decayed) else "fail"
     return CheckResult(
         method=mut.id,
         axiom="continuity",
@@ -636,29 +589,25 @@ def check_uniqueness_support(
     """Any full-order method satisfying the four core axioms must coincide with
     the synergy table: assert shapley-taylor(k=n), the Möbius transform, and
     augmented recursive Shapley (k=n) agree entrywise."""
-    worst, witness = 0.0, None
-    for t in range(trials):
-        rng = _rng(seed, t)
+
+    def score(rng: np.random.Generator):
         n = int(rng.integers(2, 6))
         table = SetFunctionTable(n, rng.uniform(-1, 1, size=1 << n))
         synergies = mobius(table)
         st = set_methods.shapley_taylor(table, n)
-        rsa = set_methods.augmented_recursive_shapley(table, n)
-        for coalition, value in st.entries.items():
-            target = synergies.at(coalition)
-            residual = max(abs(value - target), abs(rsa.entries[coalition] - target))
-            if residual > worst:
-                worst = residual
-                witness = {"n": n, "values": table.values.tolist(), "coalition": list(coalition)}
-    status = "pass" if worst <= tol else "fail"
-    return CheckResult(
-        method="(all-full-order)",
-        axiom="uniqueness-support",
-        status=status,
-        expected="pass",
-        max_residual=worst,
-        trials=trials,
-        witness=witness if status == "fail" else None,
+        rsa = set_methods.augmented_recursive_shapley(table, n).entries
+        residual, coalition = _peak(
+            (max(abs(v - synergies.at(c)), abs(rsa[c] - synergies.at(c))), c)
+            for c, v in st.entries.items()
+        )
+        return residual, lambda: {
+            "n": n,
+            "values": table.values.tolist(),
+            "coalition": list(coalition),
+        }
+
+    return _trial_result(
+        "(all-full-order)", "uniqueness-support", "pass", trials, seed, tol, score
     )
 
 
@@ -691,8 +640,8 @@ class SuiteConfig:
     def from_json_dict(cls, payload: Mapping) -> "SuiteConfig":
         what = "suite config"
         return cls(
-            seed=json_field(payload, "seed", what, int, 2024),
-            trials=json_field(payload, "trials", what, int, 1000),
+            seed=json_field(payload, "seed", what, as_int, 2024),
+            trials=json_field(payload, "trials", what, as_int, 1000),
             methods=json_field(payload, "methods", what, _names, None),
             axioms=json_field(payload, "axioms", what, _names, None),
             tolerance_overrides=json_field(payload, "tolerance_overrides", what, dict, {}),
@@ -767,14 +716,9 @@ def run_suite(
                 f"{method_id}:{axiom}", config.tolerance_overrides.get(axiom)
             )
             if axiom == "continuity":
-                if mut.kind != "polynomial":
-                    results.append(check_continuity(mut, None, None))
-                    continue
                 probe = ex.parse(CONTINUITY_PROBE, 2)
                 inst = Instance(x=(0.5, 0.5), baseline=(0.0, 0.0))
-                results.append(
-                    check_continuity(mut, probe, inst, max_order=12, k=mut.order or 2, tol=override)
-                )
+                results.append(check_continuity(mut, probe, inst, max_order=12, tol=override))
                 continue
             trials = config.trials
             if mut.kind == "analytic":

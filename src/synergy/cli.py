@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import expressions as ex
 from . import set_methods
@@ -286,14 +286,7 @@ def cmd_check(args) -> int:
         overrides["methods"] = tuple(args.method)
     if args.axiom:
         overrides["axioms"] = tuple(args.axiom)
-    if overrides:
-        config = SuiteConfig(
-            seed=overrides.get("seed", config.seed),
-            trials=overrides.get("trials", config.trials),
-            methods=overrides.get("methods", config.methods),
-            axioms=overrides.get("axioms", config.axioms),
-            tolerance_overrides=config.tolerance_overrides,
-        )
+    config = replace(config, **overrides)
     result = run_suite(config)
     if args.output == "csv":
         lines = ["method;axiom;status;expected;max_residual;trials"]

@@ -33,6 +33,17 @@ def as_point(values: Iterable[float]) -> Point:
     return tuple(float(v) for v in values)
 
 
+def as_int(value: Any) -> int:
+    """`value` as an int: a TypeError unless it is a number with an integral value."""
+    try:
+        result = int(value)
+    except (ValueError, OverflowError):
+        result = None
+    if result is None or result != value:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return result
+
+
 _REQUIRED = object()
 
 

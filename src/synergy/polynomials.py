@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .core import Coalition, Point, as_point, json_field
+from .combinatorics import MAX_FEATURES
+from .core import Coalition, Point, as_int, as_point, json_field
 from .exceptions import CapExceededError, DimensionMismatchError, NonFiniteError
 
 MAX_TOTAL_DEGREE = 128
@@ -44,6 +45,8 @@ class SparsePolynomial:
 
     def __post_init__(self) -> None:
         n = len(self.center)
+        if not all(math.isfinite(v) for v in self.center):
+            raise NonFiniteError(f"polynomial center {tuple(self.center)} is not finite")
         clean: dict[MultiIndex, float] = {}
         for m, c in self.terms.items():
             key = tuple(int(e) for e in m)
@@ -150,18 +153,22 @@ class SparsePolynomial:
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "SparsePolynomial":
-        n = json_field(payload, "n", "polynomial", int)
+        n = json_field(payload, "n", "polynomial", as_int)
+        if not 0 <= n <= MAX_FEATURES:
+            raise CapExceededError(f"polynomial field 'n': {n} is outside 0..{MAX_FEATURES}")
         center = json_field(payload, "center", "polynomial", as_point, (0.0,) * n)
         if len(center) != n:
             raise DimensionMismatchError("center length does not match n")
         terms = {}
         for item in json_field(payload, "terms", "polynomial", list):
             try:
-                m = tuple(int(e) for e in item["m"])
+                m = tuple(map(int, item["m"]))
+                if m != tuple(item["m"]):  # a fraction or a string
+                    raise TypeError
                 terms[m] = float(item["c"])
-            except (KeyError, TypeError):
+            except (KeyError, TypeError, ValueError):
                 # raise again, naming the missing or mistyped field
-                json_field(item, "m", "polynomial term", lambda m: tuple(int(e) for e in m))
+                json_field(item, "m", "polynomial term", lambda m: tuple(map(as_int, m)))
                 json_field(item, "c", "polynomial term", float)
                 raise
         return cls(center, terms)

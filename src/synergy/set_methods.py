@@ -27,6 +27,7 @@ from .core import (
     Coalition,
     Instance,
     InteractionReport,
+    as_int,
     coalition_layout,
     coalition_mask,
     json_field,
@@ -79,7 +80,7 @@ class SetFunctionTable:
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "SetFunctionTable":
-        n = json_field(payload, "n", "table", int)
+        n = json_field(payload, "n", "table", as_int)
         values = json_field(payload, "values", "table")
         try:
             return cls(n, values)

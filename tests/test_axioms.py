@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 from synergy import expressions as ex
 from synergy import set_methods
 from synergy.axioms import (
@@ -129,6 +132,23 @@ def test_suite_is_deterministic():
     first = run_suite(config).to_json_dict()
     second = run_suite(config).to_json_dict()
     assert first == second
+
+
+def test_suite_draws_and_witnesses_are_pinned():
+    """`check --seed 2024 --trials 20`, cell by cell, against recorded values.
+
+    Table and polynomial cells are pinned whole: residual and witness fix the
+    random draw order and the witness rule. Quadrature cells and continuity
+    (measured against the quadrature engine) keep only status and trials,
+    because LAPACK and SIMD sin/cos/exp may differ in the last bits between
+    machines.
+    """
+    path = Path(__file__).parent / "data" / "suite_seed2024_trials20.json"
+    recorded = json.loads(path.read_text())
+    cells = run_suite(SuiteConfig(seed=2024, trials=20)).to_json_dict()["results"]
+    assert len(cells) == len(recorded)
+    for cell, expected in zip(cells, recorded):
+        assert {key: cell[key] for key in expected} == expected
 
 
 def test_suite_honors_expected_failures():

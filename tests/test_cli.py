@@ -451,10 +451,18 @@ def test_missing_source_is_usage_error(tmp_path, capsys):
              "tolerance_overrides['completeness']")
             for tol in ("x", True, -1.0)
         ),
+        ("--table", {"n": 2.9, "values": [1.0, 2.0, 3.0, 4.0]}, "'n'"),
+        ("--poly", {"n": 1, "terms": [{"m": [1.5], "c": 2.0}]}, "'m'"),
+        ("--config", {"trials": 2.5, "methods": ["shapley"], "axioms": ["completeness"]},
+         "'trials'"),
+        ("--poly", {"n": 1, "center": [float("inf")], "terms": [{"m": [1], "c": 2.0}]},
+         "center"),
+        ("--poly", {"n": 10**12, "terms": []}, "'n'"),
     ],
     ids=["table-without-n", "term-without-c", "table-list", "poly-list", "config-list",
          "config-methods-string", "config-tolerance-string", "config-tolerance-bool",
-         "config-tolerance-negative"],
+         "config-tolerance-negative", "table-fractional-n", "term-fractional-exponent",
+         "config-fractional-trials", "poly-infinite-center", "poly-n-above-cap"],
 )
 def test_malformed_input_file_is_usage_error(tmp_path, capsys, flag, payload, field):
     path = tmp_path / "input.json"
