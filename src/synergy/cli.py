@@ -11,12 +11,16 @@ import json
 import sys
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import expressions as ex
 from . import set_methods
 from .axioms import SuiteConfig, run_suite
 from .core import (
     Instance,
     InteractionReport,
+    comparison_to_csv,
+    comparison_to_json,
     format_coalition,
     report_from_values,
     validate_instance,
@@ -176,7 +180,9 @@ def _run_engine(engine: str, source: FunctionSource, inst: Instance | None, k: i
 
 
 def _emit(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    sys.stdout.write(text)
+    if not text.endswith("\n"):
+        sys.stdout.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +233,14 @@ def cmd_decompose(args) -> int:
             coalition: piece.evaluate(inst.x) for coalition, piece in poly.synergy_split().items()
         })
     else:
-        synergies = set_methods.mobius(_source_table(source, inst))
+        table = _source_table(source, inst)
+        # a synergy beyond the float range becomes inf, which the writers
+        # reject; the warning would only repeat the error
+        with np.errstate(over="ignore"):
+            synergies = set_methods.mobius(table)
         if source.kind == "table" and args.output == "json":
             # a table's JSON form is the synergy table in the subset encoding
-            _emit(json.dumps(synergies.to_json_dict(), indent=2))
+            _emit(synergies.to_json())
             return 0
         report = InteractionReport.from_masks(synergies.n, synergies.n, synergies.values)
     _emit(report.to_csv() if args.output == "csv" else report.to_json())
@@ -241,34 +251,8 @@ def cmd_compare(args) -> int:
     source, inst = _load_source(args)
     left = _run_engine(args.left, source, inst, args.k, args)
     right = _run_engine(args.right, source, inst, args.k, args)
-    max_diff = left.max_abs_difference(right)
-    coalitions = sorted(left.entries)
-    diffs = {c: abs(left.entries[c] - right.entries[c]) for c in coalitions}
-    if args.output == "csv":
-        lines = [f"coalition;{args.left};{args.right};abs_diff"]
-        for c in coalitions:
-            lines.append(
-                f"{format_coalition(c)};{left.entries[c]!r};{right.entries[c]!r};{diffs[c]!r}"
-            )
-        lines.append(f"max_abs_diff;;;{max_diff!r}")
-        _emit("\n".join(lines))
-    else:
-        payload = {
-            "order": left.order,
-            "left": args.left,
-            "right": args.right,
-            "entries": [
-                {
-                    "coalition": list(c),
-                    "left": left.entries[c],
-                    "right": right.entries[c],
-                    "abs_diff": diffs[c],
-                }
-                for c in coalitions
-            ],
-            "max_abs_diff": max_diff,
-        }
-        _emit(json.dumps(payload, indent=2))
+    write = comparison_to_csv if args.output == "csv" else comparison_to_json
+    _emit(write(left, right, (args.left, args.right)))
     return 0
 
 

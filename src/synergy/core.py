@@ -11,8 +11,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations
-from typing import Any, Callable, Iterable, Mapping
+from itertools import chain, combinations, repeat
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -42,6 +42,23 @@ def as_int(value: Any) -> int:
     if result is None or result != value:
         raise TypeError(f"expected an integer, got {value!r}")
     return result
+
+
+def as_real(value: Any) -> float:
+    """`value` as a float: a TypeError unless it is a number (a string is not)."""
+    if not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def as_reals(values: Any) -> np.ndarray:
+    """`values` as a float array: a TypeError unless every item is a number."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "biuf" and not (
+        array.dtype.kind == "O" and all(isinstance(v, (int, float)) for v in array.flat)
+    ):
+        raise TypeError(f"expected numbers, got {array.dtype.name} items")
+    return array.astype(float)
 
 
 _REQUIRED = object()
@@ -149,7 +166,7 @@ def masked_point(inst: Instance, members: Iterable[int]) -> Point:
 
 def format_coalition(members: Coalition) -> str:
     """CSV label of a coalition: members joined by '+', or '-' when empty."""
-    return "+".join(str(i) for i in members) if members else "-"
+    return "+".join(map(str, members)) if members else "-"
 
 
 @lru_cache(maxsize=256)
@@ -172,6 +189,71 @@ def coalition_layout(n: int, k: int) -> tuple[tuple[Coalition, ...], np.ndarray 
 def zero_entries(n: int, k: int) -> dict[Coalition, float]:
     """A fresh accumulator holding 0.0 for every coalition of P_k, in layout order."""
     return dict.fromkeys(coalition_layout(n, k)[0], 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Writers. Every JSON form is the text json.dumps(payload, indent=2) gives,
+# written from value arrays in layout order without building the payload:
+# float.__repr__ is the JSON form of a finite float. Rows are listed in
+# lexicographic coalition order, the order sorted() gives their tuples.
+# ---------------------------------------------------------------------------
+
+# Layouts above this many coalitions rebuild their row text on every call,
+# so one large report does not stay in memory.
+_TEXT_CACHE_MAX_ROWS = 1 << 16
+
+
+@lru_cache(maxsize=16)
+def _lex_order(n: int, k: int) -> np.ndarray:
+    """Layout positions of P_k's coalitions, in lexicographic order."""
+    coalitions, _ = coalition_layout(n, k)
+    order = np.array(sorted(range(len(coalitions)), key=coalitions.__getitem__), dtype=np.intp)
+    order.setflags(write=False)
+    return order
+
+
+def _build_json_row_heads(n: int, k: int, field: str) -> tuple[str, ...]:
+    """Per coalition of P_k in lexicographic order, the text of an "entries"
+    row up to the value of its first field `field`, the previous row's close
+    included."""
+    coalitions, _ = coalition_layout(n, k)
+    heads = []
+    close = ""
+    for i in _lex_order(n, k).tolist():
+        members = coalitions[i]
+        listed = "[\n        " + ",\n        ".join(map(str, members)) + "\n      ]"
+        listed = listed if members else "[]"
+        heads.append(f'{close}    {{\n      "coalition": {listed},\n      "{field}": ')
+        close = "\n    },\n"
+    return tuple(heads)
+
+
+_cached_json_row_heads = lru_cache(maxsize=16)(_build_json_row_heads)
+
+
+def _json_rows(n: int, k: int, columns: Mapping[str, np.ndarray]) -> Iterator[str]:
+    """The pieces of an indent-2 "entries" list body: per coalition, its
+    members, then each column's value under the column's name."""
+    build = (
+        _cached_json_row_heads
+        if len(coalition_layout(n, k)[0]) <= _TEXT_CACHE_MAX_ROWS
+        else _build_json_row_heads
+    )
+    order = _lex_order(n, k)
+    parts = []
+    for name, values in columns.items():
+        parts.append(repeat(f',\n      "{name}": ') if parts else build(n, k, name))
+        parts.append(map(float.__repr__, values[order].tolist()))
+    return chain(chain.from_iterable(zip(*parts)), ("\n    }",))
+
+
+def _csv_lines(n: int, k: int, columns: Sequence[np.ndarray]) -> Iterator[str]:
+    """The CSV lines 'label;value;...' of P_k's coalitions, without line ends."""
+    coalitions, _ = coalition_layout(n, k)
+    order = _lex_order(n, k)
+    labels = map(format_coalition, map(coalitions.__getitem__, order.tolist()))
+    values = (map(float.__repr__, column[order].tolist()) for column in columns)
+    return map(";".join, zip(labels, *values))
 
 
 @dataclass(frozen=True)
@@ -223,6 +305,10 @@ class InteractionReport:
             raise InvalidCoalitionError("reports cover different coalition sets")
         return max(abs(self.entries[c] - other.entries[c]) for c in self.entries)
 
+    def _values(self) -> np.ndarray:
+        """The entry values in layout order."""
+        return np.fromiter(self.entries.values(), float, len(self.entries))
+
     def to_json_dict(self) -> dict:
         return {
             "order": self.order,
@@ -233,7 +319,10 @@ class InteractionReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        """The text of json.dumps(self.to_json_dict(), indent=2)."""
+        head = f'{{\n  "order": {self.order},\n  "entries": [\n'
+        rows = _json_rows(self.n, self.order, {"value": self._values()})
+        return "".join(chain((head,), rows, ("\n  ]\n}",)))
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "InteractionReport":
@@ -245,10 +334,8 @@ class InteractionReport:
         return cls(n=n, order=int(payload["order"]), entries=entries)
 
     def to_csv(self) -> str:
-        lines = ["coalition;value"]
-        for coalition in sorted(self.entries):
-            lines.append(f"{format_coalition(coalition)};{self.entries[coalition]!r}")
-        return "\n".join(lines) + "\n"
+        lines = _csv_lines(self.n, self.order, [self._values()])
+        return "\n".join(chain(("coalition;value",), lines, ("",)))
 
 
 def report_from_values(
@@ -262,3 +349,41 @@ def report_from_values(
             raise InvalidCoalitionError(f"coalition {key} outside P_{order} over 1..{n}")
         entries[key] = float(value)
     return InteractionReport(n=n, order=order, entries=entries)
+
+
+def _differences(
+    left: InteractionReport, right: InteractionReport
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Both reports' values in layout order, |left - right| and its maximum."""
+    if (left.n, left.order) != (right.n, right.order):
+        raise InvalidCoalitionError("reports cover different coalition sets")
+    lv, rv = left._values(), right._values()
+    with np.errstate(over="ignore"):
+        diffs = np.abs(lv - rv)
+    max_diff = float(diffs.max())
+    if not math.isfinite(max_diff):
+        raise NonFiniteError("the two reports differ by more than the float range")
+    return lv, rv, diffs, max_diff
+
+
+def comparison_to_json(
+    left: InteractionReport, right: InteractionReport, names: tuple[str, str]
+) -> str:
+    """Two reports side by side with their absolute differences, as indent-2 JSON."""
+    lv, rv, diffs, max_diff = _differences(left, right)
+    head = (
+        f'{{\n  "order": {left.order},\n  "left": {json.dumps(names[0])},\n'
+        f'  "right": {json.dumps(names[1])},\n  "entries": [\n'
+    )
+    rows = _json_rows(left.n, left.order, {"left": lv, "right": rv, "abs_diff": diffs})
+    return "".join(chain((head,), rows, (f'\n  ],\n  "max_abs_diff": {max_diff!r}\n}}',)))
+
+
+def comparison_to_csv(
+    left: InteractionReport, right: InteractionReport, names: tuple[str, str]
+) -> str:
+    """Two reports side by side with their absolute differences, as CSV."""
+    lv, rv, diffs, max_diff = _differences(left, right)
+    lines = _csv_lines(left.n, left.order, [lv, rv, diffs])
+    head = f"coalition;{names[0]};{names[1]};abs_diff"
+    return "\n".join(chain((head,), lines, (f"max_abs_diff;;;{max_diff!r}", "")))

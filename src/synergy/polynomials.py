@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .combinatorics import MAX_FEATURES
-from .core import Coalition, Point, as_int, as_point, json_field
+from .core import Coalition, Point, as_int, as_real, json_field
 from .exceptions import CapExceededError, DimensionMismatchError, NonFiniteError
 
 MAX_TOTAL_DEGREE = 128
@@ -156,7 +156,9 @@ class SparsePolynomial:
         n = json_field(payload, "n", "polynomial", as_int)
         if not 0 <= n <= MAX_FEATURES:
             raise CapExceededError(f"polynomial field 'n': {n} is outside 0..{MAX_FEATURES}")
-        center = json_field(payload, "center", "polynomial", as_point, (0.0,) * n)
+        center = json_field(
+            payload, "center", "polynomial", lambda v: tuple(map(as_real, v)), (0.0,) * n
+        )
         if len(center) != n:
             raise DimensionMismatchError("center length does not match n")
         terms = {}
@@ -165,10 +167,10 @@ class SparsePolynomial:
                 m = tuple(map(int, item["m"]))
                 if m != tuple(item["m"]):  # a fraction or a string
                     raise TypeError
-                terms[m] = float(item["c"])
+                terms[m] = as_real(item["c"])
             except (KeyError, TypeError, ValueError):
                 # raise again, naming the missing or mistyped field
                 json_field(item, "m", "polynomial term", lambda m: tuple(map(as_int, m)))
-                json_field(item, "c", "polynomial term", float)
+                json_field(item, "c", "polynomial term", as_real)
                 raise
         return cls(center, terms)

@@ -28,11 +28,12 @@ from .core import (
     Instance,
     InteractionReport,
     as_int,
+    as_reals,
     coalition_layout,
     coalition_mask,
     json_field,
 )
-from .exceptions import CapExceededError, DimensionMismatchError, NonFiniteError, SynergyError
+from .exceptions import CapExceededError, DimensionMismatchError, NonFiniteError
 
 ORACLE_MAX_FEATURES = 6
 ORACLE_MAX_ORDER = 4
@@ -81,11 +82,7 @@ class SetFunctionTable:
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "SetFunctionTable":
         n = json_field(payload, "n", "table", as_int)
-        values = json_field(payload, "values", "table")
-        try:
-            return cls(n, values)
-        except TypeError as err:
-            raise SynergyError(f"table field 'values': {err}") from None
+        return cls(n, json_field(payload, "values", "table", as_reals))
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,6 +110,14 @@ class SynergyTable:
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "values": self.values.tolist()}
+
+    def to_json(self) -> str:
+        """The text of json.dumps(self.to_json_dict(), indent=2); a value
+        that is not finite raises NonFiniteError."""
+        if not np.isfinite(self.values).all():
+            raise NonFiniteError("synergy table contains a non-finite value")
+        values = ",\n    ".join(map(float.__repr__, self.values.tolist()))
+        return f'{{\n  "n": {self.n},\n  "values": [\n    {values}\n  ]\n}}'
 
 
 def build_table(

@@ -287,6 +287,37 @@ def test_decompose_table_of_no_features(tmp_path, capsys):
     assert (code, out) == (0, "coalition;value\n-;0.25\n")
 
 
+def test_numeric_input_fields_accept_booleans_and_big_integers(tmp_path, capsys):
+    """JSON booleans still read as 0/1 in real-valued fields, and integers
+    beyond 64 bits as floats."""
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"n": 1, "values": [True, 10**20]}))
+    code, out, _ = run_cli(capsys, "decompose", "--table", str(path), "--output", "csv")
+    assert (code, out) == (0, "coalition;value\n-;1.0\n1;1e+20\n")
+
+
+@pytest.mark.parametrize("output", ["json", "csv"])
+@pytest.mark.parametrize(
+    "source",
+    [
+        ("--table", "overflow.json"),
+        ("--expr", "1e308*sin(3*x1 - 1.5)", "--x", "1"),
+    ],
+    ids=["table", "expr"],
+)
+def test_non_finite_synergy_is_usage_error_without_warnings(tmp_path, capsys, source, output):
+    """A finite table whose Möbius transform overflows exits 2 on every
+    decompose route, with only the error line on stderr."""
+    (tmp_path / "overflow.json").write_text(json.dumps({"n": 1, "values": [-1e308, 1e308]}))
+    source = [str(tmp_path / a) if a.endswith(".json") else a for a in source]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "decompose", *source, "--output", output)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "non-finite" in err
+
+
 def test_decompose_table_csv_matches_expression_route(tmp_path, capsys):
     """The table route and the expression route of a transcendental
     expression write the same order-n report."""
@@ -458,11 +489,19 @@ def test_missing_source_is_usage_error(tmp_path, capsys):
         ("--poly", {"n": 1, "center": [float("inf")], "terms": [{"m": [1], "c": 2.0}]},
          "center"),
         ("--poly", {"n": 10**12, "terms": []}, "'n'"),
+        ("--poly", {"n": 1, "terms": [{"m": [1], "c": "2.5"}]}, "'c'"),
+        ("--poly", {"n": 1, "terms": [{"m": [1], "c": "abc"}]}, "'c'"),
+        ("--poly", {"n": 1, "center": ["0.5"], "terms": [{"m": [1], "c": 2.0}]}, "'center'"),
+        ("--table", {"n": 1, "values": ["1", "2"]}, "'values'"),
+        ("--table", {"n": 1, "values": [1.0, "2"]}, "'values'"),
+        ("--table", {"n": 1, "values": [1.0, None]}, "'values'"),
     ],
     ids=["table-without-n", "term-without-c", "table-list", "poly-list", "config-list",
          "config-methods-string", "config-tolerance-string", "config-tolerance-bool",
          "config-tolerance-negative", "table-fractional-n", "term-fractional-exponent",
-         "config-fractional-trials", "poly-infinite-center", "poly-n-above-cap"],
+         "config-fractional-trials", "poly-infinite-center", "poly-n-above-cap",
+         "term-numeric-string-c", "term-string-c", "poly-string-center",
+         "table-string-values", "table-mixed-values", "table-null-value"],
 )
 def test_malformed_input_file_is_usage_error(tmp_path, capsys, flag, payload, field):
     path = tmp_path / "input.json"

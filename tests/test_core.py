@@ -10,11 +10,14 @@ from synergy.core import (
     Instance,
     InteractionReport,
     coalition_mask,
+    comparison_to_csv,
+    comparison_to_json,
     coalition_members,
     masked_point,
     report_from_values,
     validate_instance,
 )
+from synergy.set_methods import SynergyTable
 from synergy.exceptions import (
     DimensionMismatchError,
     InvalidCoalitionError,
@@ -113,6 +116,67 @@ def test_report_csv_layout():
     assert lines[0] == "coalition;value"
     assert lines[1] == "-;-15.0"
     assert "1+3;1.0" in lines
+
+
+# floats whose repr takes each form: signed zero, subnormal, exponent
+# notation on both sides, the largest double
+EDGE_VALUES = (-0.0, 5e-324, 1e-7, 1e16, 1.7976931348623157e308, 0.1, -2.5, 1 / 3, 0.0)
+
+
+def _edge_values(rng, count):
+    return rng.choice(np.array(EDGE_VALUES), count)
+
+
+def _sorted_csv(header, rows):
+    """CSV reference: one line per coalition in sorted() order."""
+    lines = [header]
+    for c, values in sorted(rows.items()):
+        label = "+".join(str(i) for i in c) if c else "-"
+        lines.append(";".join([label, *map(repr, values)]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_writers_match_json_dumps_byte_for_byte(n):
+    rng = np.random.default_rng(n)
+    synergies = SynergyTable(n, _edge_values(rng, 1 << n))
+    assert synergies.to_json() == json.dumps(synergies.to_json_dict(), indent=2)
+    for k in range(n + 1):
+        left = InteractionReport.from_masks(n, k, _edge_values(rng, 1 << n))
+        right = InteractionReport.from_masks(n, k, _edge_values(rng, 1 << n))
+        assert left.to_json() == json.dumps(left.to_json_dict(), indent=2)
+        assert left.to_csv() == _sorted_csv(
+            "coalition;value", {c: (v,) for c, v in left.entries.items()}
+        )
+        diffs = {c: abs(left.entries[c] - right.entries[c]) for c in left.entries}
+        max_diff = max(diffs.values())
+        payload = {
+            "order": k,
+            "left": "rs",
+            "right": "rs-nested",
+            "entries": [
+                {"coalition": list(c), "left": left.entries[c], "right": right.entries[c],
+                 "abs_diff": diffs[c]}
+                for c in sorted(left.entries)
+            ],
+            "max_abs_diff": max_diff,
+        }
+        names = ("rs", "rs-nested")
+        assert comparison_to_json(left, right, names) == json.dumps(payload, indent=2)
+        rows = {c: (left.entries[c], right.entries[c], diffs[c]) for c in left.entries}
+        assert comparison_to_csv(left, right, names) == (
+            _sorted_csv("coalition;rs;rs-nested;abs_diff", rows) + f"max_abs_diff;;;{max_diff!r}\n"
+        )
+
+
+def test_comparison_beyond_float_range_is_rejected():
+    left = report_from_values(1, 1, {(1,): 1e308})
+    right = report_from_values(1, 1, {(1,): -1e308})
+    for write in (comparison_to_json, comparison_to_csv):
+        with pytest.raises(NonFiniteError):
+            write(left, right, ("a", "b"))
+    with pytest.raises(InvalidCoalitionError):
+        comparison_to_json(left, report_from_values(2, 1, {}), ("a", "b"))
 
 
 def test_report_from_masks_matches_per_mask_build():

@@ -1,0 +1,45 @@
+"""Golden stdout corpus: each command's output, byte for byte.
+
+The files under tests/data/golden/ hold the stdout of `synergy.cli.main` for
+the commands in CASES, on the fixtures next to them. They pin the exact text
+of every JSON and CSV writer (indentation, float repr, row order), so a
+faster writer can be checked against the output of the previous one.
+"""
+from pathlib import Path
+
+import pytest
+
+from synergy.cli import main
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden"
+TABLE = str(DATA / "table3.json")
+POLY = str(DATA / "poly3.json")
+EXPR = ["--expr", "sin(x1*x2) + x3*exp(x1 - x4) - 0.5*x2*x5^2",
+        "--x", "0.5,-1.25,2,0.75,-0.1", "--baseline", "0.1,0.2,-0.3,0,0"]
+
+CASES = {
+    "interact-table-rs-k2.json": ["interact", "--table", TABLE, "--method", "rs", "-k", "2"],
+    "interact-table-rs-k2.csv": ["interact", "--table", TABLE, "--method", "rs", "-k", "2",
+                                 "--output", "csv"],
+    "interact-expr-st-k2.json": ["interact", *EXPR, "--method", "shapley-taylor", "-k", "2"],
+    "interact-poly-ih-k2.csv": ["interact", "--poly", POLY, "--x", "1.5,0.25,-2",
+                                "--method", "ih", "-k", "2", "--output", "csv"],
+    "decompose-table.json": ["decompose", "--table", TABLE],
+    "decompose-table.csv": ["decompose", "--table", TABLE, "--output", "csv"],
+    "decompose-expr.json": ["decompose", *EXPR],
+    "decompose-expr.csv": ["decompose", *EXPR, "--output", "csv"],
+    "decompose-poly-x.json": ["decompose", "--poly", POLY, "--x", "1.5,0.25,-2"],
+    "decompose-poly-x.csv": ["decompose", "--poly", POLY, "--x", "1.5,0.25,-2",
+                             "--output", "csv"],
+    "compare-table-rs-k2.json": ["compare", "rs", "rs-nested", "--table", TABLE, "-k", "2"],
+    "compare-table-rs-k2.csv": ["compare", "rs", "rs-nested", "--table", TABLE, "-k", "2",
+                                "--output", "csv"],
+    "compare-expr-shapley.json": ["compare", "shapley", "ig-quad", *EXPR],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_matches_golden_file(name, capsys):
+    assert main(CASES[name]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
