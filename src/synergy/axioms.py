@@ -13,6 +13,7 @@ reproducible from (seed, config).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -24,7 +25,7 @@ from .exceptions import SynergyError
 from .expressions import Expr
 from .grad_numeric import DEFAULT_CONFIG, QuadratureConfig
 from .methods import REGISTRY, SUITE_METHODS, Method
-from .polynomials import SparsePolynomial, multi_indices
+from .polynomials import MultiIndex, SparsePolynomial, multi_indices
 from .set_methods import SetFunctionTable, mobius, permute_table, pure_synergy_table
 
 AXIOMS = (
@@ -163,6 +164,12 @@ def _pick_order(mut: Method, rng: np.random.Generator, n: int) -> int:
     return int(rng.integers(2, min(3, n) + 1))
 
 
+@lru_cache(maxsize=64)
+def _candidate_indices(n: int, degree: int, exclude: int | None) -> tuple[MultiIndex, ...]:
+    """The multi-indices a random polynomial may use, in draw order."""
+    return tuple(m for m in multi_indices(n, degree) if exclude is None or not m[exclude - 1])
+
+
 def _random_polynomial(
     rng: np.random.Generator,
     n: int,
@@ -170,12 +177,27 @@ def _random_polynomial(
     density: float = 0.3,
     exclude: int | None = None,
 ) -> SparsePolynomial:
+    """Each candidate multi-index draws u = rng.uniform() and, if u < density,
+    a coefficient rng.uniform(-1, 1) = -1.0 + 2.0*u' right after it.
+
+    That stream is fetched with rng.random in blocks no longer than the draws
+    still certain to be consumed (one per undecided candidate, plus a pending
+    coefficient), so it matches the one-draw-at-a-time loop and leaves the
+    generator where that loop would: random() and uniform() take the same
+    64-bit draws and leave the buffered 32-bit half alone.
+    """
+    candidates = _candidate_indices(n, degree, exclude)
     terms = {}
-    for m in multi_indices(n, degree):
-        if exclude is not None and m[exclude - 1] > 0:
-            continue
-        if rng.uniform() < density:
-            terms[m] = float(rng.uniform(-1, 1))
+    decided, hit = 0, None
+    while decided < len(candidates) or hit is not None:
+        for u in rng.random(len(candidates) - decided + (hit is not None)).tolist():
+            if hit is not None:
+                terms[hit] = -1.0 + 2.0 * u
+                hit = None
+                continue
+            if u < density:
+                hit = candidates[decided]
+            decided += 1
     if not terms:
         fallback = 1 if exclude != 1 else 2
         unit = tuple(1 if i == fallback - 1 else 0 for i in range(n))

@@ -143,18 +143,6 @@ def coalition_mask(members: Iterable[int], n: int) -> int:
     return mask
 
 
-def coalition_members(mask: int) -> Coalition:
-    """Sorted 1-based members of a bitmask."""
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
-
-
 def masked_point(inst: Instance, members: Iterable[int]) -> Point:
     """The point taking input values on the coalition and baseline values elsewhere."""
     n = inst.n

@@ -76,19 +76,21 @@ def _termwise(p: SparsePolynomial, x: Sequence[float], k: int, rule: str) -> Int
         raise DimensionMismatchError(f"point has {len(x)} components, expected {p.n}")
     shifted = [x[i] - p.center[i] for i in range(p.n)]
     entries = zero_entries(p.n, k)
-    for m in sorted(p.terms):
-        value = p.terms[m]
+    for m, value in sorted(p.terms.items()):
+        # one read of m gives the value, the support and its positive exponents
+        members = []
         for i, e in enumerate(m):
             if e:
                 value *= shifted[i] ** e
-        members = support(m)
+                members.append(i + 1)
+        coalition = tuple(members)
         # constants, and supports of size <= k under ih-aug and sop, are pinned
         if not members or (rule != "ih" and len(members) <= k):
-            entries[members] += value
+            entries[coalition] += value
             continue
-        shares = _shares(rule, k, tuple(e for e in m if e))
+        shares = _shares(rule, k, tuple(m[i - 1] for i in members))
         # zip stops where the row does: sop's row is the leading size-k block
-        for subset, share in zip(_coalitions(k, members), shares):
+        for subset, share in zip(_coalitions(k, coalition), shares):
             entries[subset] += value * share
     return InteractionReport(n=p.n, order=k, entries=entries)
 

@@ -10,7 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .combinatorics import MAX_FEATURES
 from .core import Coalition, Point, as_int, as_real, json_field
@@ -38,6 +41,34 @@ def support(m: MultiIndex) -> Coalition:
     return tuple(i + 1 for i, e in enumerate(m) if e > 0)
 
 
+def _valid_terms(terms: Mapping, n: int) -> dict[MultiIndex, float] | None:
+    """The nonzero terms as the term-by-term check in `SparsePolynomial`
+    converts them (int() per exponent, float() per coefficient), checked in
+    one pass over an exponent array; None when some term is invalid or a key
+    is not a length-n sequence."""
+    keys = list(terms)
+    try:
+        if keys and set(map(len, keys)) != {n}:
+            return None
+        exponents = np.fromiter(chain.from_iterable(keys), np.int64, len(keys) * n)
+        values = list(map(float, terms.values()))
+    except (TypeError, ValueError, OverflowError):  # OverflowError: beyond int64
+        return None
+    # bound every exponent (a negative one reads as a huge unsigned) before
+    # the row sums, so they cannot wrap
+    if exponents.view(np.uint64).max(initial=0) > MAX_TOTAL_DEGREE:
+        return None
+    exponents = exponents.reshape(len(keys), n)
+    if exponents.sum(axis=1).max(initial=0) > MAX_TOTAL_DEGREE:
+        return None
+    if not all(map(math.isfinite, values)):
+        return None
+    rows = map(tuple, exponents.tolist())
+    if 0.0 in values:  # -0.0 too
+        return {m: c for m, c in zip(rows, values) if c != 0.0}
+    return dict(zip(rows, values))
+
+
 @dataclass(frozen=True)
 class SparsePolynomial:
     center: Point
@@ -47,24 +78,28 @@ class SparsePolynomial:
         n = len(self.center)
         if not all(math.isfinite(v) for v in self.center):
             raise NonFiniteError(f"polynomial center {tuple(self.center)} is not finite")
-        clean: dict[MultiIndex, float] = {}
-        for m, c in self.terms.items():
-            key = tuple(int(e) for e in m)
-            if len(key) != n:
-                raise DimensionMismatchError(
-                    f"exponent vector {key} does not match dimension {n}"
-                )
-            if any(e < 0 for e in key):
-                raise ValueError(f"negative exponent in {key}")
-            if sum(key) > MAX_TOTAL_DEGREE:
-                raise CapExceededError(
-                    f"total degree {sum(key)} exceeds cap {MAX_TOTAL_DEGREE}"
-                )
-            value = float(c)
-            if not math.isfinite(value):
-                raise NonFiniteError(f"non-finite coefficient for {key}")
-            if value != 0.0:
-                clean[key] = value
+        clean = _valid_terms(self.terms, n)
+        if clean is None:
+            # keys or coefficients the array pass does not take, or an invalid
+            # term: check term by term, which names the first offending one
+            clean = {}
+            for m, c in self.terms.items():
+                key = tuple(int(e) for e in m)
+                if len(key) != n:
+                    raise DimensionMismatchError(
+                        f"exponent vector {key} does not match dimension {n}"
+                    )
+                if any(e < 0 for e in key):
+                    raise ValueError(f"negative exponent in {key}")
+                if sum(key) > MAX_TOTAL_DEGREE:
+                    raise CapExceededError(
+                        f"total degree {sum(key)} exceeds cap {MAX_TOTAL_DEGREE}"
+                    )
+                value = float(c)
+                if not math.isfinite(value):
+                    raise NonFiniteError(f"non-finite coefficient for {key}")
+                if value != 0.0:
+                    clean[key] = value
         if len(clean) > MAX_TERMS:
             raise CapExceededError(f"{len(clean)} terms exceed cap {MAX_TERMS}")
         object.__setattr__(self, "terms", clean)

@@ -26,6 +26,18 @@ def make_polynomial(rng, n, degree=5, density=0.3):
     return SparsePolynomial((0.0,) * n, terms)
 
 
+def coalition_members(mask):
+    """Sorted 1-based members of a bitmask."""
+    out = []
+    i = 1
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return tuple(out)
+
+
 def make_table(rng, n):
     return SetFunctionTable(n, rng.uniform(-1, 1, size=1 << n))
 

@@ -1,10 +1,14 @@
 import json
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from synergy import expressions as ex
 from synergy import set_methods
 from synergy.axioms import (
     SuiteConfig,
+    _random_polynomial,
     check_baseline_test,
     check_completeness,
     check_continuity,
@@ -17,6 +21,7 @@ from synergy.axioms import (
 )
 from synergy.core import Instance, InteractionReport
 from synergy.methods import SUITE_METHODS, Method
+from synergy.polynomials import SparsePolynomial, multi_indices
 
 
 def _scaled_shapley(table, k, factor=0.9):
@@ -149,6 +154,47 @@ def test_suite_draws_and_witnesses_are_pinned():
     assert len(cells) == len(recorded)
     for cell, expected in zip(cells, recorded):
         assert {key: cell[key] for key in expected} == expected
+
+
+def _random_polynomial_one_draw_at_a_time(rng, n, degree=6, density=0.3, exclude=None):
+    """One rng.uniform() per candidate multi-index and, after each hit, its
+    coefficient: the stream `_random_polynomial` fetches in blocks (reference)."""
+    terms = {}
+    for m in multi_indices(n, degree):
+        if exclude is not None and m[exclude - 1] > 0:
+            continue
+        if rng.uniform() < density:
+            terms[m] = float(rng.uniform(-1, 1))
+    if not terms:
+        fallback = 1 if exclude != 1 else 2
+        unit = tuple(1 if i == fallback - 1 else 0 for i in range(n))
+        terms[unit] = float(rng.uniform(-1, 1))
+    return SparsePolynomial((0.0,) * n, terms)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("density", [0.3, 0.02])
+def test_random_polynomial_replays_the_one_draw_stream(n, density):
+    """Same terms, in the same order, and the same generator afterwards: a
+    buffered 32-bit half left by an earlier integers() call survives, and the
+    integers, uniform and permutation draws that follow are unchanged. The
+    low density reaches the no-term fallback."""
+    for seed in range(20):
+        for exclude in (None, *range(1, n + 1)):
+            runs = []
+            for draw in (_random_polynomial_one_draw_at_a_time, _random_polynomial):
+                rng = np.random.default_rng([seed, n])
+                rng.integers(1, n + 1)
+                assert rng.bit_generator.state["has_uint32"] == 1
+                p = draw(rng, n, density=density, exclude=exclude)
+                after = (
+                    rng.integers(0, 2**40, size=3).tolist(),
+                    rng.integers(1, n + 1),
+                    rng.uniform(-1, 1),
+                    rng.permutation(n).tolist(),
+                )
+                runs.append((list(p.terms.items()), after))
+            assert runs[0] == runs[1]
 
 
 def test_suite_honors_expected_failures():

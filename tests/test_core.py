@@ -12,7 +12,6 @@ from synergy.core import (
     coalition_mask,
     comparison_to_csv,
     comparison_to_json,
-    coalition_members,
     masked_point,
     report_from_values,
     validate_instance,
@@ -24,6 +23,7 @@ from synergy.exceptions import (
     NonFiniteError,
     OutOfBoxError,
 )
+from tests.conftest import coalition_members
 
 
 def test_masked_point_case_split():

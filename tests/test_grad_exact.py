@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from synergy.combinatorics import monomial_mass
-from synergy.core import Instance
+from synergy.core import Instance, zero_entries
 from synergy.exceptions import CapExceededError
 from synergy.grad_exact import (
     _coalitions,
     _shares,
+    _termwise,
     augmented_integrated_hessian,
     ig_polynomial,
     integrated_gradients,
@@ -17,7 +18,7 @@ from synergy.grad_exact import (
     sum_of_powers,
     sum_of_powers_nested,
 )
-from synergy.polynomials import SparsePolynomial
+from synergy.polynomials import SparsePolynomial, support
 from synergy.set_methods import (
     augmented_recursive_shapley,
     build_table,
@@ -313,3 +314,37 @@ def test_gradient_rules_equal_binary_rules_on_multilinear_polynomials():
                 ]
             for binary, gradient in pairs:
                 assert binary.max_abs_difference(gradient) < 1e-12
+
+
+def _termwise_three_passes(p, x, k, rule):
+    """The termwise scatter reading each multi-index three times: for the
+    value, the support and the positive exponents (reference)."""
+    shifted = [x[i] - p.center[i] for i in range(p.n)]
+    entries = zero_entries(p.n, k)
+    for m in sorted(p.terms):
+        value = p.terms[m]
+        for i, e in enumerate(m):
+            if e:
+                value *= shifted[i] ** e
+        members = support(m)
+        if not members or (rule != "ih" and len(members) <= k):
+            entries[members] += value
+            continue
+        shares = _shares(rule, k, tuple(e for e in m if e))
+        for subset, share in zip(_coalitions(k, members), shares):
+            entries[subset] += value * share
+    return entries
+
+
+def test_termwise_is_bit_identical_to_the_three_pass_loop():
+    rng = np.random.default_rng(1106)
+    for n in range(1, 7):
+        for _ in range(4):
+            p = make_polynomial(rng, n, degree=6)
+            p = SparsePolynomial(tuple(rng.uniform(-1, 1, n)), p.terms)
+            x = tuple(rng.uniform(-2, 2, n))
+            for rule in ("ih", "ih-aug", "sop"):
+                for k in range(1, n + 1):
+                    got = _termwise(p, x, k, rule).entries
+                    expected = _termwise_three_passes(p, x, k, rule)
+                    assert list(got.items()) == list(expected.items())

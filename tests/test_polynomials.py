@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synergy.core import Instance
-from synergy.exceptions import CapExceededError
-from synergy.polynomials import SparsePolynomial, multi_indices, support
+from synergy.exceptions import CapExceededError, DimensionMismatchError, NonFiniteError
+from synergy.polynomials import MAX_TOTAL_DEGREE, SparsePolynomial, multi_indices, support
 from synergy.set_methods import build_table, mobius
 from tests.conftest import make_polynomial
 
@@ -163,3 +163,81 @@ def test_json_roundtrip():
 def test_zero_coefficients_are_dropped():
     p = SparsePolynomial((0.0, 0.0), {(1, 0): 0.0, (0, 1): 2.0, (1, 1): -0.0})
     assert p.terms == {(0, 1): 2.0}
+
+
+def _terms_checked_one_by_one(n, terms):
+    """The terms a polynomial keeps, checked term by term in insertion order,
+    or the error for the first offending one (reference)."""
+    clean = {}
+    for m, c in terms.items():
+        key = tuple(int(e) for e in m)
+        if len(key) != n:
+            raise DimensionMismatchError(f"exponent vector {key} does not match dimension {n}")
+        if any(e < 0 for e in key):
+            raise ValueError(f"negative exponent in {key}")
+        if sum(key) > MAX_TOTAL_DEGREE:
+            raise CapExceededError(f"total degree {sum(key)} exceeds cap {MAX_TOTAL_DEGREE}")
+        value = float(c)
+        if not math.isfinite(value):
+            raise NonFiniteError(f"non-finite coefficient for {key}")
+        if value != 0.0:
+            clean[key] = value
+    return clean
+
+
+def _outcome(build):
+    try:
+        return "ok", build()
+    except Exception as error:  # compared by class and message
+        return type(error), str(error)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(1, 0): 1.0, (1, 2, 3): 2.0},  # wrong length
+        {(1, 0): 1.0, (1,): 2.0},  # ragged
+        {(0, 1): 1.0, (1, -1): 2.0},  # negative exponent
+        {(129, 0): 1.0},
+        {(128, 0): 1.0, (64, 65): 1.0},  # each exponent in range, the sum not
+        {(10**30, 0): 1.0},
+        {(2**62, 2**62): 1.0},  # an int64 row sum would wrap to negative
+        {(2**63, 0): 1.0},
+        {(0, 1): float("nan")},
+        {(0, 1): 1.0, (1, 1): float("-inf")},
+        {(0, 1): float("inf"), (1, -1): 1.0},  # the first offending term wins
+        {(1, -1): 1.0, (0, 1): float("inf")},
+        {(1, 1): "x"},
+        {(1, "a"): 1.0},
+        {(float("nan"), 0): 1.0},
+        {7: 1.0},
+    ],
+)
+def test_invalid_terms_raise_the_per_term_error(terms):
+    expected = _outcome(lambda: _terms_checked_one_by_one(2, terms))
+    assert expected[0] != "ok"
+    assert _outcome(lambda: SparsePolynomial((0.0, 0.0), terms).terms) == expected
+
+
+@pytest.mark.parametrize(
+    "terms, kept",
+    [
+        ({(np.int64(1), np.int32(2)): 1.5, (np.uint8(0), 1): 2.0}, {(1, 2): 1.5, (0, 1): 2.0}),
+        ({(1.0, 2.0): 1.5, (True, 0): 2}, {(1, 2): 1.5, (1, 0): 2.0}),
+        ({(1, 0): 0.0, (0, 1): 2.0, (1, 1): -0.0}, {(0, 1): 2.0}),
+        ({(1, 1): np.float32(0.5), (2, 0): 3}, {(1, 1): 0.5, (2, 0): 3.0}),
+        ({(128, 0): 1.0, (64, 64): -1.0}, {(128, 0): 1.0, (64, 64): -1.0}),
+        ({}, {}),
+    ],
+)
+def test_valid_terms_are_kept_as_the_per_term_check_keeps_them(terms, kept):
+    clean = SparsePolynomial((0.0, 0.0), terms).terms
+    assert clean == _terms_checked_one_by_one(2, terms) == kept
+    assert list(clean) == list(kept)
+    assert all(type(e) is int for m in clean for e in m)
+    assert all(type(c) is float for c in clean.values())
+
+
+def test_zero_feature_polynomial_keeps_its_constant():
+    assert SparsePolynomial((), {(): 2.5}).terms == {(): 2.5}
+    assert SparsePolynomial((), {(): 0.0}).terms == {}

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synergy.core import Instance, coalition_members, masked_point
+from synergy.core import Instance, masked_point
 from synergy.exceptions import CapExceededError
 from synergy.expressions import evaluate, parse
 from synergy.polynomials import SparsePolynomial
@@ -25,7 +25,7 @@ from synergy.set_methods import (
     shapley_taylor_from_marginals,
     shapley_taylor_frozen,
 )
-from tests.conftest import make_table, shapley_with_frozen
+from tests.conftest import coalition_members, make_table, shapley_with_frozen
 
 
 def _mobius_direct(table):
