@@ -10,11 +10,12 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from . import expressions as ex
-from . import set_methods
+from . import grad_exact, set_methods
 from .axioms import SuiteConfig, run_suite
 from .core import (
     Instance,
@@ -22,7 +23,6 @@ from .core import (
     comparison_to_csv,
     comparison_to_json,
     format_coalition,
-    report_from_values,
     validate_instance,
 )
 from .exceptions import SynergyError
@@ -225,19 +225,15 @@ def cmd_decompose(args) -> int:
         }
         _emit(json.dumps(payload, indent=2))
         return 0
-    # evaluated routes: the order-n report of synergy values at x (exact
-    # split for polynomials, masked-point Möbius route otherwise)
+    # evaluated routes: the order-n report of synergy values at x. On a
+    # polynomial that is ih-aug at k = n, whose rule pins every monomial to
+    # its support; otherwise the masked-point Möbius route.
     poly = None if source.kind == "table" else _source_polynomial(source, inst)
     if poly is not None:
-        report = report_from_values(poly.n, poly.n, {
-            coalition: piece.evaluate(inst.x) for coalition, piece in poly.synergy_split().items()
-        })
+        report = grad_exact.augmented_integrated_hessian(poly, inst.x, poly.n)
     else:
         table = _source_table(source, inst)
-        # a synergy beyond the float range becomes inf, which the writers
-        # reject; the warning would only repeat the error
-        with np.errstate(over="ignore"):
-            synergies = set_methods.mobius(table)
+        synergies = set_methods.mobius(table)
         if source.kind == "table" and args.output == "json":
             # a table's JSON form is the synergy table in the subset encoding
             _emit(synergies.to_json())
@@ -309,6 +305,7 @@ def _add_output_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser of the command line."""
     parser = argparse.ArgumentParser(
         prog="synergy",
         description="Game-theoretic attributions and k-th-order interactions "
@@ -369,16 +366,26 @@ def _normalize_argv(argv: list[str]) -> list[str]:
     return out
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on first use. Parsing leaves it as it
+    was: every parse starts from fresh defaults and fresh append lists."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_normalize_argv(list(argv)))
+        args = _parser().parse_args(_normalize_argv(list(argv)))
     except SystemExit as exit_:  # argparse uses 2 for usage errors
         return exit_.code if isinstance(exit_.code, int) else 2
     try:
-        return args.handler(args)
+        # a value beyond the float range becomes inf or nan, which every
+        # report and writer rejects with its own error; numpy's warning would
+        # only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.handler(args)
     except (SynergyError, ValueError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

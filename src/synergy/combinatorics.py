@@ -6,6 +6,7 @@ callers convert to float only when forming the final distribution weight.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -92,9 +93,10 @@ def require_order(n: int, k: int) -> None:
         raise ValueError(f"order k must satisfy 1 <= k <= n, got k={k}, n={n}")
 
 
-def enumerate_coalitions(n: int, k: int) -> list[tuple[int, ...]]:
-    """All subsets of {1..n} of size <= k, ordered by size then lexicographically;
-    raises before building any when there are more than MAX_COALITIONS."""
+@lru_cache(maxsize=1024)
+def coalition_count(n: int, k: int) -> int:
+    """|P_k| over {1..n}, the subsets of size <= k; raises when k is outside
+    0..n, n is above the feature cap or the count above MAX_COALITIONS."""
     if not 0 <= k <= n:
         raise ValueError(f"order k must satisfy 0 <= k <= n, got k={k}, n={n}")
     if n > MAX_FEATURES:
@@ -105,6 +107,13 @@ def enumerate_coalitions(n: int, k: int) -> list[tuple[int, ...]]:
             f"P_{k} over n={n} holds {count} coalitions, which exceeds the cap "
             f"{MAX_COALITIONS}"
         )
+    return count
+
+
+def enumerate_coalitions(n: int, k: int) -> list[tuple[int, ...]]:
+    """All subsets of {1..n} of size <= k, ordered by size then lexicographically;
+    raises before building any when there are more than MAX_COALITIONS."""
+    coalition_count(n, k)
     out: list[tuple[int, ...]] = [()]
     for size in range(1, k + 1):
         out.extend(combinations(range(1, n + 1), size))

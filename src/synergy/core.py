@@ -9,14 +9,20 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache, wraps
 from itertools import chain, combinations, repeat
+from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .combinatorics import MAX_FEATURES, MAX_TABLE_FEATURES, enumerate_coalitions
+from .combinatorics import (
+    MAX_FEATURES,
+    MAX_TABLE_FEATURES,
+    coalition_count,
+    enumerate_coalitions,
+)
 from .exceptions import (
     DimensionMismatchError,
     InvalidCoalitionError,
@@ -157,7 +163,29 @@ def format_coalition(members: Coalition) -> str:
     return "+".join(map(str, members)) if members else "-"
 
 
-@lru_cache(maxsize=256)
+# Layouts, and the caches built from them, above this many coalitions are
+# rebuilt on every call, so one large report does not stay in memory.
+_CACHE_MAX_ROWS = 1 << 16
+
+
+def _small_layouts_cached(maxsize: int):
+    """Decorator: cache `build(n, k, ...)` only for P_k of at most
+    _CACHE_MAX_ROWS coalitions; larger layouts are built on every call."""
+
+    def decorate(build):
+        cached = lru_cache(maxsize=maxsize)(build)
+
+        @wraps(build)
+        def get(n: int, k: int, *rest):
+            return (cached if coalition_count(n, k) <= _CACHE_MAX_ROWS else build)(n, k, *rest)
+
+        get.cache_info, get.cache_clear = cached.cache_info, cached.cache_clear
+        return get
+
+    return decorate
+
+
+@_small_layouts_cached(maxsize=256)
 def coalition_layout(n: int, k: int) -> tuple[tuple[Coalition, ...], np.ndarray | None]:
     """P_k over 1..n: its coalitions in canonical order (size, then
     lexicographic) and, for n within the table cap, their subset encodings
@@ -174,9 +202,27 @@ def coalition_layout(n: int, k: int) -> tuple[tuple[Coalition, ...], np.ndarray 
     return coalitions, masks
 
 
-def zero_entries(n: int, k: int) -> dict[Coalition, float]:
-    """A fresh accumulator holding 0.0 for every coalition of P_k, in layout order."""
-    return dict.fromkeys(coalition_layout(n, k)[0], 0.0)
+@lru_cache(maxsize=4096)
+def coalition_slot(n: int, k: int, members: Coalition) -> int:
+    """Position of a coalition (ascending 1-based members) in the layout of
+    P_k over 1..n, counted without building the layout."""
+    coalition_count(n, k)  # checks n and k
+    size = len(members)
+    if (
+        size > k
+        or any(a >= b for a, b in zip(members, members[1:]))
+        or (members and not 1 <= members[0] <= members[-1] <= n)
+    ):
+        raise InvalidCoalitionError(f"coalition {members} outside P_{k} over 1..{n}")
+    slot = coalition_count(n, size - 1) if size else 0
+    previous = 0
+    for i, member in enumerate(members):
+        # the coalitions of this size sharing the members before i whose
+        # i-th member lies between `previous` and `member`: a hockey-stick sum
+        rest = size - i
+        slot += math.comb(n - previous, rest) - math.comb(n - member + 1, rest)
+        previous = member
+    return slot
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +232,7 @@ def zero_entries(n: int, k: int) -> dict[Coalition, float]:
 # lexicographic coalition order, the order sorted() gives their tuples.
 # ---------------------------------------------------------------------------
 
-# Layouts above this many coalitions rebuild their row text on every call,
-# so one large report does not stay in memory.
-_TEXT_CACHE_MAX_ROWS = 1 << 16
-
-
-@lru_cache(maxsize=16)
+@_small_layouts_cached(maxsize=16)
 def _lex_order(n: int, k: int) -> np.ndarray:
     """Layout positions of P_k's coalitions, in lexicographic order."""
     coalitions, _ = coalition_layout(n, k)
@@ -200,7 +241,8 @@ def _lex_order(n: int, k: int) -> np.ndarray:
     return order
 
 
-def _build_json_row_heads(n: int, k: int, field: str) -> tuple[str, ...]:
+@_small_layouts_cached(maxsize=16)
+def _json_row_heads(n: int, k: int, field: str) -> tuple[str, ...]:
     """Per coalition of P_k in lexicographic order, the text of an "entries"
     row up to the value of its first field `field`, the previous row's close
     included."""
@@ -216,21 +258,13 @@ def _build_json_row_heads(n: int, k: int, field: str) -> tuple[str, ...]:
     return tuple(heads)
 
 
-_cached_json_row_heads = lru_cache(maxsize=16)(_build_json_row_heads)
-
-
 def _json_rows(n: int, k: int, columns: Mapping[str, np.ndarray]) -> Iterator[str]:
     """The pieces of an indent-2 "entries" list body: per coalition, its
     members, then each column's value under the column's name."""
-    build = (
-        _cached_json_row_heads
-        if len(coalition_layout(n, k)[0]) <= _TEXT_CACHE_MAX_ROWS
-        else _build_json_row_heads
-    )
     order = _lex_order(n, k)
     parts = []
     for name, values in columns.items():
-        parts.append(repeat(f',\n      "{name}": ') if parts else build(n, k, name))
+        parts.append(repeat(f',\n      "{name}": ') if parts else _json_row_heads(n, k, name))
         parts.append(map(float.__repr__, values[order].tolist()))
     return chain(chain.from_iterable(zip(*parts)), ("\n    }",))
 
@@ -244,58 +278,91 @@ def _csv_lines(n: int, k: int, columns: Sequence[np.ndarray]) -> Iterator[str]:
     return map(";".join, zip(labels, *values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InteractionReport:
     """Scores for every coalition of size <= order over n features.
 
-    The entry map must cover exactly the subsets of {1..n} of size <= order,
-    the empty set included, and every value must be finite. It is stored in
-    layout order.
+    `values` holds one finite score per coalition of P_order, the empty set
+    included, in layout order (`coalition_layout`); the report keeps its own
+    read-only float64 copy. Every other form of a report is built from it.
     """
 
     n: int
     order: int
-    entries: Mapping[Coalition, float] = field(compare=True)
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        expected, _ = coalition_layout(self.n, self.order)
-        try:
-            entries = {c: float(self.entries[c]) for c in expected}
-        except KeyError:
-            entries = None
-        if entries is None or len(entries) != len(self.entries):
-            keys = set(self.entries)
+        count = coalition_count(self.n, self.order)
+        values = np.array(self.values, dtype=float)
+        if values.shape != (count,):
             raise InvalidCoalitionError(
-                f"report keys must cover P_{self.order} exactly (missing="
-                f"{sorted(set(expected) - keys)[:3]}, extra={sorted(keys - set(expected))[:3]})"
+                f"a report of P_{self.order} over n={self.n} holds {count} values, "
+                f"got an array of shape {values.shape}"
             )
-        for coalition, value in entries.items():
-            if not math.isfinite(value):
-                raise NonFiniteError(f"non-finite value for coalition {coalition}")
-        object.__setattr__(self, "entries", entries)
+        if not np.isfinite(values).all():
+            first = int(np.flatnonzero(~np.isfinite(values))[0])
+            coalition = coalition_layout(self.n, self.order)[0][first]
+            raise NonFiniteError(f"non-finite value for coalition {coalition}")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_masks(cls, n: int, order: int, values: np.ndarray) -> "InteractionReport":
         """The report taking values[S] for each coalition S, from a 2^n array
         in the subset encoding."""
-        coalitions, masks = coalition_layout(n, order)
-        return cls(n=n, order=order, entries=dict(zip(coalitions, values[masks].tolist())))
+        _, masks = coalition_layout(n, order)
+        return cls(n, order, values[masks])
+
+    @classmethod
+    def from_entries(
+        cls, n: int, order: int, entries: Mapping[Coalition, float]
+    ) -> "InteractionReport":
+        """The report taking entries[S] for each coalition S; the keys must be
+        exactly the coalitions of P_order."""
+        expected, _ = coalition_layout(n, order)
+        try:
+            values = [entries[c] for c in expected]
+        except KeyError:
+            values = None
+        if values is None or len(values) != len(entries):
+            keys = set(entries)
+            raise InvalidCoalitionError(
+                f"report keys must cover P_{order} exactly (missing="
+                f"{sorted(set(expected) - keys)[:3]}, extra={sorted(keys - set(expected))[:3]})"
+            )
+        return cls(n, order, values)
+
+    @cached_property
+    def _entry_map(self) -> dict[Coalition, float]:
+        coalitions, _ = coalition_layout(self.n, self.order)
+        return dict(zip(coalitions, self.values.tolist()))
+
+    @property
+    def entries(self) -> Mapping[Coalition, float]:
+        """Coalition -> score in layout order: a read-only view of a map
+        built on first use."""
+        return MappingProxyType(self._entry_map)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, InteractionReport):
+            return NotImplemented
+        return (self.n, self.order) == (other.n, other.order) and np.array_equal(
+            self.values, other.values
+        )
 
     def value(self, members: Iterable[int]) -> float:
         return self.entries[tuple(sorted(members))]
 
     def total(self) -> float:
-        """Sum over all nonempty coalitions (the completeness quantity)."""
-        return sum(v for c, v in sorted(self.entries.items()) if c)
+        """Sum over all nonempty coalitions (the completeness quantity), in
+        lexicographic coalition order."""
+        return sum(self.values[_lex_order(self.n, self.order)[1:]].tolist())
 
     def max_abs_difference(self, other: "InteractionReport") -> float:
-        if set(self.entries) != set(other.entries):
+        if (self.n, self.order) != (other.n, other.order):
             raise InvalidCoalitionError("reports cover different coalition sets")
-        return max(abs(self.entries[c] - other.entries[c]) for c in self.entries)
-
-    def _values(self) -> np.ndarray:
-        """The entry values in layout order."""
-        return np.fromiter(self.entries.values(), float, len(self.entries))
+        with np.errstate(over="ignore"):
+            return float(np.abs(self.values - other.values).max())
 
     def to_json_dict(self) -> dict:
         return {
@@ -309,7 +376,7 @@ class InteractionReport:
     def to_json(self) -> str:
         """The text of json.dumps(self.to_json_dict(), indent=2)."""
         head = f'{{\n  "order": {self.order},\n  "entries": [\n'
-        rows = _json_rows(self.n, self.order, {"value": self._values()})
+        rows = _json_rows(self.n, self.order, {"value": self.values})
         return "".join(chain((head,), rows, ("\n  ]\n}",)))
 
     @classmethod
@@ -319,10 +386,10 @@ class InteractionReport:
             for item in payload["entries"]
         }
         n = sum(1 for c in entries if len(c) == 1)
-        return cls(n=n, order=int(payload["order"]), entries=entries)
+        return cls.from_entries(n, int(payload["order"]), entries)
 
     def to_csv(self) -> str:
-        lines = _csv_lines(self.n, self.order, [self._values()])
+        lines = _csv_lines(self.n, self.order, [self.values])
         return "\n".join(chain(("coalition;value",), lines, ("",)))
 
 
@@ -330,13 +397,10 @@ def report_from_values(
     n: int, order: int, values: Mapping[Coalition, float]
 ) -> InteractionReport:
     """Build a report, filling unmentioned coalitions of P_order with zero."""
-    entries = zero_entries(n, order)
+    array = np.zeros(coalition_count(n, order))
     for coalition, value in values.items():
-        key = tuple(sorted(coalition))
-        if key not in entries:
-            raise InvalidCoalitionError(f"coalition {key} outside P_{order} over 1..{n}")
-        entries[key] = float(value)
-    return InteractionReport(n=n, order=order, entries=entries)
+        array[coalition_slot(n, order, tuple(sorted(coalition)))] = float(value)
+    return InteractionReport(n, order, array)
 
 
 def _differences(
@@ -345,7 +409,7 @@ def _differences(
     """Both reports' values in layout order, |left - right| and its maximum."""
     if (left.n, left.order) != (right.n, right.order):
         raise InvalidCoalitionError("reports cover different coalition sets")
-    lv, rv = left._values(), right._values()
+    lv, rv = left.values, right.values
     with np.errstate(over="ignore"):
         diffs = np.abs(lv - rv)
     max_diff = float(diffs.max())

@@ -8,11 +8,17 @@ is bit-reproducible.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Sequence
 
-from .combinatorics import binomial, require_order
-from .core import Coalition, Instance, InteractionReport, zero_entries
+from .combinatorics import binomial, coalition_count, require_order
+from .core import (
+    Coalition,
+    Instance,
+    InteractionReport,
+    coalition_layout,
+    coalition_slot,
+)
 from .exceptions import CapExceededError, DimensionMismatchError
 from .polynomials import MultiIndex, SparsePolynomial, support
 from .set_methods import (
@@ -25,14 +31,16 @@ SOP_ORACLE_MAX_ORDER = 3
 
 
 # A share row depends on the rule, k and the monomial's positive exponents,
-# never on where its support sits, so coalitions and shares are cached apart.
+# never on where its support sits, so the report slots a row runs over and
+# its shares are cached apart.
 
 @lru_cache(maxsize=4096)
-def _coalitions(k: int, members: Coalition) -> tuple[Coalition, ...]:
-    """Subsets of `members` of size min(k, |members|) down to 1, each size in
-    lexicographic order: the coalitions an unpinned share row runs over."""
+def _slots(n: int, k: int, members: Coalition) -> tuple[int, ...]:
+    """Layout slots in P_k over 1..n of the subsets of `members` of size
+    min(k, |members|) down to 1, each size in lexicographic order: the
+    coalitions an unpinned share row runs over."""
     return tuple(
-        subset
+        coalition_slot(n, k, subset)
         for size in range(min(k, len(members)), 0, -1)
         for subset in combinations(members, size)
     )
@@ -40,7 +48,7 @@ def _coalitions(k: int, members: Coalition) -> tuple[Coalition, ...]:
 
 @lru_cache(maxsize=4096)
 def _shares(rule: str, k: int, exponents: tuple[int, ...]) -> tuple[float, ...]:
-    """Fraction of an unpinned monomial's value per coalition of `_coalitions`.
+    """Fraction of an unpinned monomial's value per coalition of `_slots`.
 
     `ih` (and `ih-aug` above size k) gives S mass(S) / |m|^k, where mass is
     the Möbius transform of U -> m(U)^k on the support lattice and m(U) the
@@ -69,30 +77,31 @@ def _shares(rule: str, k: int, exponents: tuple[int, ...]) -> tuple[float, ...]:
 
 def _termwise(p: SparsePolynomial, x: Sequence[float], k: int, rule: str) -> InteractionReport:
     """Scatter each monomial's value c * (x - center)^m over its share row, in
-    sorted term order. A term adds to each coalition at most once, so the
-    order of coalitions within a row does not change the result."""
-    require_order(p.n, k)
-    if len(x) != p.n:
-        raise DimensionMismatchError(f"point has {len(x)} components, expected {p.n}")
-    shifted = [x[i] - p.center[i] for i in range(p.n)]
-    entries = zero_entries(p.n, k)
+    sorted term order, into the report's values in layout order. A term adds
+    to each coalition at most once, so the order of coalitions within a row
+    does not change the result."""
+    n = p.n
+    require_order(n, k)
+    if len(x) != n:
+        raise DimensionMismatchError(f"point has {len(x)} components, expected {n}")
+    shifted = [x[i] - p.center[i] for i in range(n)]
+    features = range(1, n + 1)
+    values = [0.0] * coalition_count(n, k)
     for m, value in sorted(p.terms.items()):
-        # one read of m gives the value, the support and its positive exponents
-        members = []
-        for i, e in enumerate(m):
-            if e:
-                value *= shifted[i] ** e
-                members.append(i + 1)
-        coalition = tuple(members)
+        # the support and its positive exponents, in feature order
+        coalition = tuple(compress(features, m))
+        exponents = tuple(filter(None, m))
+        for i, e in zip(coalition, exponents):
+            value *= shifted[i - 1] ** e
         # constants, and supports of size <= k under ih-aug and sop, are pinned
-        if not members or (rule != "ih" and len(members) <= k):
-            entries[coalition] += value
+        if not coalition or (rule != "ih" and len(coalition) <= k):
+            values[coalition_slot(n, k, coalition)] += value
             continue
-        shares = _shares(rule, k, tuple(m[i - 1] for i in members))
+        shares = _shares(rule, k, exponents)
         # zip stops where the row does: sop's row is the leading size-k block
-        for subset, share in zip(_coalitions(k, coalition), shares):
-            entries[subset] += value * share
-    return InteractionReport(n=p.n, order=k, entries=entries)
+        for slot, share in zip(_slots(n, k, coalition), shares):
+            values[slot] += value * share
+    return InteractionReport(n, k, values)
 
 
 def integrated_gradients(p: SparsePolynomial, x: Sequence[float]) -> InteractionReport:
@@ -109,7 +118,10 @@ def integrated_hessian(p: SparsePolynomial, x: Sequence[float], k: int) -> Inter
 def augmented_integrated_hessian(
     p: SparsePolynomial, x: Sequence[float], k: int
 ) -> InteractionReport:
-    """Order-k variant pinning monomials with support size <= k to their support."""
+    """Order-k variant pinning monomials with support size <= k to their support.
+
+    At k = n it pins every monomial, so each coalition gets the value at x of
+    its synergy: the sum of the monomials with that support."""
     return _termwise(p, x, k, "ih-aug")
 
 
@@ -148,11 +160,8 @@ def sum_of_powers_nested(
         return integrated_gradients(p, x)
     inst = Instance(x=tuple(float(v) for v in x), baseline=p.center)
     pieces = p.synergy_split()
-    entries = zero_entries(p.n, k)
-    entries[()] = p.constant_term()
-    for members in entries:
-        if not members:
-            continue
+    entries = {(): p.constant_term()}
+    for members in coalition_layout(p.n, k)[0][1:]:
         if len(members) < k:
             piece = pieces.get(members)
             entries[members] = piece.evaluate(x) if piece is not None else 0.0
@@ -163,13 +172,13 @@ def sum_of_powers_nested(
             table = build_table(inst, attribution.evaluate)
             total += shapley_taylor_frozen(table, members, i)
         entries[members] = total
-    return InteractionReport(n=p.n, order=k, entries=entries)
+    return InteractionReport.from_entries(p.n, k, entries)
 
 
 def integrated_hessian_pairwise(p: SparsePolynomial, x: Sequence[float]) -> InteractionReport:
     """Order-2 interactions by direct termwise reduction of the s,t double
     integrals (the pairwise form and the two-part main-effect form)."""
-    entries = zero_entries(p.n, 2)
+    entries = dict.fromkeys(coalition_layout(p.n, 2)[0], 0.0)
     shifted = [x[i] - p.center[i] for i in range(p.n)]
 
     def reduced_monomial(m: MultiIndex, drop: dict[int, int]) -> float:
@@ -205,4 +214,4 @@ def integrated_hessian_pairwise(p: SparsePolynomial, x: Sequence[float]) -> Inte
                     * shifted[i - 1] ** 2
                 )
             entries[(i,)] += c * (first + second)
-    return InteractionReport(n=p.n, order=2, entries=entries)
+    return InteractionReport.from_entries(p.n, 2, entries)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .combinatorics import MAX_FEATURES
 from .core import Coalition, Point, as_int, as_real, json_field
-from .exceptions import CapExceededError, DimensionMismatchError, NonFiniteError
+from .exceptions import CapExceededError, DimensionMismatchError, NonFiniteError, SynergyError
 
 MAX_TOTAL_DEGREE = 128
 MAX_TERMS = 10**6
@@ -41,32 +41,43 @@ def support(m: MultiIndex) -> Coalition:
     return tuple(i + 1 for i, e in enumerate(m) if e > 0)
 
 
-def _valid_terms(terms: Mapping, n: int) -> dict[MultiIndex, float] | None:
-    """The nonzero terms as the term-by-term check in `SparsePolynomial`
-    converts them (int() per exponent, float() per coefficient), checked in
-    one pass over an exponent array; None when some term is invalid or a key
-    is not a length-n sequence."""
-    keys = list(terms)
+def _valid_terms(
+    exponents: Sequence[Sequence], coefficients: Sequence, n: int, exact: bool = False
+) -> dict[MultiIndex, float] | None:
+    """The nonzero terms of parallel exponent vectors and coefficients, as
+    the term-by-term check converts them (int() per exponent, float() per
+    coefficient), checked in one pass over an exponent array. None when some
+    term is invalid, a vector is not of length n or repeats another, or more
+    than MAX_TERMS terms remain. With `exact`, as for a file, also None when
+    an exponent is not an integral number or a coefficient not an int or float."""
     try:
-        if keys and set(map(len, keys)) != {n}:
+        if exponents and set(map(len, exponents)) != {n}:
             return None
-        exponents = np.fromiter(chain.from_iterable(keys), np.int64, len(keys) * n)
-        values = list(map(float, terms.values()))
+        flat = np.fromiter(chain.from_iterable(exponents), np.int64, len(exponents) * n)
+        if exact and not set(map(type, coefficients)) <= {int, float}:
+            return None
+        values = list(map(float, coefficients))
     except (TypeError, ValueError, OverflowError):  # OverflowError: beyond int64
         return None
     # bound every exponent (a negative one reads as a huge unsigned) before
     # the row sums, so they cannot wrap
-    if exponents.view(np.uint64).max(initial=0) > MAX_TOTAL_DEGREE:
+    if flat.view(np.uint64).max(initial=0) > MAX_TOTAL_DEGREE:
         return None
-    exponents = exponents.reshape(len(keys), n)
-    if exponents.sum(axis=1).max(initial=0) > MAX_TOTAL_DEGREE:
+    rows = flat.reshape(len(values), n)
+    if rows.sum(axis=1).max(initial=0) > MAX_TOTAL_DEGREE:
         return None
     if not all(map(math.isfinite, values)):
         return None
-    rows = map(tuple, exponents.tolist())
+    rows = rows.tolist()
+    # int() truncates: a file's vectors must read back as they were written
+    if exact and rows != list(exponents):
+        return None
+    terms = dict(zip(map(tuple, rows), values))
+    if len(terms) != len(values):
+        return None
     if 0.0 in values:  # -0.0 too
-        return {m: c for m, c in zip(rows, values) if c != 0.0}
-    return dict(zip(rows, values))
+        terms = {m: c for m, c in terms.items() if c != 0.0}
+    return terms if len(terms) <= MAX_TERMS else None
 
 
 @dataclass(frozen=True)
@@ -78,7 +89,7 @@ class SparsePolynomial:
         n = len(self.center)
         if not all(math.isfinite(v) for v in self.center):
             raise NonFiniteError(f"polynomial center {tuple(self.center)} is not finite")
-        clean = _valid_terms(self.terms, n)
+        clean = _valid_terms(list(self.terms), list(self.terms.values()), n)
         if clean is None:
             # keys or coefficients the array pass does not take, or an invalid
             # term: check term by term, which names the first offending one
@@ -196,16 +207,32 @@ class SparsePolynomial:
         )
         if len(center) != n:
             raise DimensionMismatchError("center length does not match n")
+        items = json_field(payload, "terms", "polynomial", list)
+        try:
+            terms = _valid_terms(
+                [item["m"] for item in items], [item["c"] for item in items], n, exact=True
+            )
+        except (KeyError, TypeError):  # an item without "m" or "c", or not an object
+            terms = None
+        if terms is not None:
+            poly = cls(center, {})  # checks the center
+            object.__setattr__(poly, "terms", terms)
+            return poly
+        # a term the one pass does not take: check term by term, which names
+        # the first offending field or repeated vector
         terms = {}
-        for item in json_field(payload, "terms", "polynomial", list):
+        for item in items:
             try:
                 m = tuple(map(int, item["m"]))
                 if m != tuple(item["m"]):  # a fraction or a string
                     raise TypeError
-                terms[m] = as_real(item["c"])
+                c = as_real(item["c"])
             except (KeyError, TypeError, ValueError):
                 # raise again, naming the missing or mistyped field
                 json_field(item, "m", "polynomial term", lambda m: tuple(map(as_int, m)))
                 json_field(item, "c", "polynomial term", as_real)
                 raise
+            if m in terms:
+                raise SynergyError(f"polynomial repeats the exponent vector {m}")
+            terms[m] = c
         return cls(center, terms)

@@ -178,8 +178,7 @@ def mobius_inverse(synergies: SynergyTable) -> SetFunctionTable:
 
 def _report(table: SetFunctionTable, k: int, fill) -> InteractionReport:
     coalitions, masks = coalition_layout(table.n, k)
-    entries = {members: fill(members, mask) for members, mask in zip(coalitions, masks.tolist())}
-    return InteractionReport(n=table.n, order=k, entries=entries)
+    return InteractionReport(table.n, k, list(map(fill, coalitions, masks.tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,7 @@ def ih2_tensor_grid(expr, inst, config=DEFAULT_CONFIG):
         gradient = integral(firsts[i], 1.0)
         curvature = integral(ex.partial(firsts[i], i), st)
         entries[(i,)] = deltas[i - 1] * gradient + deltas[i - 1] ** 2 * curvature
-    return InteractionReport(n=inst.n, order=2, entries=entries)
+    return InteractionReport.from_entries(inst.n, 2, entries)
 
 
 def shapley_with_frozen(table, j, frozen):

@@ -28,7 +28,7 @@ def _scaled_shapley(table, k, factor=0.9):
     report = set_methods.shapley(table)
     entries = {c: factor * v for c, v in report.entries.items()}
     entries[()] = report.entries[()]
-    return InteractionReport(n=report.n, order=1, entries=entries)
+    return InteractionReport.from_entries(report.n, 1, entries)
 
 
 BROKEN_COMPLETENESS = Method("broken", "table", 1, _scaled_shapley)
@@ -38,7 +38,7 @@ def _leaky_shapley(table, k):
     report = set_methods.shapley(table)
     entries = dict(report.entries)
     entries[(1,)] = entries[(1,)] + 0.05
-    return InteractionReport(n=report.n, order=1, entries=entries)
+    return InteractionReport.from_entries(report.n, 1, entries)
 
 
 BROKEN_NULL = Method("leaky", "table", 1, _leaky_shapley)

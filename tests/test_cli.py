@@ -5,10 +5,13 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from synergy import cli, core
 from synergy import expressions as ex
+from synergy.axioms import SuiteConfig
 from synergy.cli import main
 from synergy.core import Instance
 from synergy.methods import REGISTRY
@@ -318,6 +321,73 @@ def test_non_finite_synergy_is_usage_error_without_warnings(tmp_path, capsys, so
     assert "non-finite" in err
 
 
+BINARY_METHODS = [m.id for m in REGISTRY.values() if m.kind == "table" and not m.oracle]
+
+
+@pytest.mark.parametrize("output", ["json", "csv"])
+@pytest.mark.parametrize(
+    "argv",
+    [*(("interact", "--method", m) for m in BINARY_METHODS),
+     *(("compare", m, m) for m in BINARY_METHODS)],
+    ids=[*(f"interact-{m}" for m in BINARY_METHODS), *(f"compare-{m}" for m in BINARY_METHODS)],
+)
+def test_overflowing_table_gives_one_error_line_without_warnings(tmp_path, capsys, argv, output):
+    """Every binary method on a table whose synergy overflows exits 2 with
+    the error line alone on stderr, under interact and compare."""
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"n": 1, "values": [-1e308, 1e308]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv, "--table", str(path), "--output", output)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "non-finite" in err
+
+
+def test_main_builds_its_parser_once_and_parses_from_fresh_defaults(monkeypatch, capsys):
+    configs = []
+
+    def fake_suite(config):
+        configs.append(config)
+        return SimpleNamespace(results=[], ok=True)
+
+    monkeypatch.setattr(cli, "run_suite", fake_suite)
+    default = SuiteConfig()
+    for argv in (
+        ["--method", "shapley", "--method", "ig", "--axiom", "completeness", "--seed", "3"],
+        ["--method", "rs"],
+        [],
+    ):
+        assert main(["check", *argv, "--output", "csv"]) == 0
+    capsys.readouterr()
+    assert [(c.methods, c.axioms, c.seed) for c in configs] == [
+        (("shapley", "ig"), ("completeness",), 3),
+        (("rs",), default.axioms, default.seed),
+        (default.methods, default.axioms, default.seed),
+    ]
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_layout_caches_keep_no_layout_above_the_row_bound(tmp_path, capsys):
+    """An 18-feature decompose builds its 2^18-row layout for the one call
+    and caches none of it; neither do the JSON row heads of 2^17 rows."""
+    caches = (core.coalition_layout, core._lex_order, core._json_row_heads)
+    poly = {"n": 18, "terms": [{"m": [1] * 18, "c": 2.0}, {"m": [0] * 17 + [2], "c": -1.0}]}
+    path = tmp_path / "p18.json"
+    path.write_text(json.dumps(poly))
+    for cache in caches:
+        cache.cache_clear()
+    code, out, _ = run_cli(capsys, "decompose", "--poly", str(path), "--x", ",".join(["1"] * 18),
+                           "--output", "csv")
+    assert code == 0 and out.count("\n") == (1 << 18) + 1
+    assert len(core._json_row_heads(17, 17, "value")) == 1 << 17
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
+    small, _ = core.coalition_layout(16, 16)
+    assert len(small) == core._CACHE_MAX_ROWS and small is core.coalition_layout(16, 16)[0]
+    assert core.coalition_layout(17, 17)[0] is not core.coalition_layout(17, 17)[0]
+
+
 def test_decompose_table_csv_matches_expression_route(tmp_path, capsys):
     """The table route and the expression route of a transcendental
     expression write the same order-n report."""
@@ -495,13 +565,19 @@ def test_missing_source_is_usage_error(tmp_path, capsys):
         ("--table", {"n": 1, "values": ["1", "2"]}, "'values'"),
         ("--table", {"n": 1, "values": [1.0, "2"]}, "'values'"),
         ("--table", {"n": 1, "values": [1.0, None]}, "'values'"),
+        ("--poly", {"n": 1, "terms": [{"m": [1], "c": 1.0}, {"m": [1], "c": 2.0}]},
+         "repeats the exponent vector (1,)"),
+        # an integral float sends the file down the term-by-term check
+        ("--poly", {"n": 1, "terms": [{"m": [1.0], "c": 1.0}, {"m": [1], "c": 0.0}]},
+         "repeats the exponent vector (1,)"),
     ],
     ids=["table-without-n", "term-without-c", "table-list", "poly-list", "config-list",
          "config-methods-string", "config-tolerance-string", "config-tolerance-bool",
          "config-tolerance-negative", "table-fractional-n", "term-fractional-exponent",
          "config-fractional-trials", "poly-infinite-center", "poly-n-above-cap",
          "term-numeric-string-c", "term-string-c", "poly-string-center",
-         "table-string-values", "table-mixed-values", "table-null-value"],
+         "table-string-values", "table-mixed-values", "table-null-value",
+         "poly-repeated-vector", "poly-repeated-vector-term-by-term"],
 )
 def test_malformed_input_file_is_usage_error(tmp_path, capsys, flag, payload, field):
     path = tmp_path / "input.json"

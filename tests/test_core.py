@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -89,15 +90,37 @@ def test_coalition_mask_roundtrip():
 
 
 def test_report_requires_full_coverage():
-    with pytest.raises(InvalidCoalitionError):
-        InteractionReport(n=2, order=1, entries={(): 0.0, (1,): 1.0})  # (2,) missing
+    with pytest.raises(InvalidCoalitionError, match=r"missing=\[\(2,\)\], extra=\[\]"):
+        InteractionReport.from_entries(2, 1, {(): 0.0, (1,): 1.0})
+    with pytest.raises(InvalidCoalitionError, match=r"missing=\[\], extra=\[\(1, 2\)\]"):
+        InteractionReport.from_entries(2, 1, {(): 0.0, (1,): 1.0, (2,): 0.5, (1, 2): 2.0})
+    with pytest.raises(InvalidCoalitionError, match=r"coalition \(3,\) outside P_1 over 1..2"):
+        report_from_values(2, 1, {(3,): 1.0})
+    with pytest.raises(InvalidCoalitionError, match="holds 3 values"):
+        InteractionReport(2, 1, [0.0, 1.0])
 
 
 def test_report_rejects_non_finite():
-    with pytest.raises(NonFiniteError):
-        InteractionReport(
-            n=1, order=1, entries={(): 0.0, (1,): float("nan")}
-        )
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(NonFiniteError, match=r"non-finite value for coalition \(1,\)"):
+            InteractionReport.from_entries(1, 1, {(): 0.0, (1,): value})
+        with pytest.raises(NonFiniteError, match=r"non-finite value for coalition \(1, 2\)"):
+            report_from_values(2, 2, {(2, 1): value})
+        with pytest.raises(NonFiniteError, match=r"non-finite value for coalition \(\)"):
+            InteractionReport(1, 1, [value, 0.0])
+
+
+def test_report_values_are_a_read_only_copy():
+    values = np.array([1.0, 2.0, 3.0])
+    report = InteractionReport(2, 1, values)
+    values[0] = 9.0
+    assert report.values.tolist() == [1.0, 2.0, 3.0]
+    assert report.values.dtype == np.float64
+    with pytest.raises(ValueError):
+        report.values[0] = 0.0
+    with pytest.raises(TypeError):
+        report.entries[()] = 0.0
+    assert pickle.loads(pickle.dumps(report)) == report
 
 
 def test_report_json_schema_is_lexicographic():

@@ -7,9 +7,13 @@ faster writer can be checked against the output of the previous one.
 """
 from pathlib import Path
 
+import json
+
 import pytest
 
 from synergy.cli import main
+from synergy.combinatorics import enumerate_coalitions
+from synergy.core import InteractionReport
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -43,3 +47,47 @@ CASES = {
 def test_stdout_matches_golden_file(name, capsys):
     assert main(CASES[name]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+def _golden_report_entries(name):
+    """Coalition -> value of a golden report file, in the file's row order."""
+    text = (GOLDEN / name).read_text()
+    if name.endswith(".json"):
+        return {tuple(e["coalition"]): e["value"] for e in json.loads(text)["entries"]}
+    rows = (line.split(";") for line in text.splitlines()[1:])
+    return {
+        tuple(map(int, label.split("+"))) if label != "-" else (): float(value)
+        for label, value in rows
+    }
+
+
+REPORTS = sorted(
+    name for name in CASES
+    if not name.startswith("compare") and name != "decompose-table.json"
+)
+
+
+@pytest.mark.parametrize("name", REPORTS)
+def test_array_backed_report_reads_like_its_golden_entries(name):
+    """On every golden report, the report built from its entries has the
+    entries, values, total, equality and payload the entry map gives."""
+    entries = _golden_report_entries(name)
+    n = sum(1 for c in entries if len(c) == 1)
+    order = max(map(len, entries))
+    report = InteractionReport.from_entries(n, order, entries)
+    layout = enumerate_coalitions(n, order)
+    assert list(report.entries) == layout
+    assert dict(report.entries) == entries and len(report.entries) == len(layout)
+    assert report.values.tolist() == [entries[c] for c in layout]
+    assert all(report.value(reversed(c)) == v for c, v in entries.items())
+    assert report.total() == sum(v for c, v in sorted(entries.items()) if c)
+    assert report.to_json_dict() == {
+        "order": order,
+        "entries": [{"coalition": list(c), "value": entries[c]} for c in sorted(entries)],
+    }
+    text = (GOLDEN / name).read_text()
+    assert (report.to_json() + "\n" if name.endswith(".json") else report.to_csv()) == text
+    assert report == InteractionReport(n, order, [entries[c] for c in layout])
+    bumped = dict(entries)
+    bumped[layout[-1]] = 2.0 * entries[layout[-1]] + 1.0
+    assert report != InteractionReport.from_entries(n, order, bumped)

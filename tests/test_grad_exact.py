@@ -3,12 +3,12 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from synergy.combinatorics import monomial_mass
-from synergy.core import Instance, zero_entries
+from synergy.combinatorics import enumerate_coalitions, monomial_mass
+from synergy.core import Instance
 from synergy.exceptions import CapExceededError
 from synergy.grad_exact import (
-    _coalitions,
     _shares,
+    _slots,
     _termwise,
     augmented_integrated_hessian,
     ig_polynomial,
@@ -270,6 +270,26 @@ def test_exact_methods_linearity(rng):
             assert value == pytest.approx(expected, rel=1e-10, abs=1e-10)
 
 
+def _row_coalitions(k, members):
+    """The coalitions a share row runs over: subsets of `members` of size
+    min(k, |members|) down to 1, each size in lexicographic order."""
+    return [
+        subset
+        for size in range(min(k, len(members)), 0, -1)
+        for subset in combinations(members, size)
+    ]
+
+
+def test_slot_rows_are_layout_positions_of_the_row_coalitions():
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            layout = enumerate_coalitions(n, k)
+            for size in range(1, n + 1):
+                for members in combinations(range(1, n + 1), size):
+                    expected = tuple(layout.index(c) for c in _row_coalitions(k, members))
+                    assert _slots(n, k, members) == expected
+
+
 def test_ih_share_rows_equal_composition_masses():
     """The Möbius-transform row matches the composition sum of the order-k
     expansion, exactly, on every small exponent tuple."""
@@ -278,7 +298,7 @@ def test_ih_share_rows_equal_composition_masses():
         for exponents in product(range(1, 5), repeat=size):
             degree = sum(exponents)
             for k in range(1, 6):
-                coalitions = _coalitions(k, members)
+                coalitions = _row_coalitions(k, members)
                 assert sorted(coalitions) == sorted(
                     subset
                     for width in range(1, min(k, size) + 1)
@@ -316,11 +336,17 @@ def test_gradient_rules_equal_binary_rules_on_multilinear_polynomials():
                 assert binary.max_abs_difference(gradient) < 1e-12
 
 
+def _bits(values):
+    """The IEEE bit patterns of floats, so -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
 def _termwise_three_passes(p, x, k, rule):
-    """The termwise scatter reading each multi-index three times: for the
-    value, the support and the positive exponents (reference)."""
+    """The termwise scatter reading each multi-index three times, for the
+    value, the support and the positive exponents, into a dict keyed by
+    coalition (reference)."""
     shifted = [x[i] - p.center[i] for i in range(p.n)]
-    entries = zero_entries(p.n, k)
+    entries = dict.fromkeys(enumerate_coalitions(p.n, k), 0.0)
     for m in sorted(p.terms):
         value = p.terms[m]
         for i, e in enumerate(m):
@@ -331,7 +357,7 @@ def _termwise_three_passes(p, x, k, rule):
             entries[members] += value
             continue
         shares = _shares(rule, k, tuple(e for e in m if e))
-        for subset, share in zip(_coalitions(k, members), shares):
+        for subset, share in zip(_row_coalitions(k, members), shares):
             entries[subset] += value * share
     return entries
 
@@ -345,6 +371,40 @@ def test_termwise_is_bit_identical_to_the_three_pass_loop():
             x = tuple(rng.uniform(-2, 2, n))
             for rule in ("ih", "ih-aug", "sop"):
                 for k in range(1, n + 1):
-                    got = _termwise(p, x, k, rule).entries
+                    got = _termwise(p, x, k, rule)
                     expected = _termwise_three_passes(p, x, k, rule)
-                    assert list(got.items()) == list(expected.items())
+                    assert list(got.entries) == list(expected)
+                    assert _bits(got.values) == _bits(list(expected.values()))
+
+
+def _synergy_split_values(p, x):
+    """The synergy decomposition at x by splitting: one polynomial per
+    support, each evaluated at x, in layout order and zero where no monomial
+    has that support (reference)."""
+    values = dict.fromkeys(enumerate_coalitions(p.n, p.n), 0.0)
+    for coalition, piece in p.synergy_split().items():
+        values[coalition] = piece.evaluate(x)
+    return list(values.values())
+
+
+def test_full_order_ih_aug_is_the_synergy_split_bit_for_bit():
+    """decompose's polynomial route, ih-aug at k = n, matches the
+    split-and-evaluate route bit for bit, signed zeros included."""
+    rng = np.random.default_rng(1207)
+    for n in range(1, 9):
+        polys = [make_polynomial(rng, n, degree=6 if n <= 5 else 4) for _ in range(6)]
+        polys += [SparsePolynomial((0.0,) * n, {}), SparsePolynomial((0.0,) * n, {(0,) * n: -2.5})]
+        for p in polys:
+            center = rng.uniform(-1, 1, n)
+            x = rng.uniform(-2, 2, n)
+            # features at the center give +-0.0 factors: x == center, or -0.0
+            # against a center of 0.0
+            at_center = rng.uniform(size=n) < 0.25
+            x[at_center] = center[at_center]
+            signed = rng.uniform(size=n) < 0.25
+            center[signed], x[signed] = 0.0, -0.0
+            flip = {m: -c if rng.uniform() < 0.5 else c for m, c in p.terms.items()}
+            p = SparsePolynomial(tuple(center.tolist()), flip)
+            x = tuple(x.tolist())
+            got = augmented_integrated_hessian(p, x, n)
+            assert _bits(got.values) == _bits(_synergy_split_values(p, x))

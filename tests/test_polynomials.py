@@ -5,8 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synergy.core import Instance
-from synergy.exceptions import CapExceededError, DimensionMismatchError, NonFiniteError
+from synergy.core import Instance, as_int, as_real, json_field
+from synergy.exceptions import (
+    CapExceededError,
+    DimensionMismatchError,
+    NonFiniteError,
+    SynergyError,
+)
 from synergy.polynomials import MAX_TOTAL_DEGREE, SparsePolynomial, multi_indices, support
 from synergy.set_methods import build_table, mobius
 from tests.conftest import make_polynomial
@@ -241,3 +246,79 @@ def test_valid_terms_are_kept_as_the_per_term_check_keeps_them(terms, kept):
 def test_zero_feature_polynomial_keeps_its_constant():
     assert SparsePolynomial((), {(): 2.5}).terms == {(): 2.5}
     assert SparsePolynomial((), {(): 0.0}).terms == {}
+
+
+def _file_terms_one_by_one(payload):
+    """The terms a polynomial file gives, read term by term: each exponent
+    vector must read back as written, each coefficient be a number, and no
+    vector repeat; then the constructor's checks (reference)."""
+    terms = {}
+    for item in payload["terms"]:
+        try:
+            m = tuple(map(int, item["m"]))
+            if m != tuple(item["m"]):
+                raise TypeError
+            c = as_real(item["c"])
+        except (KeyError, TypeError, ValueError):
+            json_field(item, "m", "polynomial term", lambda m: tuple(map(as_int, m)))
+            json_field(item, "c", "polynomial term", as_real)
+            raise
+        if m in terms:
+            raise SynergyError(f"polynomial repeats the exponent vector {m}")
+        terms[m] = c
+    return SparsePolynomial((0.0,) * payload["n"], terms).terms
+
+
+def _term(m, c):
+    return {"m": m, "c": c}
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [_term([1, 0], 1.5), _term([0, 2], -2), _term([0, 0], 0.0), _term([3, 1], -0.0)],
+        [_term([1.0, 0], 1.5), _term([True, 2], 2.5)],  # integral floats, booleans
+        [_term([1, 0], True), _term([0, 1], 10**20)],
+        [],
+        [_term([1, 0], 1.0), _term([1, 0], 2.0)],  # repeated vector
+        [_term([1, 0], 0.0), _term([1, 0.0], 2.0)],
+        [_term([1, 0.5], 1.0)],
+        [_term([1, "1"], 1.0)],
+        [_term("10", 1.0)],
+        [_term([1, 0], "1.5")],
+        [_term([1, 0], None)],
+        [_term([1, 0, 0], 1.0)],
+        [_term([1, -1], 1.0)],
+        [_term([100, 29], 1.0)],
+        [_term([2**63, 0], 1.0)],
+        [_term([1, 0], float("nan"))],
+        [_term([1, 0], 10**400)],
+        [{"m": [1, 0]}],
+        [{"c": 1.0}],
+        [[1, 0]],
+    ],
+)
+def test_file_loader_keeps_what_the_term_by_term_read_keeps(terms):
+    payload = {"n": 2, "terms": terms}
+    expected = _outcome(lambda: _file_terms_one_by_one(payload))
+    got = _outcome(lambda: SparsePolynomial.from_json_dict(payload).terms)
+    assert got == expected
+    if got[0] == "ok":
+        assert list(got[1]) == list(expected[1])
+        assert all(type(e) is int for m in got[1] for e in m)
+        assert all(type(c) is float for c in got[1].values())
+
+
+def test_file_loader_reads_a_large_file_like_the_term_by_term_read():
+    rng = np.random.default_rng(12)
+    vectors = multi_indices(6, 8)
+    picked = rng.choice(len(vectors), size=2000, replace=False)
+    payload = {
+        "n": 6,
+        "center": rng.uniform(-1, 1, 6).tolist(),
+        "terms": [_term(list(vectors[i]), float(rng.uniform(-1, 1))) for i in picked],
+    }
+    poly = SparsePolynomial.from_json_dict(payload)
+    expected = _file_terms_one_by_one(payload)
+    assert list(poly.terms.items()) == list(expected.items())
+    assert poly.center == tuple(payload["center"])
