@@ -11,6 +11,8 @@ from functools import lru_cache
 from itertools import combinations, compress
 from typing import Sequence
 
+import numpy as np
+
 from .combinatorics import binomial, coalition_count, require_order
 from .core import (
     Coalition,
@@ -20,7 +22,7 @@ from .core import (
     coalition_slot,
 )
 from .exceptions import CapExceededError, DimensionMismatchError
-from .polynomials import MultiIndex, SparsePolynomial, support
+from .polynomials import SparsePolynomial
 from .set_methods import (
     ORACLE_MAX_FEATURES,
     build_table,
@@ -150,17 +152,22 @@ def sum_of_powers_nested(
     """Construction oracle: apply integrated gradients per feature symbolically,
     tabulate the result, and run the frozen-feature Shapley-Taylor on it.
 
-    Oracle scale only (n <= 6, k <= 3)."""
+    At order 1 the construction stops at the first step: feature i gets its
+    integrated-gradients polynomial evaluated at x. Each feature's table is
+    built once per call, on first use. Oracle scale only (n <= 6, k <= 3)."""
     require_order(p.n, k)
     if p.n > ORACLE_MAX_FEATURES or k > SOP_ORACLE_MAX_ORDER:
         raise CapExceededError(
             f"nested oracle capped at n <= {ORACLE_MAX_FEATURES}, k <= {SOP_ORACLE_MAX_ORDER}"
         )
+    entries = {(): p.constant_term()}
     if k == 1:
-        return integrated_gradients(p, x)
+        for i in range(1, p.n + 1):
+            entries[(i,)] = ig_polynomial(p, i).evaluate(x)
+        return InteractionReport.from_entries(p.n, k, entries)
     inst = Instance(x=tuple(float(v) for v in x), baseline=p.center)
     pieces = p.synergy_split()
-    entries = {(): p.constant_term()}
+    tables = {}
     for members in coalition_layout(p.n, k)[0][1:]:
         if len(members) < k:
             piece = pieces.get(members)
@@ -168,50 +175,116 @@ def sum_of_powers_nested(
             continue
         total = 0.0
         for i in members:
-            attribution = ig_polynomial(p, i)
-            table = build_table(inst, attribution.evaluate)
-            total += shapley_taylor_frozen(table, members, i)
+            if i not in tables:
+                tables[i] = build_table(inst, ig_polynomial(p, i).evaluate)
+            total += shapley_taylor_frozen(tables[i], members, i)
         entries[members] = total
     return InteractionReport.from_entries(p.n, k, entries)
 
 
+# Blocks of the pairwise oracle hold at most this many (term, coalition)
+# parts, or one term, which bounds its memory on any polynomial.
+_PAIRWISE_BLOCK_PARTS = 1 << 12
+
+
 def integrated_hessian_pairwise(p: SparsePolynomial, x: Sequence[float]) -> InteractionReport:
     """Order-2 interactions by direct termwise reduction of the s,t double
-    integrals (the pairwise form and the two-part main-effect form)."""
-    entries = dict.fromkeys(coalition_layout(p.n, 2)[0], 0.0)
-    shifted = [x[i] - p.center[i] for i in range(p.n)]
+    integrals (the pairwise form and the two-part main-effect form).
 
-    def reduced_monomial(m: MultiIndex, drop: dict[int, int]) -> float:
-        value = 1.0
-        for i, e in enumerate(m):
-            e -= drop.get(i + 1, 0)
-            if e:
-                value *= shifted[i] ** e
-        return value
+    Per term m (constant aside), with u_i = x_i - center_i, w = 1 / |m|^2
+    and r(m') the product of u_f^m'_f over features f in order:
+    pair (i, j) of its support gets c (2 m_i m_j w) u_i u_j r(m - e_i - e_j),
+    feature i gets c ((m_i w) r(m - e_i) u_i + (m_i (m_i - 1) w) r(m - 2 e_i) u_i^2)
+    (the second part 0.0 when m_i < 2), each product left to right. Each
+    coalition sums its parts from 0.0 in sorted term order."""
+    n = p.n
+    values = np.zeros(coalition_count(n, 2))
+    shifted = [x[i] - p.center[i] for i in range(n)]
+    monomials = sorted(p.terms)
+    # the zero exponent vector sorts first and is the only term sent to ()
+    if monomials and not any(monomials[0]):
+        values[0] = 0.0 + p.terms[monomials.pop(0)]
+    if not monomials:
+        return InteractionReport(n, 2, values)
+    exponents = np.array(monomials, dtype=np.int64)
+    coefficients = np.array([p.terms[m] for m in monomials])
+    sizes = np.count_nonzero(exponents, axis=1)
+    ends = np.cumsum(sizes * (sizes + 1) // 2)  # parts up to each term
+    start = 0
+    # Python float arithmetic overflows to inf and nan without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        while start < len(monomials):
+            done = ends[start - 1] if start else 0
+            stop = int(np.searchsorted(ends, done + _PAIRWISE_BLOCK_PARTS, side="right"))
+            stop = max(stop, start + 1)
+            slots, parts = _pairwise_parts(
+                exponents[start:stop], coefficients[start:stop], shifted
+            )
+            # unbuffered: each slot adds its parts one at a time, in order
+            np.add.at(values, slots, parts)
+            start = stop
+    return InteractionReport(n, 2, values)
 
-    for m in sorted(p.terms):
-        c = p.terms[m]
-        total_degree = sum(m)
-        if total_degree == 0:
-            entries[()] += c
-            continue
-        members = support(m)
-        inv_square = 1.0 / total_degree**2  # each s,t integral gives 1/|m| per axis
-        for i, j in combinations(members, 2):
-            weight = 2.0 * m[i - 1] * m[j - 1] * inv_square
-            base = reduced_monomial(m, {i: 1, j: 1})
-            entries[(i, j)] += c * weight * shifted[i - 1] * shifted[j - 1] * base
-        for i in members:
-            e = m[i - 1]
-            first = e * inv_square * reduced_monomial(m, {i: 1}) * shifted[i - 1]
-            second = 0.0
-            if e >= 2:
-                second = (
-                    e
-                    * (e - 1)
-                    * inv_square
-                    * reduced_monomial(m, {i: 2})
-                    * shifted[i - 1] ** 2
-                )
-            entries[(i,)] += c * (first + second)
-    return InteractionReport.from_entries(p.n, 2, entries)
+
+def _powers(u: float, columns: Sequence[np.ndarray], top: int, square: bool) -> np.ndarray:
+    """u ** e by Python's power, as the scalar reduction takes it, at each
+    e > 0 in `columns` (and at 2 if `square`), in an array indexed by
+    exponent 0..top; 1.0 at every exponent not taken, which is never read
+    but as the exact factor of exponent 0."""
+    taken = np.zeros(top + 1, dtype=bool)
+    for column in columns:
+        taken[column] = True
+    taken[2] |= square
+    table = np.ones(top + 1)
+    for e in np.flatnonzero(taken[1:]).tolist():
+        table[e + 1] = u ** (e + 1)
+    return table
+
+
+def _pairwise_parts(
+    exponents: np.ndarray, coefficients: np.ndarray, shifted: list
+) -> tuple[np.ndarray, np.ndarray]:
+    """Layout slots and values of the parts a block of terms sends in
+    `integrated_hessian_pairwise`: the pairs, then the features, each
+    term-major."""
+    n = exponents.shape[1]
+    inv_square = 1.0 / exponents.sum(axis=1) ** 2
+    # (term, feature) parts, term-major with features ascending, and the
+    # (term, pair) parts: each feature part with every later one of its term
+    row, i = np.nonzero(exponents)
+    e = exponents[row, i]
+    later = np.searchsorted(row, row, side="right") - np.arange(len(row)) - 1
+    first = np.repeat(np.arange(len(row)), later)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    pair_row, a, b = row[first], i[first], i[second]
+    twice = e >= 2
+    twice_row, i2, e2 = row[twice], i[twice], e[twice]
+    # reduced monomials r(m - e_a - e_b), r(m - e_i) and r(m - 2 e_i),
+    # multiplied feature by feature in order; the factor at exponent 0 is
+    # an exact 1.0
+    pair_r, single_r, twice_r = np.ones(len(a)), np.ones(len(i)), np.ones(len(i2))
+    square = np.ones(n)
+    for f in np.flatnonzero(exponents.any(axis=0)).tolist():
+        column = exponents[:, f]
+        reduced = (
+            column[pair_row] - (a == f) - (b == f),
+            column[row] - (i == f),
+            column[twice_row] - 2 * (i2 == f),
+        )
+        has_square = bool((i2 == f).any())
+        powers = _powers(shifted[f], reduced, max(int(column.max()), 2), has_square)
+        pair_r *= powers[reduced[0]]
+        single_r *= powers[reduced[1]]
+        twice_r *= powers[reduced[2]]
+        square[f] = powers[2]
+    u = np.array(shifted, dtype=float)
+    weight = 2.0 * exponents[pair_row, a] * exponents[pair_row, b] * inv_square[pair_row]
+    pair_parts = coefficients[pair_row] * weight * u[a] * u[b] * pair_r
+    main = e * inv_square[row] * single_r * u[i]
+    curvature = np.zeros(len(i))
+    curvature[twice] = e2 * (e2 - 1) * inv_square[twice_row] * twice_r * square[i2]
+    single_parts = coefficients[row] * (main + curvature)
+    # pair (a, b) follows the n + 1 coalitions of size <= 1 and the pairs
+    # (a', b') with a' < a, or a' = a and b' < b
+    pair_slots = 1 + n + a * (2 * n - a - 1) // 2 + (b - a - 1)
+    return np.concatenate([pair_slots, 1 + i]), np.concatenate([pair_parts, single_parts])

@@ -310,25 +310,54 @@ def shapley_taylor_from_marginals(table: SetFunctionTable, k: int) -> Interactio
     return _report(table, k, fill)
 
 
-def _shapley_retabulated(values: np.ndarray, n: int, i: int) -> np.ndarray:
-    """Table of the function y -> Shap_i(y, F) over the same masked lattice."""
-    size = 1 << n
+@lru_cache(maxsize=32)
+def _retabulation_plan(n: int, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gather rows of one Shapley retabulation, one row per coalition w
+    without feature i, w ascending: the table positions (w | bit) & masks and
+    w & masks of every mask, and the weight 1/(n C(n-1, |w|)) as a column."""
     bit = 1 << (i - 1)
-    masks = np.arange(size)
-    out = np.zeros(size)
-    for w in range(size):
-        if w & bit:
-            continue
-        weight = 1.0 / (n * binomial(n - 1, w.bit_count()))
-        out += weight * (values[(w | bit) & masks] - values[w & masks])
-    return out
+    masks = np.arange(1 << n)
+    coalitions = np.array([w for w in range(1 << n) if not w & bit])
+    weights = [1.0 / (n * binomial(n - 1, w.bit_count())) for w in coalitions.tolist()]
+    plan = (
+        (coalitions | bit)[:, None] & masks,
+        coalitions[:, None] & masks,
+        np.array(weights)[:, None],
+    )
+    for array in plan:
+        array.setflags(write=False)
+    return plan
+
+
+def _sequential_sum(terms: np.ndarray) -> np.ndarray:
+    """0.0 + terms[0] + terms[1] + ... along the first axis, one row at a
+    time (accumulate never reorders or pairs up its additions). The result
+    is a copy, so it does not keep the running sums alive."""
+    rows = np.concatenate([np.zeros((1,) + terms.shape[1:]), terms])
+    return np.cumsum(rows, axis=0)[-1].copy()
+
+
+def _shapley_retabulated(values: np.ndarray, n: int, i: int) -> np.ndarray:
+    """Table of the function y -> Shap_i(y, F) over the same masked lattice.
+
+    Each entry is the sum from 0.0 of the weighted marginal contributions of
+    feature i, coalitions w ascending, added one at a time."""
+    hi, lo, weights = _retabulation_plan(n, i)
+    return _sequential_sum(weights * (values[hi] - values[lo]))
+
+
+def _shapley_retabulated_at_full(values: np.ndarray, n: int, i: int) -> float:
+    """The input-point entry of `_shapley_retabulated`, by the same sum."""
+    hi, lo, weights = _retabulation_plan(n, i)
+    return float(_sequential_sum(weights[:, 0] * (values[hi[:, -1]] - values[lo[:, -1]])))
 
 
 def recursive_shapley_nested(table: SetFunctionTable, k: int) -> InteractionReport:
     """Literal nested-Shapley construction, summed over covering sequences.
 
     Oracle scale only (n <= 6, k <= 4); shares retabulations across sequences
-    through a prefix cache.
+    through a prefix cache, and takes only the input-point entry of each
+    sequence's last one.
     """
     require_order(table.n, k)
     if table.n > ORACLE_MAX_FEATURES or k > ORACLE_MAX_ORDER:
@@ -336,7 +365,6 @@ def recursive_shapley_nested(table: SetFunctionTable, k: int) -> InteractionRepo
             f"nested oracle capped at n <= {ORACLE_MAX_FEATURES}, k <= {ORACLE_MAX_ORDER}"
         )
     n = table.n
-    full = (1 << n) - 1
     cache: dict[tuple[int, ...], np.ndarray] = {(): table.values}
 
     def retabulate(prefix: tuple[int, ...]) -> np.ndarray:
@@ -348,8 +376,9 @@ def recursive_shapley_nested(table: SetFunctionTable, k: int) -> InteractionRepo
         if not members:
             return float(table.values[0])
         total = 0.0
+        # every covering sequence has length k, so none is a prefix of another
         for sequence in enumerate_sequences(k, members):
-            total += retabulate(sequence)[full]
+            total += _shapley_retabulated_at_full(retabulate(sequence[:-1]), n, sequence[-1])
         return total
 
     return _report(table, k, fill)

@@ -40,6 +40,13 @@ CASES = {
     "compare-table-rs-k2.csv": ["compare", "rs", "rs-nested", "--table", TABLE, "-k", "2",
                                 "--output", "csv"],
     "compare-expr-shapley.json": ["compare", "shapley", "ig-quad", *EXPR],
+    "compare-table-rs-k3.json": ["compare", "rs", "rs-nested", "--table", TABLE, "-k", "3"],
+    "compare-poly-ih-ih2-closed-k2.json": ["compare", "ih", "ih2-closed", "--poly", POLY,
+                                           "--x", "1.5,0.25,-2", "-k", "2"],
+    "compare-poly-sop-nested-k2.json": ["compare", "sop", "sop-nested", "--poly", POLY,
+                                        "--x", "1.5,0.25,-2", "-k", "2"],
+    "compare-poly-sop-nested-k3.json": ["compare", "sop", "sop-nested", "--poly", POLY,
+                                        "--x", "1.5,0.25,-2", "-k", "3"],
 }
 
 

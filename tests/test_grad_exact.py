@@ -3,6 +3,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from synergy import grad_exact
 from synergy.combinatorics import enumerate_coalitions, monomial_mass
 from synergy.core import Instance
 from synergy.exceptions import CapExceededError
@@ -25,6 +26,7 @@ from synergy.set_methods import (
     recursive_shapley,
     shapley,
     shapley_taylor,
+    shapley_taylor_frozen,
 )
 from tests.conftest import make_polynomial, shapley_with_frozen
 
@@ -185,6 +187,28 @@ def test_sum_of_powers_nested_oracle(rng):
         a = sum_of_powers(p, x, k)
         b = sum_of_powers_nested(p, x, k)
         assert a.max_abs_difference(b) < 1e-9
+
+
+def test_sum_of_powers_nested_order_one_is_the_ig_construction(monkeypatch):
+    """At k = 1 the oracle evaluates each feature's integrated-gradients
+    polynomial, so it catches a fault in the production share rows."""
+    p = SparsePolynomial(
+        (0.5, -1.0, 0.0), {(0, 0, 0): 1.5, (1, 1, 0): 3.0, (2, 1, 1): 0.25, (0, 1, 3): -0.5}
+    )
+    x = (1.5, 0.25, -2.0)
+    oracle = sum_of_powers_nested(p, x, 1)
+    assert oracle.values.tolist() == [1.5] + [
+        ig_polynomial(p, i).evaluate(x) for i in (1, 2, 3)
+    ]
+    assert sum_of_powers(p, x, 1).max_abs_difference(oracle) < 1e-12
+    shares = grad_exact._shares
+    monkeypatch.setattr(
+        grad_exact, "_shares", lambda rule, k, exponents: tuple(
+            1.25 * share for share in shares(rule, k, exponents)
+        )
+    )
+    assert sum_of_powers(p, x, 1).max_abs_difference(oracle) > 0.1
+    assert sum_of_powers_nested(p, x, 1) == oracle
 
 
 def test_sum_of_powers_nested_pair_uses_frozen_shapley(rng):
@@ -408,3 +432,140 @@ def test_full_order_ih_aug_is_the_synergy_split_bit_for_bit():
             x = tuple(x.tolist())
             got = augmented_integrated_hessian(p, x, n)
             assert _bits(got.values) == _bits(_synergy_split_values(p, x))
+
+
+def _pairwise_by_terms(p, x):
+    """The order-2 closed form term by term, each reduced monomial rebuilt
+    from its exponent vector, into a dict keyed by coalition (reference)."""
+    entries = dict.fromkeys(enumerate_coalitions(p.n, 2), 0.0)
+    shifted = [x[i] - p.center[i] for i in range(p.n)]
+
+    def reduced_monomial(m, drop):
+        value = 1.0
+        for i, e in enumerate(m):
+            e -= drop.get(i + 1, 0)
+            if e:
+                value *= shifted[i] ** e
+        return value
+
+    for m in sorted(p.terms):
+        c = p.terms[m]
+        total_degree = sum(m)
+        if total_degree == 0:
+            entries[()] += c
+            continue
+        members = support(m)
+        inv_square = 1.0 / total_degree**2
+        for i, j in combinations(members, 2):
+            weight = 2.0 * m[i - 1] * m[j - 1] * inv_square
+            base = reduced_monomial(m, {i: 1, j: 1})
+            entries[(i, j)] += c * weight * shifted[i - 1] * shifted[j - 1] * base
+        for i in members:
+            e = m[i - 1]
+            first = e * inv_square * reduced_monomial(m, {i: 1}) * shifted[i - 1]
+            second = 0.0
+            if e >= 2:
+                second = (
+                    e * (e - 1) * inv_square * reduced_monomial(m, {i: 2}) * shifted[i - 1] ** 2
+                )
+            entries[(i,)] += c * (first + second)
+    return list(entries.values())
+
+
+def _pairwise_corpus(rng):
+    """Random polynomials with nonzero centers (points given as floats and
+    as numpy scalars), plus exponent gaps, single-feature terms, signed
+    zeros, a sparse 30-feature polynomial and the constant-only and empty
+    polynomials."""
+    for case in range(60):
+        n = int(rng.integers(2, 9))
+        degree, density = int(rng.integers(1, 9)), float(rng.uniform(0.05, 0.5))
+        p = make_polynomial(rng, n, degree=degree, density=density)
+        terms = dict(p.terms)
+        if case % 3 == 0:
+            # feature n only at exponent 3, alone and in a pair
+            terms = {m[:-1] + (0,): c for m, c in terms.items()}
+            terms[(0,) * (n - 1) + (3,)] = 0.7
+            terms[(1,) + (0,) * (n - 2) + (3,)] = -1.3
+        if case % 4 == 0:
+            terms[(0,) * (n - 1) + (2,)] = 0.9
+        center = rng.uniform(-1, 1, n)
+        point = rng.uniform(-2, 2, n)
+        at_center = rng.uniform(size=n) < 0.2
+        point[at_center] = center[at_center]
+        signed = rng.uniform(size=n) < 0.2
+        center[signed], point[signed] = 0.0, -0.0
+        x = tuple(point.tolist()) if case % 2 else tuple(point)
+        yield SparsePolynomial(tuple(center.tolist()), terms), x
+    wide = {}
+    for _ in range(40):
+        m = [0] * 30
+        for f in rng.choice(30, size=int(rng.integers(1, 7)), replace=False):
+            m[f] = int(rng.integers(1, 4))
+        wide[tuple(m)] = float(rng.uniform(-1, 1))
+    yield SparsePolynomial(tuple(rng.uniform(-1, 1, 30).tolist()), wide), tuple(
+        rng.uniform(-2, 2, 30).tolist()
+    )
+    yield SparsePolynomial((0.5, -1.0, 2.0), {(0, 0, 0): -2.5}), (1.0, 2.0, 3.0)
+    yield SparsePolynomial((0.5, -1.0), {}), (1.0, 2.0)
+    yield SparsePolynomial((0.0, 0.0), {(5, 0): 1.5, (0, 1): -1.0}), (1.25, -0.75)
+
+
+def test_pairwise_oracle_is_bit_identical_to_the_term_loop():
+    rng = np.random.default_rng(1303)
+    for p, x in _pairwise_corpus(rng):
+        got = integrated_hessian_pairwise(p, x)
+        assert _bits(got.values) == _bits(_pairwise_by_terms(p, x))
+
+
+def test_pairwise_oracle_blocks_sum_in_term_order(monkeypatch):
+    """Blocks of one term each carry every coalition's sum across blocks
+    bit for bit."""
+    monkeypatch.setattr(grad_exact, "_PAIRWISE_BLOCK_PARTS", 1)
+    rng = np.random.default_rng(1304)
+    for p, x in _pairwise_corpus(rng):
+        if len(p.terms) > 60:
+            continue
+        got = integrated_hessian_pairwise(p, x)
+        assert _bits(got.values) == _bits(_pairwise_by_terms(p, x))
+
+
+def _sum_of_powers_nested_per_member(p, x, k):
+    """The k >= 2 construction with a fresh table per (coalition, member)
+    (reference)."""
+    inst = Instance(x=tuple(float(v) for v in x), baseline=p.center)
+    pieces = p.synergy_split()
+    values = [p.constant_term()]
+    for members in enumerate_coalitions(p.n, k)[1:]:
+        if len(members) < k:
+            piece = pieces.get(members)
+            values.append(piece.evaluate(x) if piece is not None else 0.0)
+            continue
+        total = 0.0
+        for i in members:
+            table = build_table(inst, ig_polynomial(p, i).evaluate)
+            total += shapley_taylor_frozen(table, members, i)
+        values.append(total)
+    return values
+
+
+def test_sum_of_powers_nested_builds_one_table_per_feature(monkeypatch):
+    built = []
+
+    def spy(inst, f):
+        built.append(build_table(inst, f))
+        return built[-1]
+
+    monkeypatch.setattr(grad_exact, "build_table", spy)
+    rng = np.random.default_rng(1305)
+    for _ in range(12):
+        n = int(rng.integers(2, 6))
+        k = int(rng.integers(2, min(3, n) + 1))
+        p = make_polynomial(rng, n, degree=5)
+        p = SparsePolynomial(tuple(rng.uniform(-1, 1, n).tolist()), p.terms)
+        x = tuple(rng.uniform(-2, 2, n).tolist())
+        built.clear()
+        got = sum_of_powers_nested(p, x, k)
+        assert _bits(got.values) == _bits(_sum_of_powers_nested_per_member(p, x, k))
+        inst = Instance(x=x, baseline=p.center)
+        assert built == [build_table(inst, ig_polynomial(p, i).evaluate) for i in range(1, n + 1)]

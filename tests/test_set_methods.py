@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from synergy.combinatorics import binomial, enumerate_coalitions, enumerate_sequences
 from synergy.core import Instance, masked_point
 from synergy.exceptions import CapExceededError
 from synergy.expressions import evaluate, parse
@@ -10,6 +11,8 @@ from synergy.polynomials import SparsePolynomial
 from synergy.set_methods import (
     SetFunctionTable,
     SynergyTable,
+    _shapley_retabulated,
+    _shapley_retabulated_at_full,
     augmented_recursive_shapley,
     build_table,
     discrete_derivative,
@@ -323,6 +326,74 @@ def test_nested_oracle_outside_support_is_zero():
     report = recursive_shapley_nested(pure_synergy_table(4, (1, 2), 0.8), 2)
     assert report.value((3,)) == pytest.approx(0.0, abs=1e-14)
     assert report.value((1, 3)) == pytest.approx(0.0, abs=1e-14)
+
+
+def _retabulated_by_vectors(values, n, i):
+    """The retabulation as one whole-table update per coalition w without
+    feature i, w ascending (reference)."""
+    bit = 1 << (i - 1)
+    masks = np.arange(1 << n)
+    out = np.zeros(1 << n)
+    for w in range(1 << n):
+        if w & bit:
+            continue
+        weight = 1.0 / (n * binomial(n - 1, w.bit_count()))
+        out += weight * (values[(w | bit) & masks] - values[w & masks])
+    return out
+
+
+def _nested_by_vectors(table, k):
+    """The nested construction with every sequence retabulated in full by
+    the loop above, prefixes shared (reference)."""
+    n, full = table.n, (1 << table.n) - 1
+    cache = {(): table.values}
+
+    def retabulate(prefix):
+        if prefix not in cache:
+            cache[prefix] = _retabulated_by_vectors(retabulate(prefix[:-1]), n, prefix[-1])
+        return cache[prefix]
+
+    values = [float(table.values[0])]
+    for members in enumerate_coalitions(n, k)[1:]:
+        total = 0.0
+        for sequence in enumerate_sequences(k, members):
+            total += retabulate(sequence)[full]
+        values.append(total)
+    return values
+
+
+def _signed_zero_table(rng, n):
+    """Values in {-1, -0.0, 0.0, 0.5, uniform}, so marginal contributions
+    take both signed zeros and repeat exactly."""
+    pool = np.array([-1.0, -0.0, 0.0, 0.5])
+    values = np.where(
+        rng.uniform(size=1 << n) < 0.6,
+        pool[rng.integers(0, 4, 1 << n)],
+        rng.uniform(-1, 1, 1 << n),
+    )
+    return SetFunctionTable(n, values)
+
+
+def test_retabulation_is_bit_identical_to_the_vector_loop():
+    rng = np.random.default_rng(1301)
+    for n in range(1, 7):
+        for _ in range(4):
+            values = _signed_zero_table(rng, n).values
+            for i in range(1, n + 1):
+                expected = _retabulated_by_vectors(values, n, i).view(np.int64)
+                got = _shapley_retabulated(values, n, i)
+                assert np.array_equal(got.view(np.int64), expected)
+                at_full = np.float64(_shapley_retabulated_at_full(values, n, i))
+                assert at_full.view(np.int64) == expected[-1]
+
+
+def test_nested_oracle_is_bit_identical_to_full_retabulations():
+    rng = np.random.default_rng(1302)
+    for n in range(1, 7):
+        for k in range(1, min(n, 4) + 1):
+            table = _signed_zero_table(rng, n)
+            got = recursive_shapley_nested(table, k).values.view(np.int64)
+            assert np.array_equal(got, np.array(_nested_by_vectors(table, k)).view(np.int64))
 
 
 def test_nested_oracle_caps():
