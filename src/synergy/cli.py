@@ -204,23 +204,17 @@ def cmd_decompose(args) -> int:
         pieces = source.poly.synergy_split()
         if args.output == "csv":
             lines = ["coalition;m;c"]
-            for coalition in sorted(pieces):
+            for coalition, piece in sorted(pieces.items()):
                 label = format_coalition(coalition)
-                terms = pieces[coalition].terms
-                for m in sorted(terms):
-                    exponents = ",".join(str(e) for e in m)
-                    lines.append(f"{label};{exponents};{terms[m]!r}")
+                lines += (f"{label};{','.join(map(str, m))};{c!r}" for m, c in piece.terms.items())
             _emit("\n".join(lines))
             return 0
         payload = {
             "n": source.poly.n,
             "center": list(source.poly.center),
             "pieces": [
-                {
-                    "coalition": list(coalition),
-                    "terms": pieces[coalition].to_json_dict()["terms"],
-                }
-                for coalition in sorted(pieces)
+                {"coalition": list(coalition), "terms": piece.to_json_dict()["terms"]}
+                for coalition, piece in sorted(pieces.items())
             ],
         }
         _emit(json.dumps(payload, indent=2))

@@ -40,9 +40,9 @@ def as_point(values: Iterable[float]) -> Point:
 
 
 def as_int(value: Any) -> int:
-    """`value` as an int: a TypeError unless it is a number with an integral value."""
+    """`value` as an int: a TypeError unless it is an integral number, not a boolean."""
     try:
-        result = int(value)
+        result = None if isinstance(value, bool) else int(value)
     except (ValueError, OverflowError):
         result = None
     if result is None or result != value:

@@ -22,7 +22,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -167,8 +167,7 @@ _VARIABLE = re.compile(r"^x(\d+)$")
 _NATURAL = re.compile(r"^\d+$")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # number | name | op | end
     text: str
     position: int
@@ -184,11 +183,8 @@ def _tokenize(src: str) -> list[_Token]:
             if not stripped:
                 break
             raise ParseError(f"unexpected character {stripped[0]!r}", len(src) - len(stripped))
-        for kind in ("number", "name", "op"):
-            text = match.group(kind)
-            if text is not None:
-                tokens.append(_Token(kind, text, match.start(kind)))
-                break
+        kind = match.lastgroup  # the one alternative that matched
+        tokens.append(_Token(kind, match.group(kind), match.start(kind)))
         pos = match.end()
     tokens.append(_Token("end", "", len(src)))
     return tokens
@@ -611,8 +607,8 @@ def taylor(expr: Expr, center: Point, order: int) -> SparsePolynomial:
 def from_polynomial(p: SparsePolynomial) -> Expr:
     """Expression tree evaluating identically to the polynomial."""
     terms = []
-    for m in sorted(p.terms):
-        factors: list[Expr] = [Const(p.terms[m])]
+    for m, c in p.terms.items():
+        factors: list[Expr] = [Const(c)]
         for i, e in enumerate(m):
             if e:
                 base: Expr = Var(i + 1)

@@ -2,8 +2,8 @@
 
 Monomials centered at the baseline are pure interactions of their support, so
 each method is a termwise rule sending a monomial's value at x to coalitions
-of its support. Reduction order is fixed (sorted exponent vectors) so output
-is bit-reproducible.
+of its support. Every reduction runs in the polynomial's term order (ascending
+exponent vectors, see `SparsePolynomial`), so output is bit-reproducible.
 """
 from __future__ import annotations
 
@@ -79,7 +79,7 @@ def _shares(rule: str, k: int, exponents: tuple[int, ...]) -> tuple[float, ...]:
 
 def _termwise(p: SparsePolynomial, x: Sequence[float], k: int, rule: str) -> InteractionReport:
     """Scatter each monomial's value c * (x - center)^m over its share row, in
-    sorted term order, into the report's values in layout order. A term adds
+    term order, into the report's values in layout order. A term adds
     to each coalition at most once, so the order of coalitions within a row
     does not change the result."""
     n = p.n
@@ -89,7 +89,7 @@ def _termwise(p: SparsePolynomial, x: Sequence[float], k: int, rule: str) -> Int
     shifted = [x[i] - p.center[i] for i in range(n)]
     features = range(1, n + 1)
     values = [0.0] * coalition_count(n, k)
-    for m, value in sorted(p.terms.items()):
+    for m, value in p.terms.items():
         # the support and its positive exponents, in feature order
         coalition = tuple(compress(features, m))
         exponents = tuple(filter(None, m))
@@ -196,11 +196,11 @@ def integrated_hessian_pairwise(p: SparsePolynomial, x: Sequence[float]) -> Inte
     pair (i, j) of its support gets c (2 m_i m_j w) u_i u_j r(m - e_i - e_j),
     feature i gets c ((m_i w) r(m - e_i) u_i + (m_i (m_i - 1) w) r(m - 2 e_i) u_i^2)
     (the second part 0.0 when m_i < 2), each product left to right. Each
-    coalition sums its parts from 0.0 in sorted term order."""
+    coalition sums its parts from 0.0 in term order."""
     n = p.n
     values = np.zeros(coalition_count(n, 2))
     shifted = [x[i] - p.center[i] for i in range(n)]
-    monomials = sorted(p.terms)
+    monomials = list(p.terms)
     # the zero exponent vector sorts first and is the only term sent to ()
     if monomials and not any(monomials[0]):
         values[0] = 0.0 + p.terms[monomials.pop(0)]

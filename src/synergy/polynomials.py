@@ -3,7 +3,7 @@
 A polynomial is a finite map from exponent vectors m to coefficients c,
 representing F(y) = sum_m c_m * prod_i (y_i - center_i)^m_i, with the
 convention that a zero exponent contributes the factor 1 even at the center.
-Zero coefficients are never stored.
+Zero coefficients are never stored; the terms are kept sorted by exponent vector.
 """
 from __future__ import annotations
 
@@ -46,10 +46,10 @@ def _valid_terms(
 ) -> dict[MultiIndex, float] | None:
     """The nonzero terms of parallel exponent vectors and coefficients, as
     the term-by-term check converts them (int() per exponent, float() per
-    coefficient), checked in one pass over an exponent array. None when some
-    term is invalid, a vector is not of length n or repeats another, or more
-    than MAX_TERMS terms remain. With `exact`, as for a file, also None when
-    an exponent is not an integral number or a coefficient not an int or float."""
+    coefficient), checked in one pass over an exponent array, in canonical
+    order. None when some term is invalid, a vector is not of length n or
+    repeats another, or more than MAX_TERMS terms remain. With `exact`, as for
+    a file, also None when an exponent is not integral or a coefficient not an int or float."""
     try:
         if exponents and set(map(len, exponents)) != {n}:
             return None
@@ -75,9 +75,15 @@ def _valid_terms(
     terms = dict(zip(map(tuple, rows), values))
     if len(terms) != len(values):
         return None
-    if 0.0 in values:  # -0.0 too
-        terms = {m: c for m, c in terms.items() if c != 0.0}
+    if list(terms) != (keys := sorted(terms)) or 0.0 in values:  # unsorted, or a zero (-0.0 too)
+        terms = {m: terms[m] for m in keys if terms[m] != 0.0}
     return terms if len(terms) <= MAX_TERMS else None
+
+
+def _finite(center: Point) -> Point:
+    if not all(math.isfinite(v) for v in center):
+        raise NonFiniteError(f"polynomial center {tuple(center)} is not finite")
+    return center
 
 
 @dataclass(frozen=True)
@@ -86,9 +92,7 @@ class SparsePolynomial:
     terms: Mapping[MultiIndex, float]
 
     def __post_init__(self) -> None:
-        n = len(self.center)
-        if not all(math.isfinite(v) for v in self.center):
-            raise NonFiniteError(f"polynomial center {tuple(self.center)} is not finite")
+        n = len(_finite(self.center))
         clean = _valid_terms(list(self.terms), list(self.terms.values()), n)
         if clean is None:
             # keys or coefficients the array pass does not take, or an invalid
@@ -111,9 +115,18 @@ class SparsePolynomial:
                     raise NonFiniteError(f"non-finite coefficient for {key}")
                 if value != 0.0:
                     clean[key] = value
+            clean = {m: clean[m] for m in sorted(clean)}
         if len(clean) > MAX_TERMS:
             raise CapExceededError(f"{len(clean)} terms exceed cap {MAX_TERMS}")
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _canonical(cls, center: Point, terms: dict[MultiIndex, float]) -> "SparsePolynomial":
+        """The polynomial on terms already clean and sorted, such as a filter of another's."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "center", center)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     @property
     def n(self) -> int:
@@ -134,8 +147,7 @@ class SparsePolynomial:
         # out-of-place products and sums: on broadcast column arrays (see
         # set_methods.build_table) the result's shape grows term by term
         total = 0.0
-        for m in sorted(self.terms):
-            value = self.terms[m]
+        for m, value in self.terms.items():
             for i, e in enumerate(m):
                 if e:
                     value = value * shifted[i] ** e
@@ -174,7 +186,7 @@ class SparsePolynomial:
         """Drop every term of total degree above max_degree."""
         if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
-        return SparsePolynomial(
+        return SparsePolynomial._canonical(
             self.center, {m: c for m, c in self.terms.items() if sum(m) <= max_degree}
         )
 
@@ -184,7 +196,7 @@ class SparsePolynomial:
         for m, c in self.terms.items():
             pieces.setdefault(support(m), {})[m] = c
         return {
-            coalition: SparsePolynomial(self.center, terms)
+            coalition: SparsePolynomial._canonical(self.center, terms)
             for coalition, terms in pieces.items()
         }
 
@@ -192,9 +204,7 @@ class SparsePolynomial:
         return {
             "n": self.n,
             "center": list(self.center),
-            "terms": [
-                {"m": list(m), "c": self.terms[m]} for m in sorted(self.terms)
-            ],
+            "terms": [{"m": list(m), "c": c} for m, c in self.terms.items()],
         }
 
     @classmethod
@@ -215,9 +225,7 @@ class SparsePolynomial:
         except (KeyError, TypeError):  # an item without "m" or "c", or not an object
             terms = None
         if terms is not None:
-            poly = cls(center, {})  # checks the center
-            object.__setattr__(poly, "terms", terms)
-            return poly
+            return cls._canonical(_finite(center), terms)
         # a term the one pass does not take: check term by term, which names
         # the first offending field or repeated vector
         terms = {}
@@ -228,8 +236,9 @@ class SparsePolynomial:
                     raise TypeError
                 c = as_real(item["c"])
             except (KeyError, TypeError, ValueError):
-                # raise again, naming the missing or mistyped field
-                json_field(item, "m", "polynomial term", lambda m: tuple(map(as_int, m)))
+                # raise again, naming the missing or mistyped field (a boolean exponent is 0 or 1)
+                json_field(item, "m", "polynomial term",
+                           lambda m: [as_int(e) for e in m if not isinstance(e, bool)])
                 json_field(item, "c", "polynomial term", as_real)
                 raise
             if m in terms:

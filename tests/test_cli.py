@@ -570,6 +570,14 @@ def test_missing_source_is_usage_error(tmp_path, capsys):
         # an integral float sends the file down the term-by-term check
         ("--poly", {"n": 1, "terms": [{"m": [1.0], "c": 1.0}, {"m": [1], "c": 0.0}]},
          "repeats the exponent vector (1,)"),
+        # booleans read as 0 and 1 in exponents and real-valued fields only
+        ("--table", {"n": True, "values": [1, 2]}, "'n'"),
+        ("--poly", {"n": True, "terms": [{"m": [1], "c": 2.0}]}, "'n'"),
+        ("--config", {"trials": True, "methods": ["shapley"], "axioms": ["completeness"]},
+         "'trials'"),
+        ("--config", {"seed": False, "trials": 2, "methods": ["shapley"],
+                      "axioms": ["completeness"]}, "'seed'"),
+        ("--poly", {"n": 1, "terms": [{"m": [True], "c": "2"}]}, "'c'"),
     ],
     ids=["table-without-n", "term-without-c", "table-list", "poly-list", "config-list",
          "config-methods-string", "config-tolerance-string", "config-tolerance-bool",
@@ -577,7 +585,9 @@ def test_missing_source_is_usage_error(tmp_path, capsys):
          "config-fractional-trials", "poly-infinite-center", "poly-n-above-cap",
          "term-numeric-string-c", "term-string-c", "poly-string-center",
          "table-string-values", "table-mixed-values", "table-null-value",
-         "poly-repeated-vector", "poly-repeated-vector-term-by-term"],
+         "poly-repeated-vector", "poly-repeated-vector-term-by-term",
+         "table-boolean-n", "poly-boolean-n", "config-boolean-trials", "config-boolean-seed",
+         "term-boolean-exponent-string-c"],
 )
 def test_malformed_input_file_is_usage_error(tmp_path, capsys, flag, payload, field):
     path = tmp_path / "input.json"

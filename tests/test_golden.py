@@ -19,6 +19,8 @@ DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
 TABLE = str(DATA / "table3.json")
 POLY = str(DATA / "poly3.json")
+# its terms in descending exponent order; most supports hold several terms
+REVERSED_POLY = DATA / "poly3-reversed.json"
 EXPR = ["--expr", "sin(x1*x2) + x3*exp(x1 - x4) - 0.5*x2*x5^2",
         "--x", "0.5,-1.25,2,0.75,-0.1", "--baseline", "0.1,0.2,-0.3,0,0"]
 
@@ -47,6 +49,12 @@ CASES = {
                                         "--x", "1.5,0.25,-2", "-k", "2"],
     "compare-poly-sop-nested-k3.json": ["compare", "sop", "sop-nested", "--poly", POLY,
                                         "--x", "1.5,0.25,-2", "-k", "3"],
+    "decompose-poly.json": ["decompose", "--poly", POLY],
+    "decompose-poly.csv": ["decompose", "--poly", POLY, "--output", "csv"],
+    "interact-poly-st-k2.json": ["interact", "--poly", POLY, "--x", "1.5,0.25,-2",
+                                 "--method", "shapley-taylor", "-k", "2"],
+    "compare-poly-ig-ig-quad.json": ["compare", "ig", "ig-quad", "--poly", POLY,
+                                     "--x", "1.5,0.25,-2"],
 }
 
 
@@ -54,6 +62,23 @@ CASES = {
 def test_stdout_matches_golden_file(name, capsys):
     assert main(CASES[name]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(name for name, argv in CASES.items() if POLY in argv))
+def test_poly_commands_print_the_same_bytes_whatever_the_term_order(name, tmp_path, capsys):
+    """Every sum over a polynomial's terms runs in ascending exponent order:
+    a file listing its terms in descending order prints the same bytes as
+    its sorted twin, where a sum in file order would differ in the last bits."""
+    payload = json.loads(REVERSED_POLY.read_text())
+    descending = sorted(payload["terms"], key=lambda t: t["m"], reverse=True)
+    assert payload["terms"] == descending
+    twin = tmp_path / "sorted.json"
+    twin.write_text(json.dumps({**payload, "terms": descending[::-1]}))
+    printed = []
+    for path in (REVERSED_POLY, twin):
+        assert main([str(path) if arg == POLY else arg for arg in CASES[name]]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
 
 
 def _golden_report_entries(name):
@@ -68,9 +93,11 @@ def _golden_report_entries(name):
     }
 
 
+# the synergy table and the symbolic pieces are not reports
 REPORTS = sorted(
     name for name in CASES
-    if not name.startswith("compare") and name != "decompose-table.json"
+    if not name.startswith("compare")
+    and name not in {"decompose-table.json", "decompose-poly.json", "decompose-poly.csv"}
 )
 
 

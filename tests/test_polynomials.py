@@ -12,7 +12,13 @@ from synergy.exceptions import (
     NonFiniteError,
     SynergyError,
 )
-from synergy.polynomials import MAX_TOTAL_DEGREE, SparsePolynomial, multi_indices, support
+from synergy.polynomials import (
+    MAX_TOTAL_DEGREE,
+    SparsePolynomial,
+    _valid_terms,
+    multi_indices,
+    support,
+)
 from synergy.set_methods import build_table, mobius
 from tests.conftest import make_polynomial
 
@@ -238,7 +244,7 @@ def test_invalid_terms_raise_the_per_term_error(terms):
 def test_valid_terms_are_kept_as_the_per_term_check_keeps_them(terms, kept):
     clean = SparsePolynomial((0.0, 0.0), terms).terms
     assert clean == _terms_checked_one_by_one(2, terms) == kept
-    assert list(clean) == list(kept)
+    assert list(clean) == sorted(kept)
     assert all(type(e) is int for m in clean for e in m)
     assert all(type(c) is float for c in clean.values())
 
@@ -322,3 +328,56 @@ def test_file_loader_reads_a_large_file_like_the_term_by_term_read():
     expected = _file_terms_one_by_one(payload)
     assert list(poly.terms.items()) == list(expected.items())
     assert poly.center == tuple(payload["center"])
+
+
+def _descending_terms(n, max_total, seed):
+    """Every exponent vector up to max_total, descending, with random
+    nonzero coefficients."""
+    rng = np.random.default_rng(seed)
+    vectors = multi_indices(n, max_total)[::-1]
+    return {m: float(c) for m, c in zip(vectors, rng.uniform(0.5, 2.0, len(vectors)))}
+
+
+def test_array_path_stores_terms_in_ascending_exponent_order():
+    terms = _descending_terms(3, 4, seed=1)
+    assert _valid_terms(list(terms), list(terms.values()), 3) is not None
+    poly = SparsePolynomial((0.5, -1.0, 0.0), terms)
+    assert list(poly.terms) == sorted(terms)
+    assert poly.terms == terms
+
+
+def test_per_term_path_stores_terms_in_ascending_exponent_order():
+    # (1.5, 0) and (1, 0) collide after int(), which the array pass leaves
+    # to the per-term check; the later term wins
+    terms = {(2, 1): 1.0, (1.5, 0): 3.0, (0, 1): 4.0, (1, 0): 2.0}
+    assert _valid_terms(list(terms), list(terms.values()), 2) is None
+    poly = SparsePolynomial((0.0, 0.0), terms)
+    assert list(poly.terms.items()) == [((0, 1), 4.0), ((1, 0), 2.0), ((2, 1), 1.0)]
+
+
+@pytest.mark.parametrize("coefficient", [1.25, True], ids=["one-pass", "term-by-term"])
+def test_loader_and_filters_store_what_the_validated_construction_stores(coefficient):
+    """from_json_dict, truncate and synergy_split skip the second validation;
+    each gives the terms, in the order, that the constructor gives."""
+    terms = _descending_terms(3, 5, seed=2)
+    terms[next(iter(terms))] = coefficient  # a boolean sends the file term by term
+    center = (0.25, -0.5, 1.0)
+    payload = {"n": 3, "center": list(center),
+               "terms": [{"m": list(m), "c": c} for m, c in terms.items()]}
+
+    def validated(keep):
+        return SparsePolynomial(center, {m: c for m, c in terms.items() if keep(m)})
+
+    def stored(poly):
+        return poly.center, list(poly.terms.items())
+
+    poly = SparsePolynomial.from_json_dict(payload)
+    assert stored(poly) == stored(validated(lambda m: True))
+    assert list(poly.terms) == sorted(terms)
+    for degree in range(6):
+        cut = poly.truncate(degree)
+        assert stored(cut) == stored(validated(lambda m: sum(m) <= degree))
+    pieces = poly.synergy_split()
+    assert len(pieces) == 2**3
+    for coalition, piece in pieces.items():
+        assert stored(piece) == stored(validated(lambda m: support(m) == coalition))
