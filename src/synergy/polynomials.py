@@ -41,6 +41,12 @@ def support(m: MultiIndex) -> Coalition:
     return tuple(i + 1 for i, e in enumerate(m) if e > 0)
 
 
+def exponent_rows(vectors: Sequence[Sequence], n: int) -> np.ndarray:
+    """Length-n exponent vectors as the rows of an int64 array."""
+    flat = np.fromiter(chain.from_iterable(vectors), np.int64, len(vectors) * n)
+    return flat.reshape(len(vectors), n)
+
+
 def _valid_terms(
     exponents: Sequence[Sequence], coefficients: Sequence, n: int, exact: bool = False
 ) -> dict[MultiIndex, float] | None:
@@ -53,7 +59,7 @@ def _valid_terms(
     try:
         if exponents and set(map(len, exponents)) != {n}:
             return None
-        flat = np.fromiter(chain.from_iterable(exponents), np.int64, len(exponents) * n)
+        rows = exponent_rows(exponents, n)
         if exact and not set(map(type, coefficients)) <= {int, float}:
             return None
         values = list(map(float, coefficients))
@@ -61,9 +67,8 @@ def _valid_terms(
         return None
     # bound every exponent (a negative one reads as a huge unsigned) before
     # the row sums, so they cannot wrap
-    if flat.view(np.uint64).max(initial=0) > MAX_TOTAL_DEGREE:
+    if rows.view(np.uint64).max(initial=0) > MAX_TOTAL_DEGREE:
         return None
-    rows = flat.reshape(len(values), n)
     if rows.sum(axis=1).max(initial=0) > MAX_TOTAL_DEGREE:
         return None
     if not all(map(math.isfinite, values)):
@@ -128,6 +133,25 @@ class SparsePolynomial:
         object.__setattr__(poly, "terms", terms)
         return poly
 
+    @classmethod
+    def _exact(
+        cls, center: Point, terms: dict[MultiIndex, float], ordered: bool = True
+    ) -> "SparsePolynomial":
+        """The polynomial on the result of exact arithmetic on valid terms:
+        exponent vectors of the center's length within the degree cap, no
+        zero coefficient. Only what the arithmetic can break is checked, and
+        the terms are sorted unless `ordered`. On a non-float or non-finite
+        coefficient, a non-finite center or more than MAX_TERMS terms, the
+        validating constructor takes the terms as given and raises its error."""
+        values = terms.values()
+        if (
+            len(terms) > MAX_TERMS
+            or not set(map(type, values)) <= {float}
+            or not all(map(math.isfinite, chain(center, values)))
+        ):
+            return cls(center, terms)
+        return cls._canonical(center, terms if ordered else {m: terms[m] for m in sorted(terms)})
+
     @property
     def n(self) -> int:
         return len(self.center)
@@ -160,15 +184,18 @@ class SparsePolynomial:
         merged = dict(self.terms)
         for m, c in other.terms.items():
             merged[m] = merged.get(m, 0.0) + c
-        return SparsePolynomial(self.center, merged)
+        ordered = len(merged) == len(self.terms)  # new keys from `other` go last
+        return SparsePolynomial._exact(
+            self.center, {m: c for m, c in merged.items() if c != 0.0}, ordered
+        )
 
     def __sub__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         return self + other.scale(-1.0)
 
     def scale(self, factor: float) -> "SparsePolynomial":
-        return SparsePolynomial(
-            self.center, {m: c * factor for m, c in self.terms.items()}
-        )
+        factor = float(factor)
+        scaled = ((m, c * factor) for m, c in self.terms.items())
+        return SparsePolynomial._exact(self.center, {m: c for m, c in scaled if c != 0.0})
 
     def partial(self, i: int) -> "SparsePolynomial":
         """Exact partial derivative with respect to feature i (1-based)."""
@@ -180,7 +207,8 @@ class SparsePolynomial:
             if e:
                 key = m[: i - 1] + (e - 1,) + m[i:]
                 out[key] = out.get(key, 0.0) + c * e
-        return SparsePolynomial(self.center, out)
+        # taking e_i from every key keeps their order
+        return SparsePolynomial._exact(self.center, out)
 
     def truncate(self, max_degree: int) -> "SparsePolynomial":
         """Drop every term of total degree above max_degree."""
@@ -235,7 +263,7 @@ class SparsePolynomial:
                 if m != tuple(item["m"]):  # a fraction or a string
                     raise TypeError
                 c = as_real(item["c"])
-            except (KeyError, TypeError, ValueError):
+            except (KeyError, TypeError, ValueError, OverflowError):  # int(inf) overflows
                 # raise again, naming the missing or mistyped field (a boolean exponent is 0 or 1)
                 json_field(item, "m", "polynomial term",
                            lambda m: [as_int(e) for e in m if not isinstance(e, bool)])

@@ -578,6 +578,9 @@ def test_missing_source_is_usage_error(tmp_path, capsys):
         ("--config", {"seed": False, "trials": 2, "methods": ["shapley"],
                       "axioms": ["completeness"]}, "'seed'"),
         ("--poly", {"n": 1, "terms": [{"m": [True], "c": "2"}]}, "'c'"),
+        # an exponent beyond every integer: JSON's Infinity, or a literal that overflows
+        ("--poly", {"n": 1, "terms": [{"m": [float("inf")], "c": 1}]}, "field 'm'"),
+        ("--poly", '{"n": 1, "terms": [{"m": [1e400], "c": 1}]}', "field 'm'"),
     ],
     ids=["table-without-n", "term-without-c", "table-list", "poly-list", "config-list",
          "config-methods-string", "config-tolerance-string", "config-tolerance-bool",
@@ -587,11 +590,12 @@ def test_missing_source_is_usage_error(tmp_path, capsys):
          "table-string-values", "table-mixed-values", "table-null-value",
          "poly-repeated-vector", "poly-repeated-vector-term-by-term",
          "table-boolean-n", "poly-boolean-n", "config-boolean-trials", "config-boolean-seed",
-         "term-boolean-exponent-string-c"],
+         "term-boolean-exponent-string-c", "term-infinite-exponent",
+         "term-overflowing-exponent"],
 )
 def test_malformed_input_file_is_usage_error(tmp_path, capsys, flag, payload, field):
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     if flag == "--config":
         argv = ("check", "--config", str(path))
     else:

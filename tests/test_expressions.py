@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -322,3 +323,124 @@ def test_from_polynomial_roundtrip(rng):
     for _ in range(20):
         y = rng.uniform(-1, 1, 2)
         assert ex.evaluate(tree, y) == pytest.approx(p.evaluate(y), rel=1e-12, abs=1e-12)
+
+
+# --- exact products on exponent-code arrays ----------------------------------
+
+LOOP_ONLY = 10**18  # an array crossover no product reaches
+
+
+def _expand(monkeypatch, expr, center, min_pairs):
+    """The exact series of `expr`, with every product step of at least
+    `min_pairs` term pairs on the array kernel: 0 sends every step there,
+    LOOP_ONLY keeps every step on the dict loop of _convolve."""
+    monkeypatch.setattr(ex, "ARRAY_MIN_PAIRS", min_pairs)
+    return ex._series(expr, center, None)
+
+
+def _assert_identical(a, b):
+    assert list(a.items()) == list(b.items())
+    assert [c.hex() for c in a.values()] == [c.hex() for c in b.values()]
+
+
+def _random_sum(rng, n, size):
+    """A sum of `size` scaled monomials of degree 0 to 2 over features 1..n."""
+    terms = []
+    for _ in range(size):
+        factors = [ex.Const(float(rng.uniform(-2, 2)))]
+        factors += [ex.Var(int(i)) for i in rng.integers(1, n + 1, int(rng.integers(0, 3)))]
+        terms.append(ex.Mul(tuple(factors)))
+    return ex.Add(tuple(terms))
+
+
+def _random_product(rng, n):
+    if rng.uniform() < 0.5:
+        return ex.Pow(_random_sum(rng, n, int(rng.integers(1, 7))), int(rng.integers(2, 7)))
+    return ex.Mul(tuple(_random_sum(rng, n, int(rng.integers(1, 7)))
+                        for _ in range(int(rng.integers(2, 5)))))
+
+
+def test_array_products_are_the_dict_loop_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(1603)
+    for n in range(1, 13):
+        for _ in range(6):
+            expr = _random_product(rng, n)
+            center = tuple(float(v) for v in rng.uniform(-1, 1, n) * (rng.uniform(size=n) < 0.6))
+            loop = _expand(monkeypatch, expr, center, LOOP_ONLY)
+            for min_pairs in (0, 40, ex.ARRAY_MIN_PAIRS):
+                _assert_identical(_expand(monkeypatch, expr, center, min_pairs), loop)
+
+
+def test_array_products_cancel_to_the_same_exact_zeros(monkeypatch):
+    expr = ex.parse("(x1 - x2)^3 * (x1 + x2)^3 - (x1^2 - x2^2)^3 + 0.1*(x1 + x2)^6", 2)
+    for center in ((0.0, 0.0), (0.3, -0.7)):
+        loop = _expand(monkeypatch, expr, center, LOOP_ONLY)
+        _assert_identical(_expand(monkeypatch, expr, center, 0), loop)
+    bare = ex.parse("(x1 - x2)^3 * (x1 + x2)^3 - (x1^2 - x2^2)^3", 2)
+    assert _expand(monkeypatch, bare, (0.0, 0.0), 0) == {}
+
+
+def test_array_products_overflow_with_the_loops_error(monkeypatch):
+    expr = ex.parse("(1e200*x1 - 3e200*x2 + x3)^2 + (x1 + x2)^2", 3)
+    errors = []
+    for min_pairs in (LOOP_ONLY, 0):
+        monkeypatch.setattr(ex, "ARRAY_MIN_PAIRS", min_pairs)
+        # and silently: a numpy warning would reach stderr
+        with pytest.raises(NonFiniteError) as caught, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ex.to_polynomial(expr, (0.5, 0.0, -1.0))
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1] and "non-finite coefficient" in errors[0]
+
+
+def test_array_products_larger_than_one_block(monkeypatch):
+    expr = ex.parse("(x1 + 2*x2 - x3 + 0.5*x4 + 1)^5 * (x1 - x4 + 0.25)^3", 4)
+    center = (0.1, -0.2, 0.0, 0.3)
+    loop = _expand(monkeypatch, expr, center, LOOP_ONLY)
+    for block in (1, 7, 64):
+        monkeypatch.setattr(ex, "PAIR_BLOCK", block)
+        _assert_identical(_expand(monkeypatch, expr, center, 0), loop)
+
+
+def test_codes_too_wide_for_int64_take_the_loop(monkeypatch):
+    n = 24
+    base = ex._series(ex.parse(" + ".join(f"{i}*x{i}^3" for i in range(1, n + 1)), n),
+                      (0.0,) * n, None)
+    zero = (0,) * n
+    monkeypatch.setattr(ex, "ARRAY_MIN_PAIRS", LOOP_ONLY)
+    loop = ex._exact_product([base, base], zero)
+
+    def refuse(*arrays):
+        raise AssertionError("a code of 7^24 values went to the array kernel")
+
+    monkeypatch.setattr(ex, "ARRAY_MIN_PAIRS", 0)
+    monkeypatch.setattr(ex, "_array_product", refuse)
+    _assert_identical(ex._exact_product([base, base], zero), loop)
+    assert len(loop) == n * (n + 1) // 2
+
+
+@pytest.mark.parametrize("min_pairs", [LOOP_ONLY, 0])
+def test_array_products_keep_the_term_and_degree_caps(monkeypatch, min_pairs):
+    monkeypatch.setattr(ex, "ARRAY_MIN_PAIRS", min_pairs)
+    monkeypatch.setattr(ex, "PAIR_BLOCK", 16)
+    monkeypatch.setattr(ex, "MAX_TERMS", 100)
+    with pytest.raises(CapExceededError, match="^polynomial expansion exceeds the term cap$"):
+        ex.to_polynomial(ex.parse("(x1 + x2 + x3 + x4 + 1)^5", 4), (0.0,) * 4)
+    assert len(ex.to_polynomial(ex.parse("(x1 + x2 + x3 + 1)^4", 3), (0.0,) * 3).terms) == 35
+    center = (0.25, -0.5)
+    for text in ("(x1+1)^5000", "(x1+1)^200 - (x1+1)^200", "((x1*x2)^8)^9"):
+        with pytest.raises(CapExceededError, match="^total degree .* exceeds cap 128$"):
+            ex.to_polynomial(ex.parse(text, 2), center)
+
+
+def test_to_polynomial_stores_what_the_validated_construction_stores(monkeypatch):
+    expr = ex.parse("(0.3*x1 - 0.7*x2 + 0.45*x3)^5 + x3*(x1 - 2)^2 - 4", 3)
+    center = (0.25, 0.5, -0.3)
+    p = ex.to_polynomial(expr, center)
+    validated = SparsePolynomial(center, _expand(monkeypatch, expr, center, LOOP_ONLY))
+    assert p.center == validated.center
+    _assert_identical(p.terms, validated.terms)
+    # an integer center leaves an int coefficient, which the constructor converts
+    shifted = ex.to_polynomial(ex.Var(1), (2,))
+    assert list(shifted.terms.items()) == [((0,), 2.0), ((1,), 1.0)]
+    assert type(shifted.terms[(0,)]) is float

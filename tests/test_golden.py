@@ -23,6 +23,10 @@ POLY = str(DATA / "poly3.json")
 REVERSED_POLY = DATA / "poly3-reversed.json"
 EXPR = ["--expr", "sin(x1*x2) + x3*exp(x1 - x4) - 0.5*x2*x5^2",
         "--x", "0.5,-1.25,2,0.75,-0.1", "--baseline", "0.1,0.2,-0.3,0,0"]
+# a polynomial whose exact expansion forms products of hundreds of term pairs
+POWER_EXPR = ["--expr", "(0.3*x1 - 0.7*x2 + 0.45*x3 - 0.2*x4 + 0.6*x5 - 0.35*x6)^7"
+              " + (0.5*x1*x2 - 0.8*x3)^3",
+              "--x", "0.9,-0.4,1.3,0.2,-1.1,0.7", "--baseline", "0.25,0.5,-0.3,0.1,0.4,-0.6"]
 
 CASES = {
     "interact-table-rs-k2.json": ["interact", "--table", TABLE, "--method", "rs", "-k", "2"],
@@ -55,6 +59,8 @@ CASES = {
                                  "--method", "shapley-taylor", "-k", "2"],
     "compare-poly-ig-ig-quad.json": ["compare", "ig", "ig-quad", "--poly", POLY,
                                      "--x", "1.5,0.25,-2"],
+    "interact-expr-power-ih-k3.json": ["interact", *POWER_EXPR, "--method", "ih", "-k", "3"],
+    "decompose-expr-power.csv": ["decompose", *POWER_EXPR, "--output", "csv"],
 }
 
 

@@ -381,3 +381,53 @@ def test_loader_and_filters_store_what_the_validated_construction_stores(coeffic
     assert len(pieces) == 2**3
     for coalition, piece in pieces.items():
         assert stored(piece) == stored(validated(lambda m: support(m) == coalition))
+
+
+def _stored(poly):
+    return poly.center, list(poly.terms.items()), [c.hex() for c in poly.terms.values()]
+
+
+def test_arithmetic_stores_what_the_validated_construction_stores():
+    """scale, + and partial skip the second validation; each gives the terms,
+    in the order, that the constructor gives: underflow and cancellation
+    dropped, new keys from the right operand sorted in."""
+    center = (0.25, -0.5, 1.0)
+    p = SparsePolynomial(center, _descending_terms(3, 4, seed=3))
+    sparse = SparsePolynomial(center, {m: c for m, c in _descending_terms(3, 5, seed=4).items()
+                                       if sum(m) % 2})
+    tiny = SparsePolynomial(center, {(0, 0, 0): 1e-300, (1, 0, 0): 1.0, (0, 2, 1): 3e-310})
+    for poly in (p, sparse, tiny):
+        for factor in (-1.0, 0.0, 2.5, 1e-30, np.float64(0.3), 3):
+            scaled = {m: c * factor for m, c in poly.terms.items()}
+            assert _stored(poly.scale(factor)) == _stored(SparsePolynomial(center, scaled))
+        for i in (1, 2, 3):
+            derivative = {}
+            for m, c in poly.terms.items():
+                if m[i - 1]:
+                    key = m[: i - 1] + (m[i - 1] - 1,) + m[i:]
+                    derivative[key] = derivative.get(key, 0.0) + c * m[i - 1]
+            assert _stored(poly.partial(i)) == _stored(SparsePolynomial(center, derivative))
+    for left, right in ((p, sparse), (sparse, p), (p, p.scale(-1.0)), (tiny, p), (p, p)):
+        merged = dict(left.terms)
+        for m, c in right.terms.items():
+            merged[m] = merged.get(m, 0.0) + c
+        assert _stored(left + right) == _stored(SparsePolynomial(center, merged))
+    assert (p - p).terms == {} and tiny.scale(1e-30).terms == {(1, 0, 0): 1e-30}
+
+
+def test_arithmetic_overflow_raises_the_validated_construction_error():
+    p = SparsePolynomial((0.0, 0.0), {(0, 0): 1.0, (1, 0): 1e300, (0, 1): -1e300})
+    for overflowing, unchecked in (
+        (lambda: p.scale(1e10), {m: c * 1e10 for m, c in p.terms.items()}),
+        (lambda: p.scale(float("nan")), {m: c * float("nan") for m, c in p.terms.items()}),
+        (lambda: p + p.scale(1.7976931348623157e8),
+         {m: c + c * 1.7976931348623157e8 for m, c in p.terms.items()}),
+    ):
+        with pytest.raises(NonFiniteError) as caught:
+            SparsePolynomial(p.center, unchecked)
+        with pytest.raises(NonFiniteError) as again:
+            overflowing()
+        assert str(again.value) == str(caught.value)
+    big = SparsePolynomial((0.0,), {(128,): 1e307})
+    with pytest.raises(NonFiniteError, match=r"^non-finite coefficient for \(127,\)$"):
+        big.partial(1)
