@@ -214,15 +214,33 @@ def coalition_slot(n: int, k: int, members: Coalition) -> int:
         or (members and not 1 <= members[0] <= members[-1] <= n)
     ):
         raise InvalidCoalitionError(f"coalition {members} outside P_{k} over 1..{n}")
-    slot = coalition_count(n, size - 1) if size else 0
-    previous = 0
-    for i, member in enumerate(members):
-        # the coalitions of this size sharing the members before i whose
-        # i-th member lies between `previous` and `member`: a hockey-stick sum
-        rest = size - i
-        slot += math.comb(n - previous, rest) - math.comb(n - member + 1, rest)
-        previous = member
-    return slot
+    # the last slot of this size, less the coalitions of this size after
+    # this one: those that share its first i members and whose next member
+    # is above its (i+1)-th
+    later = sum(math.comb(n - member, size - i) for i, member in enumerate(members))
+    return coalition_count(n, size) - 1 - later
+
+
+@lru_cache(maxsize=64)
+def _binomial_table(n: int, k: int) -> np.ndarray:
+    """C(a, b) at [b, a] for b in 0..k and a in 0..n, as a read-only int64
+    array (every entry fits: n is at most MAX_FEATURES = 63)."""
+    table = np.array([[math.comb(a, b) for a in range(n + 1)] for b in range(k + 1)], np.int64)
+    table.setflags(write=False)
+    return table
+
+
+def coalition_slots(n: int, members: np.ndarray) -> np.ndarray:
+    """`coalition_slot` of every coalition along the last axis of an int
+    array, each one's 1-based members ascending, by the same count: a
+    coalition's slot is the same in every P_k that holds it. The coalitions
+    are not checked: each must hold distinct features of 1..n."""
+    size = members.shape[-1]
+    counts = _binomial_table(n, size)
+    later = np.zeros(members.shape[:-1], np.int64)
+    for i in range(size):
+        later += counts[size - i].take(n - members[..., i])
+    return coalition_count(n, size) - 1 - later
 
 
 # ---------------------------------------------------------------------------
@@ -378,15 +396,6 @@ class InteractionReport:
         head = f'{{\n  "order": {self.order},\n  "entries": [\n'
         rows = _json_rows(self.n, self.order, {"value": self.values})
         return "".join(chain((head,), rows, ("\n  ]\n}",)))
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping) -> "InteractionReport":
-        entries = {
-            tuple(int(i) for i in item["coalition"]): float(item["value"])
-            for item in payload["entries"]
-        }
-        n = sum(1 for c in entries if len(c) == 1)
-        return cls.from_entries(n, int(payload["order"]), entries)
 
     def to_csv(self) -> str:
         lines = _csv_lines(self.n, self.order, [self.values])

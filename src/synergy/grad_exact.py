@@ -4,12 +4,14 @@ Monomials centered at the baseline are pure interactions of their support, so
 each method is a termwise rule sending a monomial's value at x to coalitions
 of its support. Every reduction runs in the polynomial's term order (ascending
 exponent vectors, see `SparsePolynomial`), so output is bit-reproducible.
+A power beyond the float range is the signed infinity, so such a term makes
+the report name a non-finite coalition.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, compress
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -20,6 +22,7 @@ from .core import (
     InteractionReport,
     coalition_layout,
     coalition_slot,
+    coalition_slots,
 )
 from .exceptions import CapExceededError, DimensionMismatchError
 from .polynomials import SparsePolynomial
@@ -30,6 +33,10 @@ from .set_methods import (
 )
 
 SOP_ORACLE_MAX_ORDER = 3
+# Polynomials of this many terms or more run the termwise rules on arrays
+# (see _array_termwise), in blocks of at most PART_BLOCK (term, coalition) parts.
+ARRAY_MIN_TERMS = 256
+PART_BLOCK = 1 << 16
 
 
 # A share row depends on the rule, k and the monomial's positive exponents,
@@ -77,16 +84,26 @@ def _shares(rule: str, k: int, exponents: tuple[int, ...]) -> tuple[float, ...]:
     return tuple(mass[mask] / degree**k for mask in masks[:-1])
 
 
+def _overflowed(u: float, e: int) -> float:
+    """The signed infinity u ** e rounds to when it is beyond the float range."""
+    return -np.inf if u < 0 and e % 2 else np.inf
+
+
 def _termwise(p: SparsePolynomial, x: Sequence[float], k: int, rule: str) -> InteractionReport:
     """Scatter each monomial's value c * (x - center)^m over its share row, in
     term order, into the report's values in layout order. A term adds
     to each coalition at most once, so the order of coalitions within a row
-    does not change the result."""
+    does not change the result. From ARRAY_MIN_TERMS terms on, the same
+    sums run on arrays, with the same bits."""
     n = p.n
     require_order(n, k)
     if len(x) != n:
         raise DimensionMismatchError(f"point has {len(x)} components, expected {n}")
     shifted = [x[i] - p.center[i] for i in range(n)]
+    if len(p.terms) >= ARRAY_MIN_TERMS:
+        values = _array_termwise(p, shifted, k, rule)
+        if values is not None:
+            return InteractionReport(n, k, values)
     features = range(1, n + 1)
     values = [0.0] * coalition_count(n, k)
     for m, value in p.terms.items():
@@ -94,7 +111,10 @@ def _termwise(p: SparsePolynomial, x: Sequence[float], k: int, rule: str) -> Int
         coalition = tuple(compress(features, m))
         exponents = tuple(filter(None, m))
         for i, e in zip(coalition, exponents):
-            value *= shifted[i - 1] ** e
+            try:
+                value *= shifted[i - 1] ** e
+            except OverflowError:
+                value *= _overflowed(shifted[i - 1], e)
         # constants, and supports of size <= k under ih-aug and sop, are pinned
         if not coalition or (rule != "ih" and len(coalition) <= k):
             values[coalition_slot(n, k, coalition)] += value
@@ -104,6 +124,119 @@ def _termwise(p: SparsePolynomial, x: Sequence[float], k: int, rule: str) -> Int
         for slot, share in zip(_slots(n, k, coalition), shares):
             values[slot] += value * share
     return InteractionReport(n, k, values)
+
+
+@lru_cache(maxsize=256)
+def _row_subsets(size: int, k: int, rule: str) -> tuple[np.ndarray, ...]:
+    """Positions, within a support of `size` features, of the coalitions an
+    unpinned share row runs over, as `_slots` orders them: one (count, width)
+    array per width, widths descending. `sop`'s row is the size-k block."""
+    widths = [k] if rule == "sop" else range(min(k, size), 0, -1)
+    return tuple(np.array(list(combinations(range(size), w)), np.intp) for w in widths)
+
+
+def _term_values(p: SparsePolynomial, shifted: list) -> np.ndarray:
+    """Each term's c * (x - center)^m as the loop takes it: the Python powers
+    of each feature multiplied into the coefficients in feature order, an
+    exact 1.0 where a term's exponent is 0."""
+    exponents = p.exponent_array
+    values = np.fromiter(p.terms.values(), float, len(p.terms))
+    for f in np.flatnonzero(exponents.any(axis=0)).tolist():
+        column = exponents[:, f]
+        values *= _powers(shifted[f], (column,), int(column.max()), False)[column]
+    return values
+
+
+def _support_groups(p: SparsePolynomial, k: int, rule: str) -> list[tuple] | None:
+    """The terms grouped by support size s, each group as (its term indices
+    ascending, its supports as a (terms, s) array of 1-based features, the
+    support positions of its row's coalitions as `_row_subsets` gives them,
+    its distinct share rows, the share row of each term). A pinned group's
+    row is the support itself, its one share an exact 1.0. An unpinned
+    group's rows are fetched once per distinct positive-exponent pattern,
+    found by mixed-radix int64 codes; None when those would not fit."""
+    exponents = p.exponent_array
+    # the positive exponents and their features, term-major, features ascending
+    flat = np.flatnonzero(exponents > 0)
+    term = flat // p.n
+    feature = flat - term * p.n
+    positive = exponents.ravel().take(flat)
+    sizes = np.bincount(term, minlength=len(exponents))
+    starts = np.cumsum(sizes) - sizes
+    groups = []
+    for s in np.flatnonzero(np.bincount(sizes)).tolist():
+        terms = np.flatnonzero(sizes == s)
+        at = starts[terms, None] + np.arange(s)
+        members = feature[at] + 1
+        if s == 0 or (rule != "ih" and s <= k):
+            pinned = (np.arange(s)[None],), np.ones((1, 1)), np.zeros(len(terms), np.intp)
+            groups.append((terms, members, *pinned))
+            continue
+        patterns = positive[at]
+        # one digit per support position, the last one least significant
+        weights, scale = [], 1
+        for top in patterns.max(axis=0).tolist()[::-1]:
+            weights.append(scale)
+            scale *= top + 1
+        if scale > np.iinfo(np.int64).max:
+            return None
+        codes = patterns @ np.array(weights[::-1], np.int64)
+        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        shares = np.array(
+            [_shares(rule, k, tuple(pattern)) for pattern in patterns[first].tolist()]
+        )
+        groups.append((terms, members, _row_subsets(s, k, rule), shares, inverse))
+    return groups
+
+
+def _array_termwise(p: SparsePolynomial, shifted: list, k: int, rule: str) -> np.ndarray | None:
+    """`_termwise`'s report values by array passes, bit for bit; None when a
+    support group's exponent codes would not fit in int64 (the loop runs).
+
+    Each term's parts (its value times each share of its row) are laid out
+    term-major and added by an unbuffered `np.add.at`, block by block, so
+    every slot sums its parts from 0.0 in term order."""
+    groups = _support_groups(p, k, rule)
+    if groups is None:
+        return None
+    n = p.n
+    lengths = np.empty(len(p.terms), np.int64)
+    for terms, _, _, shares, _ in groups:
+        lengths[terms] = shares.shape[1]
+    ends = np.cumsum(lengths)  # parts up to each term
+    values = np.zeros(coalition_count(n, k))
+    # Python float arithmetic overflows to inf and nan without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        term_values = _term_values(p, shifted)
+        for start, stop in _blocks(ends, PART_BLOCK):
+            done = ends[start - 1] if start else 0
+            slots = np.empty(ends[stop - 1] - done, np.int64)
+            parts = np.empty(len(slots))
+            for terms, members, subsets, shares, inverse in groups:
+                a, b = np.searchsorted(terms, (start, stop)).tolist()
+                if a == b:
+                    continue
+                width = shares.shape[1]
+                at = (ends[terms[a:b]] - width - done)[:, None] + np.arange(width)
+                supports = members[a:b]
+                slots[at] = np.concatenate(
+                    [coalition_slots(n, supports[:, positions]) for positions in subsets], axis=1
+                )
+                parts[at] = term_values[terms[a:b], None] * shares[inverse[a:b]]
+            # unbuffered: each slot adds its parts one at a time, in order
+            np.add.at(values, slots, parts)
+    return values
+
+
+def _blocks(ends: np.ndarray, limit: int) -> Iterator[tuple[int, int]]:
+    """Consecutive term ranges [start, stop) of at most `limit` parts each,
+    or of one term, where ends[t] counts the parts of terms 0..t."""
+    start = 0
+    while start < len(ends):
+        done = ends[start - 1] if start else 0
+        stop = max(int(np.searchsorted(ends, done + limit, side="right")), start + 1)
+        yield start, stop
+        start = stop
 
 
 def integrated_gradients(p: SparsePolynomial, x: Sequence[float]) -> InteractionReport:
@@ -200,44 +333,42 @@ def integrated_hessian_pairwise(p: SparsePolynomial, x: Sequence[float]) -> Inte
     n = p.n
     values = np.zeros(coalition_count(n, 2))
     shifted = [x[i] - p.center[i] for i in range(n)]
-    monomials = list(p.terms)
+    exponents = p.exponent_array
+    coefficients = np.fromiter(p.terms.values(), float, len(p.terms))
     # the zero exponent vector sorts first and is the only term sent to ()
-    if monomials and not any(monomials[0]):
-        values[0] = 0.0 + p.terms[monomials.pop(0)]
-    if not monomials:
-        return InteractionReport(n, 2, values)
-    exponents = np.array(monomials, dtype=np.int64)
-    coefficients = np.array([p.terms[m] for m in monomials])
+    if len(exponents) and not exponents[0].any():
+        values[0] = 0.0 + coefficients[0]
+        exponents, coefficients = exponents[1:], coefficients[1:]
     sizes = np.count_nonzero(exponents, axis=1)
     ends = np.cumsum(sizes * (sizes + 1) // 2)  # parts up to each term
-    start = 0
     # Python float arithmetic overflows to inf and nan without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        while start < len(monomials):
-            done = ends[start - 1] if start else 0
-            stop = int(np.searchsorted(ends, done + _PAIRWISE_BLOCK_PARTS, side="right"))
-            stop = max(stop, start + 1)
+        for start, stop in _blocks(ends, _PAIRWISE_BLOCK_PARTS):
             slots, parts = _pairwise_parts(
                 exponents[start:stop], coefficients[start:stop], shifted
             )
             # unbuffered: each slot adds its parts one at a time, in order
             np.add.at(values, slots, parts)
-            start = stop
     return InteractionReport(n, 2, values)
 
 
 def _powers(u: float, columns: Sequence[np.ndarray], top: int, square: bool) -> np.ndarray:
-    """u ** e by Python's power, as the scalar reduction takes it, at each
-    e > 0 in `columns` (and at 2 if `square`), in an array indexed by
-    exponent 0..top; 1.0 at every exponent not taken, which is never read
-    but as the exact factor of exponent 0."""
+    """u ** e by Python's power, as the scalar reduction takes it (the
+    signed infinity beyond the float range), at each e > 0 in `columns` (and
+    at 2 if `square`), in an array indexed by exponent 0..top; 1.0 at every
+    exponent not taken, which is never read but as the exact factor of
+    exponent 0."""
     taken = np.zeros(top + 1, dtype=bool)
     for column in columns:
         taken[column] = True
-    taken[2] |= square
+    if square:
+        taken[2] = True
     table = np.ones(top + 1)
     for e in np.flatnonzero(taken[1:]).tolist():
-        table[e + 1] = u ** (e + 1)
+        try:
+            table[e + 1] = u ** (e + 1)
+        except OverflowError:
+            table[e + 1] = _overflowed(u, e + 1)
     return table
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Mapping, Sequence
 
@@ -49,13 +49,14 @@ def exponent_rows(vectors: Sequence[Sequence], n: int) -> np.ndarray:
 
 def _valid_terms(
     exponents: Sequence[Sequence], coefficients: Sequence, n: int, exact: bool = False
-) -> dict[MultiIndex, float] | None:
+) -> tuple[dict[MultiIndex, float], np.ndarray] | None:
     """The nonzero terms of parallel exponent vectors and coefficients, as
     the term-by-term check converts them (int() per exponent, float() per
     coefficient), checked in one pass over an exponent array, in canonical
-    order. None when some term is invalid, a vector is not of length n or
-    repeats another, or more than MAX_TERMS terms remain. With `exact`, as for
-    a file, also None when an exponent is not integral or a coefficient not an int or float."""
+    order, and that array's rows in the same order. None when some term is
+    invalid, a vector is not of length n or repeats another, or more than
+    MAX_TERMS terms remain. With `exact`, as for a file, also None when an
+    exponent is not integral or a coefficient not an int or float."""
     try:
         if exponents and set(map(len, exponents)) != {n}:
             return None
@@ -73,16 +74,26 @@ def _valid_terms(
         return None
     if not all(map(math.isfinite, values)):
         return None
-    rows = rows.tolist()
+    listed = rows.tolist()
     # int() truncates: a file's vectors must read back as they were written
-    if exact and rows != list(exponents):
+    if exact and listed != list(exponents):
         return None
-    terms = dict(zip(map(tuple, rows), values))
+    keys = list(map(tuple, listed))
+    terms = dict(zip(keys, values))
     if len(terms) != len(values):
         return None
-    if list(terms) != (keys := sorted(terms)) or 0.0 in values:  # unsorted, or a zero (-0.0 too)
-        terms = {m: terms[m] for m in keys if terms[m] != 0.0}
-    return terms if len(terms) <= MAX_TERMS else None
+    if keys != sorted(keys) or 0.0 in values:  # unsorted, or a zero (-0.0 too)
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        order = [i for i in order if values[i] != 0.0]
+        terms = {keys[i]: values[i] for i in order}
+        rows = rows.take(order, axis=0)
+    return (terms, rows) if len(terms) <= MAX_TERMS else None
+
+
+def _keep_rows(poly: "SparsePolynomial", rows: np.ndarray) -> None:
+    """Store a polynomial's exponent rows, in term order, as its `exponent_array`."""
+    rows.setflags(write=False)
+    poly.__dict__["exponent_array"] = rows
 
 
 def _finite(center: Point) -> Point:
@@ -98,8 +109,11 @@ class SparsePolynomial:
 
     def __post_init__(self) -> None:
         n = len(_finite(self.center))
-        clean = _valid_terms(list(self.terms), list(self.terms.values()), n)
-        if clean is None:
+        valid = _valid_terms(list(self.terms), list(self.terms.values()), n)
+        if valid is not None:
+            clean, rows = valid
+            _keep_rows(self, rows)
+        else:
             # keys or coefficients the array pass does not take, or an invalid
             # term: check term by term, which names the first offending one
             clean = {}
@@ -155,6 +169,14 @@ class SparsePolynomial:
     @property
     def n(self) -> int:
         return len(self.center)
+
+    @cached_property
+    def exponent_array(self) -> np.ndarray:
+        """The exponent vectors, in term order, as the rows of a read-only
+        int64 array: the validating array pass's own when it built the terms."""
+        rows = exponent_rows(list(self.terms), self.n)
+        rows.setflags(write=False)
+        return rows
 
     def degree(self) -> int:
         return max((sum(m) for m in self.terms), default=0)
@@ -247,13 +269,16 @@ class SparsePolynomial:
             raise DimensionMismatchError("center length does not match n")
         items = json_field(payload, "terms", "polynomial", list)
         try:
-            terms = _valid_terms(
+            valid = _valid_terms(
                 [item["m"] for item in items], [item["c"] for item in items], n, exact=True
             )
         except (KeyError, TypeError):  # an item without "m" or "c", or not an object
-            terms = None
-        if terms is not None:
-            return cls._canonical(_finite(center), terms)
+            valid = None
+        if valid is not None:
+            terms, rows = valid
+            poly = cls._canonical(_finite(center), terms)
+            _keep_rows(poly, rows)
+            return poly
         # a term the one pass does not take: check term by term, which names
         # the first offending field or repeated vector
         terms = {}

@@ -38,6 +38,17 @@ def coalition_members(mask):
     return tuple(out)
 
 
+def report_from_json_dict(payload):
+    """The report a report's JSON payload describes (its n is its number of
+    singletons)."""
+    entries = {
+        tuple(int(i) for i in item["coalition"]): float(item["value"])
+        for item in payload["entries"]
+    }
+    n = sum(1 for c in entries if len(c) == 1)
+    return InteractionReport.from_entries(n, int(payload["order"]), entries)
+
+
 def make_table(rng, n):
     return SetFunctionTable(n, rng.uniform(-1, 1, size=1 << n))
 

@@ -10,7 +10,10 @@ from synergy.combinatorics import enumerate_coalitions
 from synergy.core import (
     Instance,
     InteractionReport,
+    coalition_layout,
     coalition_mask,
+    coalition_slot,
+    coalition_slots,
     comparison_to_csv,
     comparison_to_json,
     masked_point,
@@ -24,7 +27,7 @@ from synergy.exceptions import (
     NonFiniteError,
     OutOfBoxError,
 )
-from tests.conftest import coalition_members
+from tests.conftest import coalition_members, report_from_json_dict
 
 
 def test_masked_point_case_split():
@@ -123,13 +126,28 @@ def test_report_values_are_a_read_only_copy():
     assert pickle.loads(pickle.dumps(report)) == report
 
 
+@pytest.mark.parametrize("n, k", [(1, 1), (4, 2), (6, 6), (9, 3), (12, 4), (21, 2), (40, 2), (63, 1)])
+def test_vectorised_slots_are_the_scalar_slots(n, k):
+    """Every coalition of P_k, grouped by size, ranks where the scalar
+    count and the layout put it, beyond the 20-feature table scale too,
+    whatever the shape of the array holding the coalitions."""
+    coalitions, _ = coalition_layout(n, k)
+    for size in range(k + 1):
+        block = [c for c in coalitions if len(c) == size]
+        members = np.array(block, np.int64).reshape(len(block), size)
+        expected = [coalition_slot(n, k, c) for c in block]
+        assert expected == [coalitions.index(c) for c in block]
+        assert coalition_slots(n, members).tolist() == expected
+        assert coalition_slots(n, members[:, None]).tolist() == [[slot] for slot in expected]
+
+
 def test_report_json_schema_is_lexicographic():
     report = report_from_values(3, 2, {(1, 3): 1.0, (2,): -3.0, (1,): 2.0, (): -15.0})
     payload = report.to_json_dict()
     coalitions = [tuple(e["coalition"]) for e in payload["entries"]]
     assert coalitions == sorted(coalitions)
     assert coalitions[0] == ()
-    back = InteractionReport.from_json_dict(json.loads(report.to_json()))
+    back = report_from_json_dict(json.loads(report.to_json()))
     assert back == report
 
 

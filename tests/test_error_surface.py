@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synergy.cli import main
+from synergy.grad_exact import ARRAY_MIN_TERMS
 from synergy.methods import REGISTRY, SUITE_METHODS
 
 IDS = sorted({*REGISTRY, *SUITE_METHODS, "bogus"})
@@ -100,3 +101,34 @@ def test_every_request_succeeds_or_is_a_usage_error(files, data):
         assert stdout.getvalue() == ""
         assert stderr.getvalue()
     assert elapsed < TIME_BOUND_S
+
+
+# c * x1^128 at x1 = 1e3 is beyond the float range, as is x1^128 itself; at
+# x1 = 10 only the product is. The large file holds the same term among
+# enough others to take the gradient rules' array route.
+OVERFLOW_TERM = {"m": [128, 0], "c": 1e300}
+SMALL_TERMS = [
+    {"m": [a, b], "c": 0.5 / (1 + a + b)} for a in range(23) for b in range(23 - a) if a + b
+]
+
+
+@pytest.mark.parametrize("size", ["small", "large"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["interact", "--x", "1e3,2", "--method", "sop", "-k", "2"],
+        ["decompose", "--x", "1e3,2"],
+        ["interact", "--x", "-1e3,2", "--method", "ih", "-k", "2"],
+        ["interact", "--x", "10,2", "--method", "ig"],
+    ],
+    ids=["sop-power-overflow", "decompose-power-overflow", "ih-negative-power-overflow",
+         "ig-product-overflow"],
+)
+def test_overflowing_gradient_rule_names_the_coalition(tmp_path, capsys, size, argv):
+    terms = [OVERFLOW_TERM] + (SMALL_TERMS if size == "large" else [])
+    assert (len(terms) >= ARRAY_MIN_TERMS) == (size == "large")
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps({"n": 2, "center": [0, 0], "terms": terms}))
+    code = main([argv[0], "--poly", str(path), *argv[1:]])
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: non-finite value for coalition (1,)\n")

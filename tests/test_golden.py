@@ -19,6 +19,8 @@ DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
 TABLE = str(DATA / "table3.json")
 POLY = str(DATA / "poly3.json")
+# 640 terms of degree <= 7 over 6 features around a nonzero center
+LARGE_POLY = ["--poly", str(DATA / "poly6-large.json"), "--x", "1.1,-0.3,0.9,0.2,-1.2,1.4"]
 # its terms in descending exponent order; most supports hold several terms
 REVERSED_POLY = DATA / "poly3-reversed.json"
 EXPR = ["--expr", "sin(x1*x2) + x3*exp(x1 - x4) - 0.5*x2*x5^2",
@@ -61,6 +63,14 @@ CASES = {
                                      "--x", "1.5,0.25,-2"],
     "interact-expr-power-ih-k3.json": ["interact", *POWER_EXPR, "--method", "ih", "-k", "3"],
     "decompose-expr-power.csv": ["decompose", *POWER_EXPR, "--output", "csv"],
+    "decompose-expr-power.json": ["decompose", *POWER_EXPR],
+    "interact-expr-power-ig.json": ["interact", *POWER_EXPR, "--method", "ig"],
+    "interact-expr-power-ih-k2.json": ["interact", *POWER_EXPR, "--method", "ih", "-k", "2"],
+    "interact-expr-power-ih-aug-k3.json": ["interact", *POWER_EXPR, "--method", "ih-aug",
+                                           "-k", "3"],
+    "interact-expr-power-sop-k3.json": ["interact", *POWER_EXPR, "--method", "sop", "-k", "3"],
+    "interact-poly6-large-ih-k3.json": ["interact", *LARGE_POLY, "--method", "ih", "-k", "3"],
+    "decompose-poly6-large-x.json": ["decompose", *LARGE_POLY],
 }
 
 

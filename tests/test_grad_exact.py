@@ -1,3 +1,4 @@
+import warnings
 from itertools import combinations, product
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from synergy import grad_exact
 from synergy.combinatorics import enumerate_coalitions, monomial_mass
 from synergy.core import Instance
-from synergy.exceptions import CapExceededError
+from synergy.exceptions import CapExceededError, NonFiniteError
 from synergy.grad_exact import (
     _shares,
     _slots,
@@ -569,3 +570,118 @@ def test_sum_of_powers_nested_builds_one_table_per_feature(monkeypatch):
         assert _bits(got.values) == _bits(_sum_of_powers_nested_per_member(p, x, k))
         inst = Instance(x=x, baseline=p.center)
         assert built == [build_table(inst, ig_polynomial(p, i).evaluate) for i in range(1, n + 1)]
+
+
+def _array_corpus(rng):
+    """Random polynomials with nonzero centers for n = 1…12, each with and
+    without a constant term and with features at the center, and sparse
+    40-feature polynomials with supports of up to 7 features (k <= 2)."""
+    for n in range(1, 13):
+        for case in range(2):
+            degree = 6 if n <= 4 else 4 if n <= 8 else 3
+            p = make_polynomial(rng, n, degree=degree, density=float(rng.uniform(0.2, 0.6)))
+            terms = dict(p.terms)
+            constant = (0,) * n
+            if case:
+                terms.pop(constant, None)
+            else:
+                terms[constant] = float(rng.uniform(-1, 1))
+            center = rng.uniform(-1, 1, n)
+            point = rng.uniform(-2, 2, n)
+            at_center = rng.uniform(size=n) < 0.2
+            point[at_center] = center[at_center]
+            yield SparsePolynomial(tuple(center.tolist()), terms), tuple(point.tolist()), min(n, 4)
+    for _ in range(2):
+        wide = {}
+        for _ in range(300):
+            m = [0] * 40
+            for f in rng.choice(40, size=int(rng.integers(1, 8)), replace=False):
+                m[f] = int(rng.integers(1, 4))
+            wide[tuple(m)] = float(rng.uniform(-1, 1))
+        yield (
+            SparsePolynomial(tuple(rng.uniform(-1, 1, 40).tolist()), wide),
+            tuple(rng.uniform(-2, 2, 40).tolist()),
+            2,
+        )
+
+
+def _loop_and_array(monkeypatch, p, x, k, rule):
+    """`_termwise` on the term loop and on the array route."""
+    monkeypatch.setattr(grad_exact, "ARRAY_MIN_TERMS", len(p.terms) + 1)
+    loop = _termwise(p, x, k, rule)
+    monkeypatch.setattr(grad_exact, "ARRAY_MIN_TERMS", 0)
+    return loop, _termwise(p, x, k, rule)
+
+
+@pytest.mark.parametrize("block", [1, 7, None], ids=["1", "7", "default"])
+def test_array_termwise_is_the_term_loop_bit_for_bit(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(grad_exact, "PART_BLOCK", block)
+    rng = np.random.default_rng(1701)
+    for p, x, top in _array_corpus(rng):
+        if block is not None and p.n > 4:
+            continue  # small blocks: many per polynomial already at n <= 4
+        shifted = [a - b for a, b in zip(x, p.center)]
+        for rule in ("ih", "ih-aug", "sop"):
+            for k in range(1, top + 1):
+                # the array route runs, and gives the loop's bits
+                assert grad_exact._array_termwise(p, shifted, k, rule) is not None
+                loop, array = _loop_and_array(monkeypatch, p, x, k, rule)
+                assert _bits(array.values) == _bits(loop.values)
+
+
+def test_array_termwise_on_the_empty_and_constant_polynomials(monkeypatch):
+    for terms in ({}, {(0, 0, 0): -2.5}):
+        p = SparsePolynomial((0.5, -1.0, 2.0), terms)
+        for rule in ("ih", "ih-aug", "sop"):
+            loop, array = _loop_and_array(monkeypatch, p, (1.0, -0.0, 3.0), 2, rule)
+            assert _bits(array.values) == _bits(loop.values)
+
+
+def test_exponent_codes_too_wide_for_int64_take_the_loop(monkeypatch):
+    """40-feature supports, each with one exponent 2: one radix 3 digit per
+    position, 3^40 > 2^63."""
+    terms = {tuple(2 if f == j else 1 for f in range(40)): 1.0 / (j + 1) for j in range(40)}
+    p = SparsePolynomial((0.1,) * 40, terms)
+    x = tuple(np.linspace(-1.1, 1.2, 40).tolist())
+    shifted = [a - b for a, b in zip(x, p.center)]
+    for rule, k in (("ih", 1), ("ih", 2), ("sop", 2)):
+        assert grad_exact._array_termwise(p, shifted, k, rule) is None
+        loop, array = _loop_and_array(monkeypatch, p, x, k, rule)
+        assert _bits(array.values) == _bits(loop.values)
+
+
+@pytest.mark.parametrize(
+    "terms, x",
+    [
+        # c * x1^128 overflows in the product
+        ({(128, 0): 1e300, (1, 1): 1.0, (0, 2): 0.5}, (10.0, 2.0)),
+        # x1^128 itself is beyond the float range, negative: -inf
+        ({(127, 1): 1.0, (1, 0): 2.0}, (-1e3, 2.0)),
+        # +inf and -inf into the same coalition: nan
+        ({(120, 1): 1e300, (121, 1): 1e300, (0, 1): 1.0}, (10.0, 0.5)),
+        # an infinite power times an exact zero factor: nan
+        ({(127, 1): 1.0, (2, 2): 1.0}, (1e3, 0.0)),
+    ],
+    ids=["product-inf", "power-inf", "inf-minus-inf", "inf-times-zero"],
+)
+def test_overflow_gives_the_loops_error_on_both_routes(monkeypatch, capfd, terms, x):
+    p = SparsePolynomial((0.0, 0.0), terms)
+    for rule, k in (("ih", 1), ("ih", 2), ("ih-aug", 2), ("sop", 1)):
+        messages = []
+        for threshold in (len(terms) + 1, 0):
+            monkeypatch.setattr(grad_exact, "ARRAY_MIN_TERMS", threshold)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFiniteError) as raised:
+                    _termwise(p, x, k, rule)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("non-finite value for coalition")
+    assert capfd.readouterr() == ("", "")
+
+
+def test_powers_beyond_the_float_range_are_signed_infinities():
+    table = grad_exact._powers(-1e3, (np.array([0, 3, 127, 128, 3]),), 128, False)
+    assert table[[0, 3, 127, 128]].tolist() == [1.0, -1e9, -np.inf, np.inf]
+    assert table[[1, 2, 4]].tolist() == [1.0, 1.0, 1.0]  # not taken

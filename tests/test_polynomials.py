@@ -431,3 +431,26 @@ def test_arithmetic_overflow_raises_the_validated_construction_error():
     big = SparsePolynomial((0.0,), {(128,): 1e307})
     with pytest.raises(NonFiniteError, match=r"^non-finite coefficient for \(127,\)$"):
         big.partial(1)
+
+
+def test_exponent_array_holds_the_terms_in_order():
+    """The exponent rows a polynomial keeps from its array pass, or builds
+    on first use, are its terms' vectors in term order, read-only, whether
+    the input was sorted, unsorted, or held zero coefficients."""
+    rng = np.random.default_rng(33)
+    descending = _descending_terms(3, 4, seed=2)
+    with_zeros = {**descending, (1, 1, 1): 0.0, (0, 0, 2): -0.0}
+    payloads = [
+        {"n": 3, "terms": [_term(list(m), c) for m, c in terms.items()]}
+        for terms in (descending, dict(sorted(descending.items())), with_zeros)
+    ]
+    polys = [SparsePolynomial.from_json_dict(payload) for payload in payloads]
+    polys += [SparsePolynomial((0.0,) * 3, terms) for terms in (descending, with_zeros)]
+    polys += [polys[0].truncate(2), make_polynomial(rng, 4), polys[0].scale(2.0)]
+    polys += [SparsePolynomial((0.0, 0.0), {}), SparsePolynomial((), {(): 1.5})]
+    for poly in polys:
+        rows = poly.exponent_array
+        assert rows.dtype == np.int64 and rows.shape == (len(poly.terms), poly.n)
+        assert list(map(tuple, rows.tolist())) == list(poly.terms)
+        assert not rows.flags.writeable
+        assert poly.exponent_array is rows
