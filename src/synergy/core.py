@@ -54,7 +54,10 @@ def as_real(value: Any) -> float:
     """`value` as a float: a TypeError unless it is a number (a string is not)."""
     if not isinstance(value, (int, float)):
         raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the float range; its digits stay unprinted
+        raise TypeError("expected a number within the float range") from None
 
 
 def as_reals(values: Any) -> np.ndarray:
@@ -64,7 +67,18 @@ def as_reals(values: Any) -> np.ndarray:
         array.dtype.kind == "O" and all(isinstance(v, (int, float)) for v in array.flat)
     ):
         raise TypeError(f"expected numbers, got {array.dtype.name} items")
-    return array.astype(float)
+    try:
+        return array.astype(float)
+    except OverflowError:  # an int beyond the float range
+        raise TypeError("expected numbers within the float range") from None
+
+
+def sequential_sum(terms: np.ndarray) -> np.ndarray:
+    """0.0 + terms[0] + terms[1] + ... along the first axis, one row at a
+    time (accumulate never reorders or pairs up its additions). The result
+    is a copy, so it does not keep the running sums alive."""
+    rows = np.concatenate([np.zeros((1,) + terms.shape[1:]), terms])
+    return np.cumsum(rows, axis=0)[-1].copy()
 
 
 _REQUIRED = object()
@@ -373,8 +387,8 @@ class InteractionReport:
 
     def total(self) -> float:
         """Sum over all nonempty coalitions (the completeness quantity), in
-        lexicographic coalition order."""
-        return sum(self.values[_lex_order(self.n, self.order)[1:]].tolist())
+        lexicographic coalition order, left to right from 0.0."""
+        return float(sequential_sum(self.values[_lex_order(self.n, self.order)[1:]]))
 
     def max_abs_difference(self, other: "InteractionReport") -> float:
         if (self.n, self.order) != (other.n, other.order):

@@ -19,7 +19,6 @@ power-series expansion are total.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
@@ -28,13 +27,7 @@ import numpy as np
 
 from .core import Point
 from .exceptions import CapExceededError, DimensionMismatchError, ParseError
-from .polynomials import (
-    MAX_TERMS,
-    MAX_TOTAL_DEGREE,
-    MultiIndex,
-    SparsePolynomial,
-    exponent_rows,
-)
+from .polynomials import MultiIndex, SparsePolynomial, compose, product, term_sum
 
 TAYLOR_MAX_ORDER = 12
 TAYLOR_MAX_FEATURES = 6
@@ -445,145 +438,6 @@ def is_polynomial(expr: Expr) -> bool:
     raise TypeError(f"unknown node {expr!r}")
 
 
-def _convolve(
-    a: dict[MultiIndex, float], b: dict[MultiIndex, float], order: int | None
-) -> dict[MultiIndex, float]:
-    """Series product, pairs in dict order; with an `order`, every pair of
-    total degree above it is skipped. Exact products (order None) are checked
-    against the degree cap before they are expanded, so none is skipped."""
-    limit = MAX_TOTAL_DEGREE if order is None else order
-    b_items = [(mb, cb, sum(mb)) for mb, cb in b.items()]
-    out: dict[MultiIndex, float] = {}
-    for ma, ca in a.items():
-        room = limit - sum(ma)
-        for mb, cb, degree in b_items:
-            if degree > room:
-                continue
-            key = tuple(map(operator.add, ma, mb))
-            out[key] = out.get(key, 0.0) + ca * cb
-            if len(out) > MAX_TERMS:
-                raise CapExceededError("polynomial expansion exceeds the term cap")
-    return {m: c for m, c in out.items() if c != 0.0}
-
-
-# Exact products of at least this many term pairs run on exponent-code arrays;
-# the dict loop of _convolve is quicker on smaller ones.
-ARRAY_MIN_PAIRS = 100
-# The most term pairs an array product forms at once.
-PAIR_BLOCK = 1 << 16
-
-
-def _array_product(
-    a_codes: np.ndarray, a_coefs: np.ndarray, b_codes: np.ndarray, b_coefs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """_convolve(a, b, None) on exponent codes, bit for bit: the pairs in
-    (a term, b term) order, each product rounded once and summed from 0.0 in
-    pair order, the keys in order of first appearance, zeros dropped. The
-    pairs are formed PAIR_BLOCK at a time."""
-    keys = np.empty(0, np.int64)  # in order of first appearance
-    sums = np.empty(0)
-    seen = np.empty(0, np.int64)  # the keys sorted, and their slots in `keys`
-    seen_slots = np.empty(0, np.intp)
-    total = len(a_codes) * len(b_codes)
-    for start in range(0, total, PAIR_BLOCK):
-        i, j = np.divmod(np.arange(start, min(start + PAIR_BLOCK, total)), len(b_codes))
-        unique, first, inverse = np.unique(
-            a_codes[i] + b_codes[j], return_index=True, return_inverse=True
-        )
-        at = np.searchsorted(seen, unique)
-        known = at < len(seen)
-        known[known] = seen[at[known]] == unique[known]
-        fresh = ~known
-        slots = np.empty(len(unique), np.intp)
-        slots[known] = seen_slots[at[known]]
-        new = np.flatnonzero(fresh)
-        new = new[np.argsort(first[new])]
-        slots[new] = np.arange(len(keys), len(keys) + len(new))
-        keys = np.concatenate([keys, unique[new]])
-        if len(keys) > MAX_TERMS:
-            raise CapExceededError("polynomial expansion exceeds the term cap")
-        sums = np.concatenate([sums, np.zeros(len(new))])
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as the loop makes them
-            np.add.at(sums, slots[inverse], a_coefs[i] * b_coefs[j])
-        if start + PAIR_BLOCK < total:
-            seen = np.insert(seen, at[fresh], unique[fresh])
-            seen_slots = np.insert(seen_slots, at[fresh], slots[fresh])
-    nonzero = sums != 0.0
-    return keys[nonzero], sums[nonzero]
-
-
-def _exact_product(
-    factors: Sequence[dict[MultiIndex, float]], zero: MultiIndex
-) -> dict[MultiIndex, float]:
-    """The product of `factors` from {zero: 1.0}, one _convolve(·, ·, None)
-    per factor, bit for bit and in the same dict order.
-
-    A step of ARRAY_MIN_PAIRS pairs or more runs on exponent codes instead
-    (see _radices), unless the product's codes would not fit in int64. The
-    running product stays as arrays from such a step on.
-    """
-    out = {zero: 1.0}
-    arrays = None  # the running product as (codes, coefficients) after an array step
-    radices = None  # found at the first large step; [] when codes cannot hold the product
-    encoded: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # by identity: a power repeats its base
-    for f in factors:
-        large = (len(out) if arrays is None else len(arrays[0])) * len(f) >= ARRAY_MIN_PAIRS
-        if large and radices is None:
-            radices = _radices(factors, len(zero))
-            weights = np.array([math.prod(radices[i + 1:]) for i in range(len(radices))], np.int64)
-        if large and radices:
-            if arrays is None:
-                arrays = _encode(out, weights)
-            if id(f) not in encoded:
-                encoded[id(f)] = _encode(f, weights)
-            arrays = _array_product(*arrays, *encoded[id(f)])
-        else:
-            if arrays is not None:
-                out, arrays = _decode(*arrays, weights, radices), None
-            out = _convolve(out, f, None)
-    return out if arrays is None else _decode(*arrays, weights, radices)
-
-
-def _radices(factors: Sequence[dict[MultiIndex, float]], n: int) -> list[int]:
-    """The radices of the product's exponent codes: one int64 per exponent
-    vector, feature 1 its most significant digit, each feature's radix one
-    more than its largest exponent in the product, so adding codes multiplies
-    monomials without a carry.
-
-    Empty when the codes would not fit in int64, or when a coefficient is not
-    a Python int or float (float64 holds those as the loop's float
-    arithmetic rounds them)."""
-    distinct = {id(f): f for f in factors}
-    if not all(set(map(type, f.values())) <= {int, float} for f in distinct.values()):
-        return []
-    tops = {key: exponent_rows(f, n).max(axis=0, initial=0) for key, f in distinct.items()}
-    radices = (1 + sum(tops[id(f)] for f in factors)).tolist()
-    return radices if math.prod(radices) <= np.iinfo(np.int64).max else []
-
-
-def _encode(terms: dict[MultiIndex, float], weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The exponent codes and the coefficients of `terms`, in dict order."""
-    codes = exponent_rows(terms, len(weights)) @ weights
-    return codes, np.fromiter(terms.values(), float, len(terms))
-
-
-def _decode(
-    codes: np.ndarray, coefs: np.ndarray, weights: np.ndarray, radices: Sequence[int]
-) -> dict[MultiIndex, float]:
-    """The terms of exponent codes and their coefficients, in array order."""
-    digits = codes[:, None] // weights % np.array(radices, np.int64)
-    return dict(zip(map(tuple, digits.tolist()), coefs.tolist()))
-
-
-def _degree(terms: dict[MultiIndex, float]) -> int:
-    return max((sum(m) for m in terms), default=0)
-
-
-def _require_degree(degree: int) -> None:
-    if degree > MAX_TOTAL_DEGREE:
-        raise CapExceededError(f"total degree {degree} exceeds cap {MAX_TOTAL_DEGREE}")
-
-
 # Derivatives of sin, cos and exp at a0, repeating with period 4, 4 and 1.
 _DERIVATIVE_CYCLES = {
     "sin": lambda a0: (math.sin(a0), math.cos(a0), -math.sin(a0), -math.cos(a0)),
@@ -597,26 +451,6 @@ def _split(
 ) -> tuple[float, dict[MultiIndex, float]]:
     """The constant term of a series and the series without it."""
     return series.get(zero, 0.0), {m: c for m, c in series.items() if m != zero}
-
-
-def _compose(
-    rest: dict[MultiIndex, float], weights: Sequence[float], zero: MultiIndex, order: int
-) -> dict[MultiIndex, float]:
-    """Sum of weights[j]·rest^j over ascending j: a univariate function with
-    Taylor coefficients `weights` at a series' constant term, applied to the
-    rest of that series. Each power of `rest` is built once, and the sum stops
-    early when one is empty."""
-    out: dict[MultiIndex, float] = {}
-    power = {zero: 1.0}
-    for j, weight in enumerate(weights):
-        if j:
-            power = _convolve(power, rest, order)
-            if not power:
-                break
-        if weight != 0.0:
-            for m, c in power.items():
-                out[m] = out.get(m, 0.0) + weight * c
-    return {m: c for m, c in out.items() if c != 0.0}
 
 
 def _series(e: Expr, center: Point, order: int | None) -> dict[MultiIndex, float]:
@@ -643,36 +477,24 @@ def _series(e: Expr, center: Point, order: int | None) -> dict[MultiIndex, float
     if isinstance(e, Neg):
         return {m: -c for m, c in _series(e.arg, center, order).items()}
     if isinstance(e, Add):
-        out = {}
-        for t in e.terms:
-            for m, c in _series(t, center, order).items():
-                out[m] = out.get(m, 0.0) + c
-        return {m: c for m, c in out.items() if c != 0.0}
+        return term_sum(_series(t, center, order).items() for t in e.terms)
     if isinstance(e, Mul):
-        factors = [_series(f, center, order) for f in e.factors]
-        if order is None:
-            _require_degree(sum(_degree(f) for f in factors))
-            return _exact_product(factors, zero)
-        out = {zero: 1.0}
-        for f in factors:
-            out = _convolve(out, f, order)
-        return out
+        return product([(_series(f, center, order), 1) for f in e.factors], zero, order)
     if isinstance(e, Pow):
         base = _series(e.base, center, order)
         k = e.exponent
         if order is None:
-            _require_degree(_degree(base) * k)
-            return _exact_product([base] * k, zero)
+            return product([(base, k)], zero, None)
         a0, rest = _split(base, zero)
         weights = [math.comb(k, j) * a0 ** (k - j) for j in range(min(k, order) + 1)]
-        return _compose(rest, weights, zero, order)
+        return compose(rest, weights, zero, order)
     if isinstance(e, Call):
         if order is None:
             raise ValueError(f"{e.func} has no exact polynomial expansion")
         a0, rest = _split(_series(e.arg, center, order), zero)
         cycle = _DERIVATIVE_CYCLES[e.func](a0)
         weights = [cycle[j % len(cycle)] / math.factorial(j) for j in range(order + 1)]
-        return _compose(rest, weights, zero, order)
+        return compose(rest, weights, zero, order)
     raise TypeError(f"unknown node {e!r}")
 
 
@@ -683,10 +505,8 @@ def to_polynomial(expr: Expr, center: Point) -> SparsePolynomial | None:
     The degree cap applies to every intermediate product and power before it
     is expanded, so terms that would cancel later still count.
 
-    The expansion's exponent vectors are valid by construction and it drops
-    every zero, so the terms are only sorted and checked for float, finite
-    coefficients, a finite center and the term cap; on a failure the
-    validating constructor raises its usual error.
+    The expansion's exponent vectors are valid by construction, so its terms
+    take `SparsePolynomial._exact`'s checks only, and are sorted there.
     """
     if not is_polynomial(expr):
         return None

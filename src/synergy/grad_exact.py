@@ -15,6 +15,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import polynomials
 from .combinatorics import binomial, coalition_count, require_order
 from .core import (
     Coalition,
@@ -25,7 +26,7 @@ from .core import (
     coalition_slots,
 )
 from .exceptions import CapExceededError, DimensionMismatchError
-from .polynomials import SparsePolynomial
+from .polynomials import SparsePolynomial, overflowed_power
 from .set_methods import (
     ORACLE_MAX_FEATURES,
     build_table,
@@ -34,9 +35,8 @@ from .set_methods import (
 
 SOP_ORACLE_MAX_ORDER = 3
 # Polynomials of this many terms or more run the termwise rules on arrays
-# (see _array_termwise), in blocks of at most PART_BLOCK (term, coalition) parts.
+# (see _array_termwise), polynomials.ARRAY_BLOCK (term, coalition) parts at a time.
 ARRAY_MIN_TERMS = 256
-PART_BLOCK = 1 << 16
 
 
 # A share row depends on the rule, k and the monomial's positive exponents,
@@ -84,11 +84,6 @@ def _shares(rule: str, k: int, exponents: tuple[int, ...]) -> tuple[float, ...]:
     return tuple(mass[mask] / degree**k for mask in masks[:-1])
 
 
-def _overflowed(u: float, e: int) -> float:
-    """The signed infinity u ** e rounds to when it is beyond the float range."""
-    return -np.inf if u < 0 and e % 2 else np.inf
-
-
 def _termwise(p: SparsePolynomial, x: Sequence[float], k: int, rule: str) -> InteractionReport:
     """Scatter each monomial's value c * (x - center)^m over its share row, in
     term order, into the report's values in layout order. A term adds
@@ -114,7 +109,7 @@ def _termwise(p: SparsePolynomial, x: Sequence[float], k: int, rule: str) -> Int
             try:
                 value *= shifted[i - 1] ** e
             except OverflowError:
-                value *= _overflowed(shifted[i - 1], e)
+                value *= overflowed_power(shifted[i - 1], e)
         # constants, and supports of size <= k under ih-aug and sop, are pinned
         if not coalition or (rule != "ih" and len(coalition) <= k):
             values[coalition_slot(n, k, coalition)] += value
@@ -208,7 +203,7 @@ def _array_termwise(p: SparsePolynomial, shifted: list, k: int, rule: str) -> np
     # Python float arithmetic overflows to inf and nan without a warning
     with np.errstate(over="ignore", invalid="ignore"):
         term_values = _term_values(p, shifted)
-        for start, stop in _blocks(ends, PART_BLOCK):
+        for start, stop in _blocks(ends, polynomials.ARRAY_BLOCK):
             done = ends[start - 1] if start else 0
             slots = np.empty(ends[stop - 1] - done, np.int64)
             parts = np.empty(len(slots))
@@ -368,7 +363,7 @@ def _powers(u: float, columns: Sequence[np.ndarray], top: int, square: bool) -> 
         try:
             table[e + 1] = u ** (e + 1)
         except OverflowError:
-            table[e + 1] = _overflowed(u, e + 1)
+            table[e + 1] = overflowed_power(u, e + 1)
     return table
 
 

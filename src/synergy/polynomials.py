@@ -8,10 +8,11 @@ Zero coefficients are never stored; the terms are kept sorted by exponent vector
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -45,6 +46,182 @@ def exponent_rows(vectors: Sequence[Sequence], n: int) -> np.ndarray:
     """Length-n exponent vectors as the rows of an int64 array."""
     flat = np.fromiter(chain.from_iterable(vectors), np.int64, len(vectors) * n)
     return flat.reshape(len(vectors), n)
+
+
+# Term-map arithmetic (exponent vector -> coefficient), for the series walker,
+# the polynomial operators and the gradient kernels.
+
+def _require_degree(degree: int) -> None:
+    """The degree cap, on a term or on a product before it is expanded."""
+    if degree > MAX_TOTAL_DEGREE:
+        raise CapExceededError(f"total degree {degree} exceeds cap {MAX_TOTAL_DEGREE}")
+
+
+def overflowed_power(u: float, e: int) -> float:
+    """The signed infinity u ** e rounds to when it is beyond the float range."""
+    return -np.inf if u < 0 and e % 2 else np.inf
+
+
+# Exact products of at least this many term pairs run on exponent-code arrays;
+# the dict loop of _convolve is quicker on smaller ones.
+ARRAY_MIN_PAIRS = 100
+# The most term pairs (product) or (term, coalition) parts
+# (grad_exact._array_termwise) an array kernel forms at once; read per call.
+ARRAY_BLOCK = 1 << 16
+
+
+def term_sum(parts: Iterable[Iterable[tuple[MultiIndex, float]]]) -> dict[MultiIndex, float]:
+    """The sum of term maps given as (exponent vector, coefficient) pairs:
+    each key's coefficients added from 0.0 in the order given, the keys in
+    order of first appearance, zeros dropped after the sum."""
+    out: dict[MultiIndex, float] = {}
+    for part in parts:
+        for m, c in part:
+            out[m] = out.get(m, 0.0) + c
+    return {m: c for m, c in out.items() if c != 0.0}
+
+
+def _convolve(
+    a: dict[MultiIndex, float], b: dict[MultiIndex, float], order: int | None
+) -> dict[MultiIndex, float]:
+    """Series product, pairs in dict order; with an `order`, every pair of
+    total degree above it is skipped. Exact products (order None) are checked
+    against the degree cap before they are expanded, so none is skipped."""
+    limit = MAX_TOTAL_DEGREE if order is None else order
+    b_items = [(mb, cb, sum(mb)) for mb, cb in b.items()]
+    out: dict[MultiIndex, float] = {}
+    for ma, ca in a.items():
+        room = limit - sum(ma)
+        for mb, cb, degree in b_items:
+            if degree > room:
+                continue
+            key = tuple(map(operator.add, ma, mb))
+            out[key] = out.get(key, 0.0) + ca * cb
+            if len(out) > MAX_TERMS:
+                raise CapExceededError("polynomial expansion exceeds the term cap")
+    return {m: c for m, c in out.items() if c != 0.0}
+
+
+def product(
+    factors: Sequence[tuple[dict[MultiIndex, float], int]], zero: MultiIndex, order: int | None
+) -> dict[MultiIndex, float]:
+    """The product from {zero: 1.0} of each factor in turn, taken as many
+    times as its count, one _convolve(·, ·, order) per step. An exact
+    product (order None) is checked against the degree cap first, and from
+    its first step of ARRAY_MIN_PAIRS pairs or more on runs on exponent codes
+    (see _radices), bit for bit, unless its codes would not fit in int64."""
+    if order is None:
+        _require_degree(sum(max(map(sum, f), default=0) * count for f, count in factors))
+    out = {zero: 1.0}
+    arrays = None  # the running product as (codes, coefficients) from its first array step
+    radices = None  # found at the first large step; [] when codes cannot hold the product
+    for f, count in factors:
+        encoded = None
+        for _ in range(count):
+            if radices is None and order is None and len(out) * len(f) >= ARRAY_MIN_PAIRS:
+                radices = _radices(factors, len(zero))
+                if radices:
+                    weights = np.array(
+                        [math.prod(radices[i + 1:]) for i in range(len(radices))], np.int64
+                    )
+                    arrays = _encode(out, weights)
+            if arrays is None:
+                out = _convolve(out, f, order)
+            else:
+                encoded = encoded or _encode(f, weights)
+                arrays = _array_product(*arrays, *encoded)
+    return out if arrays is None else _decode(*arrays, weights, radices)
+
+
+def _array_product(
+    a_codes: np.ndarray, a_coefs: np.ndarray, b_codes: np.ndarray, b_coefs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """_convolve(a, b, None) on exponent codes, bit for bit: the pairs in
+    (a term, b term) order, each product rounded once and summed from 0.0 in
+    pair order, the keys in order of first appearance, zeros dropped. The
+    pairs are formed ARRAY_BLOCK at a time."""
+    keys = np.empty(0, np.int64)  # in order of first appearance
+    sums = np.empty(0)
+    seen = np.empty(0, np.int64)  # the keys sorted, and their slots in `keys`
+    seen_slots = np.empty(0, np.intp)
+    total = len(a_codes) * len(b_codes)
+    for start in range(0, total, ARRAY_BLOCK):
+        i, j = np.divmod(np.arange(start, min(start + ARRAY_BLOCK, total)), len(b_codes))
+        unique, first, inverse = np.unique(
+            a_codes[i] + b_codes[j], return_index=True, return_inverse=True
+        )
+        at = np.searchsorted(seen, unique)
+        known = at < len(seen)
+        known[known] = seen[at[known]] == unique[known]
+        fresh = ~known
+        slots = np.empty(len(unique), np.intp)
+        slots[known] = seen_slots[at[known]]
+        new = np.flatnonzero(fresh)
+        new = new[np.argsort(first[new])]
+        slots[new] = np.arange(len(keys), len(keys) + len(new))
+        keys = np.concatenate([keys, unique[new]])
+        if len(keys) > MAX_TERMS:
+            raise CapExceededError("polynomial expansion exceeds the term cap")
+        sums = np.concatenate([sums, np.zeros(len(new))])
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as the loop makes them
+            np.add.at(sums, slots[inverse], a_coefs[i] * b_coefs[j])
+        if start + ARRAY_BLOCK < total:
+            seen = np.insert(seen, at[fresh], unique[fresh])
+            seen_slots = np.insert(seen_slots, at[fresh], slots[fresh])
+    nonzero = sums != 0.0
+    return keys[nonzero], sums[nonzero]
+
+
+def _radices(factors: Sequence[tuple[dict[MultiIndex, float], int]], n: int) -> list[int]:
+    """The radices of the product's exponent codes: one int64 per exponent
+    vector, feature 1 its most significant digit, each feature's radix one
+    more than its largest exponent in the product, so adding codes multiplies
+    monomials without a carry.
+
+    Empty when the codes would not fit in int64, or when a coefficient is not
+    a Python int or float (float64 holds those as the loop's float
+    arithmetic rounds them)."""
+    if not all(set(map(type, f.values())) <= {int, float} for f, _ in factors):
+        return []
+    tops = (exponent_rows(f, n).max(axis=0, initial=0) * count for f, count in factors)
+    radices = (1 + sum(tops)).tolist()
+    return radices if math.prod(radices) <= np.iinfo(np.int64).max else []
+
+
+def _encode(terms: dict[MultiIndex, float], weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The exponent codes and the coefficients of `terms`, in dict order."""
+    codes = exponent_rows(terms, len(weights)) @ weights
+    return codes, np.fromiter(terms.values(), float, len(terms))
+
+
+def _decode(
+    codes: np.ndarray, coefs: np.ndarray, weights: np.ndarray, radices: Sequence[int]
+) -> dict[MultiIndex, float]:
+    """The terms of exponent codes and their coefficients, in array order."""
+    digits = codes[:, None] // weights % np.array(radices, np.int64)
+    return dict(zip(map(tuple, digits.tolist()), coefs.tolist()))
+
+
+def compose(
+    rest: dict[MultiIndex, float], weights: Sequence[float], zero: MultiIndex, order: int
+) -> dict[MultiIndex, float]:
+    """Sum of weights[j]·rest^j over ascending j, truncated at total degree
+    `order`: a univariate function with Taylor coefficients `weights` at a
+    series' constant term, applied to the rest of that series. Each power of
+    `rest` is built once, and the sum stops early when one is empty."""
+
+    def powers():
+        power = {zero: 1.0}
+        while power:
+            yield power
+            power = _convolve(power, rest, order)
+
+    # zip asks for the next power only after the next weight
+    return term_sum(
+        [(m, weight * c) for m, c in power.items()]
+        for weight, power in zip(weights, powers())
+        if weight != 0.0
+    )
 
 
 def _valid_terms(
@@ -125,10 +302,7 @@ class SparsePolynomial:
                     )
                 if any(e < 0 for e in key):
                     raise ValueError(f"negative exponent in {key}")
-                if sum(key) > MAX_TOTAL_DEGREE:
-                    raise CapExceededError(
-                        f"total degree {sum(key)} exceeds cap {MAX_TOTAL_DEGREE}"
-                    )
+                _require_degree(sum(key))
                 value = float(c)
                 if not math.isfinite(value):
                     raise NonFiniteError(f"non-finite coefficient for {key}")
@@ -196,20 +370,20 @@ class SparsePolynomial:
         for m, value in self.terms.items():
             for i, e in enumerate(m):
                 if e:
-                    value = value * shifted[i] ** e
+                    try:
+                        value = value * shifted[i] ** e
+                    except OverflowError:
+                        value = value * overflowed_power(shifted[i], e)
             total = total + value
         return total
 
     def __add__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         if self.center != other.center:
             raise ValueError("cannot add polynomials with different centers")
-        merged = dict(self.terms)
-        for m, c in other.terms.items():
-            merged[m] = merged.get(m, 0.0) + c
-        ordered = len(merged) == len(self.terms)  # new keys from `other` go last
-        return SparsePolynomial._exact(
-            self.center, {m: c for m, c in merged.items() if c != 0.0}, ordered
-        )
+        merged = term_sum((self.terms.items(), other.terms.items()))
+        # new keys from `other` go last, so the sum is sorted only without them
+        ordered = other.terms.keys() <= self.terms.keys()
+        return SparsePolynomial._exact(self.center, merged, ordered)
 
     def __sub__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         return self + other.scale(-1.0)

@@ -32,6 +32,7 @@ from .core import (
     coalition_layout,
     coalition_mask,
     json_field,
+    sequential_sum,
 )
 from .exceptions import CapExceededError, DimensionMismatchError, NonFiniteError
 
@@ -329,27 +330,19 @@ def _retabulation_plan(n: int, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return plan
 
 
-def _sequential_sum(terms: np.ndarray) -> np.ndarray:
-    """0.0 + terms[0] + terms[1] + ... along the first axis, one row at a
-    time (accumulate never reorders or pairs up its additions). The result
-    is a copy, so it does not keep the running sums alive."""
-    rows = np.concatenate([np.zeros((1,) + terms.shape[1:]), terms])
-    return np.cumsum(rows, axis=0)[-1].copy()
-
-
 def _shapley_retabulated(values: np.ndarray, n: int, i: int) -> np.ndarray:
     """Table of the function y -> Shap_i(y, F) over the same masked lattice.
 
     Each entry is the sum from 0.0 of the weighted marginal contributions of
     feature i, coalitions w ascending, added one at a time."""
     hi, lo, weights = _retabulation_plan(n, i)
-    return _sequential_sum(weights * (values[hi] - values[lo]))
+    return sequential_sum(weights * (values[hi] - values[lo]))
 
 
 def _shapley_retabulated_at_full(values: np.ndarray, n: int, i: int) -> float:
     """The input-point entry of `_shapley_retabulated`, by the same sum."""
     hi, lo, weights = _retabulation_plan(n, i)
-    return float(_sequential_sum(weights[:, 0] * (values[hi[:, -1]] - values[lo[:, -1]])))
+    return float(sequential_sum(weights[:, 0] * (values[hi[:, -1]] - values[lo[:, -1]])))
 
 
 def recursive_shapley_nested(table: SetFunctionTable, k: int) -> InteractionReport:

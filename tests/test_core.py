@@ -237,6 +237,13 @@ def test_report_total_skips_empty_set():
     assert report.total() == 3.0
 
 
+def test_report_total_adds_left_to_right():
+    # uncompensated: 1e16 + 1.0 rounds back to 1e16, so the total is 0.0 (a
+    # compensated sum, such as the builtin sum from Python 3.12 on, gives 1.0)
+    report = report_from_values(3, 1, {(): 5.0, (1,): 1e16, (2,): 1.0, (3,): -1e16})
+    assert report.total() == 0.0
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=63))
 def test_masked_point_members_property(n, raw_mask):

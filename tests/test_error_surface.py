@@ -120,9 +120,10 @@ SMALL_TERMS = [
         ["decompose", "--x", "1e3,2"],
         ["interact", "--x", "-1e3,2", "--method", "ih", "-k", "2"],
         ["interact", "--x", "10,2", "--method", "ig"],
+        ["compare", "sop-nested", "sop", "--x", "1e3,2", "-k", "1"],
     ],
     ids=["sop-power-overflow", "decompose-power-overflow", "ih-negative-power-overflow",
-         "ig-product-overflow"],
+         "ig-product-overflow", "sop-nested-power-overflow"],
 )
 def test_overflowing_gradient_rule_names_the_coalition(tmp_path, capsys, size, argv):
     terms = [OVERFLOW_TERM] + (SMALL_TERMS if size == "large" else [])
@@ -132,3 +133,36 @@ def test_overflowing_gradient_rule_names_the_coalition(tmp_path, capsys, size, a
     code = main([argv[0], "--poly", str(path), *argv[1:]])
     assert code == 2
     assert capsys.readouterr() == ("", "error: non-finite value for coalition (1,)\n")
+
+
+def test_overflowing_nested_oracle_names_the_non_finite_value(tmp_path, capsys):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps({"n": 2, "center": [0, 0], "terms": [OVERFLOW_TERM]}))
+    code = main(["compare", "sop-nested", "sop", "--poly", str(path), "--x", "1e3,2", "-k", "2"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "non-finite value" in err
+
+
+# JSON integers beyond the float range, written out as 1 and 400 zeros
+BEYOND_FLOAT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "flag, payload, field",
+    [
+        ("--poly", '{"n": 1, "terms": [{"m": [1], "c": %s}]}', "polynomial term field 'c'"),
+        ("--poly", '{"n": 1, "center": [%s], "terms": [{"m": [1], "c": 1.0}]}',
+         "polynomial field 'center'"),
+        ("--table", '{"n": 1, "values": [%s, 1]}', "table field 'values'"),
+    ],
+    ids=["poly-coefficient", "poly-center", "table-value"],
+)
+def test_integer_beyond_the_float_range_names_its_field(tmp_path, capsys, flag, payload, field):
+    path = tmp_path / "input.json"
+    path.write_text(payload % BEYOND_FLOAT)
+    code = main(["decompose", flag, str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {field}: ")
+    assert BEYOND_FLOAT[:20] not in err  # the digits are not echoed

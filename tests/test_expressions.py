@@ -1,11 +1,14 @@
+import json
 import math
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from synergy import expressions as ex
+from synergy import polynomials
 from synergy.exceptions import CapExceededError, NonFiniteError, ParseError
 from synergy.polynomials import SparsePolynomial
 from tests.conftest import reference_taylor
@@ -334,7 +337,7 @@ def _expand(monkeypatch, expr, center, min_pairs):
     """The exact series of `expr`, with every product step of at least
     `min_pairs` term pairs on the array kernel: 0 sends every step there,
     LOOP_ONLY keeps every step on the dict loop of _convolve."""
-    monkeypatch.setattr(ex, "ARRAY_MIN_PAIRS", min_pairs)
+    monkeypatch.setattr(polynomials, "ARRAY_MIN_PAIRS", min_pairs)
     return ex._series(expr, center, None)
 
 
@@ -367,7 +370,7 @@ def test_array_products_are_the_dict_loop_bit_for_bit(monkeypatch):
             expr = _random_product(rng, n)
             center = tuple(float(v) for v in rng.uniform(-1, 1, n) * (rng.uniform(size=n) < 0.6))
             loop = _expand(monkeypatch, expr, center, LOOP_ONLY)
-            for min_pairs in (0, 40, ex.ARRAY_MIN_PAIRS):
+            for min_pairs in (0, 40, polynomials.ARRAY_MIN_PAIRS):
                 _assert_identical(_expand(monkeypatch, expr, center, min_pairs), loop)
 
 
@@ -384,7 +387,7 @@ def test_array_products_overflow_with_the_loops_error(monkeypatch):
     expr = ex.parse("(1e200*x1 - 3e200*x2 + x3)^2 + (x1 + x2)^2", 3)
     errors = []
     for min_pairs in (LOOP_ONLY, 0):
-        monkeypatch.setattr(ex, "ARRAY_MIN_PAIRS", min_pairs)
+        monkeypatch.setattr(polynomials, "ARRAY_MIN_PAIRS", min_pairs)
         # and silently: a numpy warning would reach stderr
         with pytest.raises(NonFiniteError) as caught, warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -398,7 +401,7 @@ def test_array_products_larger_than_one_block(monkeypatch):
     center = (0.1, -0.2, 0.0, 0.3)
     loop = _expand(monkeypatch, expr, center, LOOP_ONLY)
     for block in (1, 7, 64):
-        monkeypatch.setattr(ex, "PAIR_BLOCK", block)
+        monkeypatch.setattr(polynomials, "ARRAY_BLOCK", block)
         _assert_identical(_expand(monkeypatch, expr, center, 0), loop)
 
 
@@ -407,23 +410,23 @@ def test_codes_too_wide_for_int64_take_the_loop(monkeypatch):
     base = ex._series(ex.parse(" + ".join(f"{i}*x{i}^3" for i in range(1, n + 1)), n),
                       (0.0,) * n, None)
     zero = (0,) * n
-    monkeypatch.setattr(ex, "ARRAY_MIN_PAIRS", LOOP_ONLY)
-    loop = ex._exact_product([base, base], zero)
+    monkeypatch.setattr(polynomials, "ARRAY_MIN_PAIRS", LOOP_ONLY)
+    loop = polynomials.product([(base, 2)], zero, None)
 
     def refuse(*arrays):
         raise AssertionError("a code of 7^24 values went to the array kernel")
 
-    monkeypatch.setattr(ex, "ARRAY_MIN_PAIRS", 0)
-    monkeypatch.setattr(ex, "_array_product", refuse)
-    _assert_identical(ex._exact_product([base, base], zero), loop)
+    monkeypatch.setattr(polynomials, "ARRAY_MIN_PAIRS", 0)
+    monkeypatch.setattr(polynomials, "_array_product", refuse)
+    _assert_identical(polynomials.product([(base, 2)], zero, None), loop)
     assert len(loop) == n * (n + 1) // 2
 
 
 @pytest.mark.parametrize("min_pairs", [LOOP_ONLY, 0])
 def test_array_products_keep_the_term_and_degree_caps(monkeypatch, min_pairs):
-    monkeypatch.setattr(ex, "ARRAY_MIN_PAIRS", min_pairs)
-    monkeypatch.setattr(ex, "PAIR_BLOCK", 16)
-    monkeypatch.setattr(ex, "MAX_TERMS", 100)
+    monkeypatch.setattr(polynomials, "ARRAY_MIN_PAIRS", min_pairs)
+    monkeypatch.setattr(polynomials, "ARRAY_BLOCK", 16)
+    monkeypatch.setattr(polynomials, "MAX_TERMS", 100)
     with pytest.raises(CapExceededError, match="^polynomial expansion exceeds the term cap$"):
         ex.to_polynomial(ex.parse("(x1 + x2 + x3 + x4 + 1)^5", 4), (0.0,) * 4)
     assert len(ex.to_polynomial(ex.parse("(x1 + x2 + x3 + 1)^4", 3), (0.0,) * 3).terms) == 35
@@ -444,3 +447,23 @@ def test_to_polynomial_stores_what_the_validated_construction_stores(monkeypatch
     shifted = ex.to_polynomial(ex.Var(1), (2,))
     assert list(shifted.terms.items()) == [((0,), 2.0), ((1,), 1.0)]
     assert type(shifted.terms[(0,)]) is float
+
+
+# --- the series walker, pinned bit for bit ------------------------------------
+
+# taylor of sin/cos/exp mixes whose arguments vanish at the center (so no libm
+# value but sin(0), cos(0) and exp(0) enters), and to_polynomial of
+# cancelling products at nonzero centers: each case's terms, in order, with
+# their coefficients as float.hex
+SERIES_BITS = json.loads((Path(__file__).parent / "data" / "series-bits.json").read_text())
+
+
+@pytest.mark.parametrize("case", SERIES_BITS, ids=lambda case: case["expr"])
+def test_series_terms_are_pinned_bit_for_bit(case):
+    center = tuple(case["center"])
+    expr = ex.parse(case["expr"], len(center))
+    if case["order"] is None:
+        p = ex.to_polynomial(expr, center)
+    else:
+        p = ex.taylor(expr, center, case["order"])
+    assert [[list(m), c.hex()] for m, c in p.terms.items()] == case["terms"]

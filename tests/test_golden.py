@@ -130,7 +130,11 @@ def test_array_backed_report_reads_like_its_golden_entries(name):
     assert dict(report.entries) == entries and len(report.entries) == len(layout)
     assert report.values.tolist() == [entries[c] for c in layout]
     assert all(report.value(reversed(c)) == v for c, v in entries.items())
-    assert report.total() == sum(v for c, v in sorted(entries.items()) if c)
+    total = 0.0  # left to right: the builtin sum compensates from Python 3.12 on
+    for c, v in sorted(entries.items()):
+        if c:
+            total += v
+    assert report.total() == total
     assert report.to_json_dict() == {
         "order": order,
         "entries": [{"coalition": list(c), "value": entries[c]} for c in sorted(entries)],

@@ -4,7 +4,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from synergy import grad_exact
+from synergy import grad_exact, polynomials
 from synergy.combinatorics import enumerate_coalitions, monomial_mass
 from synergy.core import Instance
 from synergy.exceptions import CapExceededError, NonFiniteError
@@ -616,7 +616,7 @@ def _loop_and_array(monkeypatch, p, x, k, rule):
 @pytest.mark.parametrize("block", [1, 7, None], ids=["1", "7", "default"])
 def test_array_termwise_is_the_term_loop_bit_for_bit(monkeypatch, block):
     if block is not None:
-        monkeypatch.setattr(grad_exact, "PART_BLOCK", block)
+        monkeypatch.setattr(polynomials, "ARRAY_BLOCK", block)
     rng = np.random.default_rng(1701)
     for p, x, top in _array_corpus(rng):
         if block is not None and p.n > 4:

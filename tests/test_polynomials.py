@@ -37,6 +37,15 @@ def test_evaluate_high_degree_monomial():
     assert p.evaluate((2.0, 2.0)) == 2.0**101
 
 
+def test_evaluate_beyond_the_float_range_is_the_signed_infinity():
+    # Python's float power raises OverflowError there; evaluate takes the
+    # infinity the power rounds to, as the gradient rules do
+    p = SparsePolynomial((0.0, 0.0), {(127, 0): 1.0})
+    assert p.evaluate((-1e3, 2.0)) == -math.inf
+    assert p.evaluate((1e3, 2.0)) == math.inf
+    assert SparsePolynomial((0.0, 0.0), {(128, 0): -2.0}).evaluate((-1e3, 2.0)) == -math.inf
+
+
 def test_evaluate_empty():
     p = SparsePolynomial((0.0, 0.0), {})
     assert p.evaluate((3.0, 4.0)) == 0.0
