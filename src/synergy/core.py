@@ -73,10 +73,16 @@ def as_reals(values: Any) -> np.ndarray:
         raise TypeError("expected numbers within the float range") from None
 
 
-def sequential_sum(terms: np.ndarray) -> np.ndarray:
+def sequential_sum(terms: np.ndarray) -> np.ndarray | float:
     """0.0 + terms[0] + terms[1] + ... along the first axis, one row at a
-    time (accumulate never reorders or pairs up its additions). The result
-    is a copy, so it does not keep the running sums alive."""
+    time: a Python float loop for a vector, a cumulative sum otherwise
+    (accumulate never reorders or pairs up its additions; its result is a
+    copy, so it does not keep the running sums alive)."""
+    if terms.ndim == 1:
+        total = 0.0
+        for term in terms.tolist():
+            total += term
+        return total
     rows = np.concatenate([np.zeros((1,) + terms.shape[1:]), terms])
     return np.cumsum(rows, axis=0)[-1].copy()
 

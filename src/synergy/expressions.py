@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import Point
 from .exceptions import CapExceededError, DimensionMismatchError, ParseError
-from .polynomials import MultiIndex, SparsePolynomial, compose, product, term_sum
+from .polynomials import MultiIndex, SparsePolynomial, compose, overflowed_power, product, term_sum
 
 TAYLOR_MAX_ORDER = 12
 TAYLOR_MAX_FEATURES = 6
@@ -318,7 +318,11 @@ def evaluate(expr: Expr, y: Sequence):
             total = total * evaluate(factor, y)
         return total
     if isinstance(expr, Pow):
-        return evaluate(expr.base, y) ** expr.exponent
+        base = evaluate(expr.base, y)
+        try:
+            return base**expr.exponent
+        except OverflowError:
+            return overflowed_power(base, expr.exponent)
     if isinstance(expr, Call):
         return _apply(expr.func, evaluate(expr.arg, y))
     raise TypeError(f"unknown node {expr!r}")

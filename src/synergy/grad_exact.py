@@ -95,7 +95,7 @@ def _termwise(p: SparsePolynomial, x: Sequence[float], k: int, rule: str) -> Int
     if len(x) != n:
         raise DimensionMismatchError(f"point has {len(x)} components, expected {n}")
     shifted = [x[i] - p.center[i] for i in range(n)]
-    if len(p.terms) >= ARRAY_MIN_TERMS:
+    if p.term_count >= ARRAY_MIN_TERMS:
         values = _array_termwise(p, shifted, k, rule)
         if values is not None:
             return InteractionReport(n, k, values)
@@ -135,7 +135,7 @@ def _term_values(p: SparsePolynomial, shifted: list) -> np.ndarray:
     of each feature multiplied into the coefficients in feature order, an
     exact 1.0 where a term's exponent is 0."""
     exponents = p.exponent_array
-    values = np.fromiter(p.terms.values(), float, len(p.terms))
+    values = np.array(p.coefficients)
     for f in np.flatnonzero(exponents.any(axis=0)).tolist():
         column = exponents[:, f]
         values *= _powers(shifted[f], (column,), int(column.max()), False)[column]
@@ -169,13 +169,10 @@ def _support_groups(p: SparsePolynomial, k: int, rule: str) -> list[tuple] | Non
             continue
         patterns = positive[at]
         # one digit per support position, the last one least significant
-        weights, scale = [], 1
-        for top in patterns.max(axis=0).tolist()[::-1]:
-            weights.append(scale)
-            scale *= top + 1
-        if scale > np.iinfo(np.int64).max:
+        weights = polynomials.code_weights(tuple((patterns.max(axis=0) + 1).tolist()))
+        if weights is None:
             return None
-        codes = patterns @ np.array(weights[::-1], np.int64)
+        codes = patterns @ weights
         _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
         shares = np.array(
             [_shares(rule, k, tuple(pattern)) for pattern in patterns[first].tolist()]
@@ -195,7 +192,7 @@ def _array_termwise(p: SparsePolynomial, shifted: list, k: int, rule: str) -> np
     if groups is None:
         return None
     n = p.n
-    lengths = np.empty(len(p.terms), np.int64)
+    lengths = np.empty(p.term_count, np.int64)
     for terms, _, _, shares, _ in groups:
         lengths[terms] = shares.shape[1]
     ends = np.cumsum(lengths)  # parts up to each term
@@ -329,7 +326,7 @@ def integrated_hessian_pairwise(p: SparsePolynomial, x: Sequence[float]) -> Inte
     values = np.zeros(coalition_count(n, 2))
     shifted = [x[i] - p.center[i] for i in range(n)]
     exponents = p.exponent_array
-    coefficients = np.fromiter(p.terms.values(), float, len(p.terms))
+    coefficients = p.coefficients
     # the zero exponent vector sorts first and is the only term sent to ()
     if len(exponents) and not exponents[0].any():
         values[0] = 0.0 + coefficients[0]

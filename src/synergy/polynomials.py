@@ -109,9 +109,14 @@ def product(
     times as its count, one _convolve(·, ·, order) per step. An exact
     product (order None) is checked against the degree cap first, and from
     its first step of ARRAY_MIN_PAIRS pairs or more on runs on exponent codes
-    (see _radices), bit for bit, unless its codes would not fit in int64."""
+    (see _radices), bit for bit, unless its codes would not fit in int64.
+    An exact power is also capped at MAX_TOTAL_DEGREE factors, so one of a
+    constant base fails at once rather than multiplying it out."""
     if order is None:
         _require_degree(sum(max(map(sum, f), default=0) * count for f, count in factors))
+        power = max((count for _, count in factors), default=0)
+        if power > MAX_TOTAL_DEGREE:
+            raise CapExceededError(f"exponent {power} exceeds cap {MAX_TOTAL_DEGREE}")
     out = {zero: 1.0}
     arrays = None  # the running product as (codes, coefficients) from its first array step
     radices = None  # found at the first large step; [] when codes cannot hold the product
@@ -121,9 +126,7 @@ def product(
             if radices is None and order is None and len(out) * len(f) >= ARRAY_MIN_PAIRS:
                 radices = _radices(factors, len(zero))
                 if radices:
-                    weights = np.array(
-                        [math.prod(radices[i + 1:]) for i in range(len(radices))], np.int64
-                    )
+                    weights = code_weights(tuple(radices))
                     arrays = _encode(out, weights)
             if arrays is None:
                 out = _convolve(out, f, order)
@@ -185,7 +188,24 @@ def _radices(factors: Sequence[tuple[dict[MultiIndex, float], int]], n: int) -> 
         return []
     tops = (exponent_rows(f, n).max(axis=0, initial=0) * count for f, count in factors)
     radices = (1 + sum(tops)).tolist()
-    return radices if math.prod(radices) <= np.iinfo(np.int64).max else []
+    return radices if code_weights(tuple(radices)) is not None else []
+
+
+@lru_cache(maxsize=1024)
+def code_weights(radices: tuple[int, ...]) -> np.ndarray | None:
+    """The place values, read-only, of mixed-radix int64 codes with these
+    radices, the first digit most significant: codes of digit rows below
+    their radices sort as the rows do. None when the codes would not fit in
+    int64."""
+    weights, scale = [], 1
+    for radix in reversed(radices):
+        weights.append(scale)
+        scale *= radix
+    if scale >= 2**63:
+        return None
+    weights = np.array(weights[::-1], np.int64)
+    weights.setflags(write=False)
+    return weights
 
 
 def _encode(terms: dict[MultiIndex, float], weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -226,61 +246,90 @@ def compose(
 
 def _valid_terms(
     exponents: Sequence[Sequence], coefficients: Sequence, n: int, exact: bool = False
-) -> tuple[dict[MultiIndex, float], np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray] | None:
     """The nonzero terms of parallel exponent vectors and coefficients, as
     the term-by-term check converts them (int() per exponent, float() per
-    coefficient), checked in one pass over an exponent array, in canonical
-    order, and that array's rows in the same order. None when some term is
-    invalid, a vector is not of length n or repeats another, or more than
-    MAX_TERMS terms remain. With `exact`, as for a file, also None when an
-    exponent is not integral or a coefficient not an int or float."""
+    coefficient), checked in one array pass: their exponent rows (int64) and
+    coefficients (float64), read-only, in canonical order. Exponent codes
+    (see code_weights) give the order and find repeated vectors.
+
+    None when the pass does not take the input, which the term-by-term
+    check then takes: an invalid term, a vector not of length n or
+    repeating another, codes beyond int64, or more than MAX_TERMS terms.
+    With `exact`, as for a file, also None when an exponent is not an
+    integer or a coefficient not an int or a float."""
+    if len(exponents) > MAX_TERMS:
+        return None
     try:
-        if exponents and set(map(len, exponents)) != {n}:
-            return None
-        rows = exponent_rows(exponents, n)
-        if exact and not set(map(type, coefficients)) <= {int, float}:
-            return None
-        values = list(map(float, coefficients))
-    except (TypeError, ValueError, OverflowError):  # OverflowError: beyond int64
+        if exact:
+            # a file's exponents must read back as written: a fraction, a
+            # string or a ragged row makes an array of another dtype or shape
+            rows = np.array(exponents) if len(exponents) else np.empty((0, n), np.int64)
+            if rows.shape != (len(exponents), n) or rows.size and rows.dtype.kind != "i":
+                return None
+            rows = rows.astype(np.int64, copy=False)  # rows of no features read as float
+            if not set(map(type, coefficients)) <= {int, float}:
+                return None
+        else:
+            if len(exponents) and set(map(len, exponents)) != {n}:
+                return None
+            rows = exponent_rows(exponents, n)
+        values = np.fromiter(map(float, coefficients), float, len(coefficients))
+    except (TypeError, ValueError, OverflowError):  # ragged rows; beyond int64 or float
         return None
     # bound every exponent (a negative one reads as a huge unsigned) before
     # the row sums, so they cannot wrap
-    if rows.view(np.uint64).max(initial=0) > MAX_TOTAL_DEGREE:
+    tops = rows.view(np.uint64).max(axis=0, initial=0).tolist()
+    if max(tops, default=0) > MAX_TOTAL_DEGREE:
         return None
-    if rows.sum(axis=1).max(initial=0) > MAX_TOTAL_DEGREE:
+    # a row sum can pass the cap only where the column maxima's sum does
+    if sum(tops) > MAX_TOTAL_DEGREE and rows.sum(axis=1).max() > MAX_TOTAL_DEGREE:
         return None
-    if not all(map(math.isfinite, values)):
+    if not np.isfinite(values).all():
         return None
-    listed = rows.tolist()
-    # int() truncates: a file's vectors must read back as they were written
-    if exact and listed != list(exponents):
-        return None
-    keys = list(map(tuple, listed))
-    terms = dict(zip(keys, values))
-    if len(terms) != len(values):
-        return None
-    if keys != sorted(keys) or 0.0 in values:  # unsorted, or a zero (-0.0 too)
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        order = [i for i in order if values[i] != 0.0]
-        terms = {keys[i]: values[i] for i in order}
-        rows = rows.take(order, axis=0)
-    return (terms, rows) if len(terms) <= MAX_TERMS else None
-
-
-def _keep_rows(poly: "SparsePolynomial", rows: np.ndarray) -> None:
-    """Store a polynomial's exponent rows, in term order, as its `exponent_array`."""
+    if len(rows) > 1:
+        weights = code_weights(tuple(top + 1 for top in tops))
+        if weights is None:
+            return None
+        codes = rows @ weights
+        if not (codes[1:] > codes[:-1]).all():  # out of order, or a vector repeats
+            order = np.argsort(codes, kind="stable")
+            if (np.diff(codes[order]) == 0).any():
+                return None
+            rows, values = rows[order], values[order]
+    if not values.all():  # a zero coefficient, -0.0 too
+        nonzero = values != 0.0
+        rows, values = rows[nonzero], values[nonzero]
     rows.setflags(write=False)
-    poly.__dict__["exponent_array"] = rows
+    values.setflags(write=False)
+    return rows, values
+
+
+def _keep_arrays(poly: "SparsePolynomial", arrays: tuple[np.ndarray, np.ndarray]) -> None:
+    """Store the array pass's (exponent rows, coefficients) as a polynomial's own."""
+    poly.__dict__["exponent_array"], poly.__dict__["coefficients"] = arrays
+
+
+def _term_dict(rows: np.ndarray, coefficients: np.ndarray) -> dict[MultiIndex, float]:
+    """The terms of exponent rows and coefficients, in row order."""
+    return dict(zip(map(tuple, rows.tolist()), coefficients.tolist()))
 
 
 def _finite(center: Point) -> Point:
-    if not all(math.isfinite(v) for v in center):
+    if not all(map(math.isfinite, center)):
         raise NonFiniteError(f"polynomial center {tuple(center)} is not finite")
     return center
 
 
 @dataclass(frozen=True)
 class SparsePolynomial:
+    """Terms validated by the array pass (`_valid_terms`) are stored as its
+    two read-only arrays, `exponent_array` and `coefficients`; a loaded
+    polynomial builds its `terms` dict from them on first read. Terms from
+    the term-by-term check or from exact arithmetic are stored as the
+    `terms` dict, and the arrays are built from it on first read. Either
+    way they hold the same terms, in the same order."""
+
     center: Point
     terms: Mapping[MultiIndex, float]
 
@@ -288,30 +337,39 @@ class SparsePolynomial:
         n = len(_finite(self.center))
         valid = _valid_terms(list(self.terms), list(self.terms.values()), n)
         if valid is not None:
-            clean, rows = valid
-            _keep_rows(self, rows)
-        else:
-            # keys or coefficients the array pass does not take, or an invalid
-            # term: check term by term, which names the first offending one
-            clean = {}
-            for m, c in self.terms.items():
-                key = tuple(int(e) for e in m)
-                if len(key) != n:
-                    raise DimensionMismatchError(
-                        f"exponent vector {key} does not match dimension {n}"
-                    )
-                if any(e < 0 for e in key):
-                    raise ValueError(f"negative exponent in {key}")
-                _require_degree(sum(key))
-                value = float(c)
-                if not math.isfinite(value):
-                    raise NonFiniteError(f"non-finite coefficient for {key}")
-                if value != 0.0:
-                    clean[key] = value
-            clean = {m: clean[m] for m in sorted(clean)}
+            # the caller reads back the terms it gave, so they are built at once
+            _keep_arrays(self, valid)
+            object.__setattr__(self, "terms", _term_dict(*valid))
+            return
+        # keys or coefficients the array pass does not take, or an invalid
+        # term: check term by term, which names the first offending one
+        clean = {}
+        for m, c in self.terms.items():
+            key = tuple(int(e) for e in m)
+            if len(key) != n:
+                raise DimensionMismatchError(
+                    f"exponent vector {key} does not match dimension {n}"
+                )
+            if any(e < 0 for e in key):
+                raise ValueError(f"negative exponent in {key}")
+            _require_degree(sum(key))
+            value = float(c)
+            if not math.isfinite(value):
+                raise NonFiniteError(f"non-finite coefficient for {key}")
+            if value != 0.0:
+                clean[key] = value
         if len(clean) > MAX_TERMS:
             raise CapExceededError(f"{len(clean)} terms exceed cap {MAX_TERMS}")
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", {m: clean[m] for m in sorted(clean)})
+
+    def __getattr__(self, name: str):
+        # only reached when `name` is not stored: `terms` of a polynomial
+        # stored as its arrays is built here once
+        if name != "terms" or "coefficients" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        terms = _term_dict(self.exponent_array, self.coefficients)
+        self.__dict__["terms"] = terms
+        return terms
 
     @classmethod
     def _canonical(cls, center: Point, terms: dict[MultiIndex, float]) -> "SparsePolynomial":
@@ -344,13 +402,25 @@ class SparsePolynomial:
     def n(self) -> int:
         return len(self.center)
 
+    @property
+    def term_count(self) -> int:
+        """len(terms), read from the form the polynomial is stored in."""
+        terms = self.__dict__.get("terms")
+        return len(self.coefficients if terms is None else terms)
+
     @cached_property
     def exponent_array(self) -> np.ndarray:
-        """The exponent vectors, in term order, as the rows of a read-only
-        int64 array: the validating array pass's own when it built the terms."""
+        """The exponent vectors, in term order, as the rows of a read-only int64 array."""
         rows = exponent_rows(list(self.terms), self.n)
         rows.setflags(write=False)
         return rows
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """The coefficients, in term order, as a read-only float64 array."""
+        values = np.fromiter(self.terms.values(), float, len(self.terms))
+        values.setflags(write=False)
+        return values
 
     def degree(self) -> int:
         return max((sum(m) for m in self.terms), default=0)
@@ -449,9 +519,9 @@ class SparsePolynomial:
         except (KeyError, TypeError):  # an item without "m" or "c", or not an object
             valid = None
         if valid is not None:
-            terms, rows = valid
-            poly = cls._canonical(_finite(center), terms)
-            _keep_rows(poly, rows)
+            poly = object.__new__(cls)
+            object.__setattr__(poly, "center", _finite(center))
+            _keep_arrays(poly, valid)
             return poly
         # a term the one pass does not take: check term by term, which names
         # the first offending field or repeated vector

@@ -537,6 +537,44 @@ def test_missing_source_is_usage_error(tmp_path, capsys):
         assert "is required" in err
 
 
+# The whole message of each row of test_malformed_input_file_is_usage_error.
+MALFORMED_INPUT_ERRORS = {
+    "table-without-n": "table has no 'n' field",
+    "term-without-c": "polynomial term has no 'c' field",
+    "table-list": "table must be a JSON object, got list",
+    "poly-list": "polynomial must be a JSON object, got list",
+    "config-list": "suite config must be a JSON object, got list",
+    "config-methods-string":
+        "suite config field 'methods': expected a list of names, got 'shapley'",
+    "config-tolerance-string":
+        "tolerance_overrides['completeness'] must be a finite number >= 0, got 'x'",
+    "config-tolerance-bool":
+        "tolerance_overrides['completeness'] must be a finite number >= 0, got True",
+    "config-tolerance-negative":
+        "tolerance_overrides['completeness'] must be a finite number >= 0, got -1.0",
+    "table-fractional-n": "table field 'n': expected an integer, got 2.9",
+    "term-fractional-exponent": "polynomial term field 'm': expected an integer, got 1.5",
+    "config-fractional-trials": "suite config field 'trials': expected an integer, got 2.5",
+    "poly-infinite-center": "polynomial center (inf,) is not finite",
+    "poly-n-above-cap": "polynomial field 'n': 1000000000000 is outside 0..63",
+    "term-numeric-string-c": "polynomial term field 'c': expected a number, got '2.5'",
+    "term-string-c": "polynomial term field 'c': expected a number, got 'abc'",
+    "poly-string-center": "polynomial field 'center': expected a number, got '0.5'",
+    "table-string-values": "table field 'values': expected numbers, got str32 items",
+    "table-mixed-values": "table field 'values': expected numbers, got str1024 items",
+    "table-null-value": "table field 'values': expected numbers, got object items",
+    "poly-repeated-vector": "polynomial repeats the exponent vector (1,)",
+    "poly-repeated-vector-term-by-term": "polynomial repeats the exponent vector (1,)",
+    "table-boolean-n": "table field 'n': expected an integer, got True",
+    "poly-boolean-n": "polynomial field 'n': expected an integer, got True",
+    "config-boolean-trials": "suite config field 'trials': expected an integer, got True",
+    "config-boolean-seed": "suite config field 'seed': expected an integer, got False",
+    "term-boolean-exponent-string-c": "polynomial term field 'c': expected a number, got '2'",
+    "term-infinite-exponent": "polynomial term field 'm': expected an integer, got inf",
+    "term-overflowing-exponent": "polynomial term field 'm': expected an integer, got inf",
+}
+
+
 @pytest.mark.parametrize(
     "flag, payload, field",
     [
@@ -593,7 +631,7 @@ def test_missing_source_is_usage_error(tmp_path, capsys):
          "term-boolean-exponent-string-c", "term-infinite-exponent",
          "term-overflowing-exponent"],
 )
-def test_malformed_input_file_is_usage_error(tmp_path, capsys, flag, payload, field):
+def test_malformed_input_file_is_usage_error(tmp_path, capsys, request, flag, payload, field):
     path = tmp_path / "input.json"
     path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     if flag == "--config":
@@ -605,6 +643,7 @@ def test_malformed_input_file_is_usage_error(tmp_path, capsys, flag, payload, fi
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
     assert field in err
+    assert err == f"error: {MALFORMED_INPUT_ERRORS[request.node.callspec.id]}\n"
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from synergy.core import (
     comparison_to_json,
     masked_point,
     report_from_values,
+    sequential_sum,
     validate_instance,
 )
 from synergy.set_methods import SynergyTable
@@ -242,6 +243,32 @@ def test_report_total_adds_left_to_right():
     # compensated sum, such as the builtin sum from Python 3.12 on, gives 1.0)
     report = report_from_values(3, 1, {(): 5.0, (1,): 1e16, (2,): 1.0, (3,): -1e16})
     assert report.total() == 0.0
+
+
+def test_sequential_sum_of_a_vector_is_the_cumulative_sum():
+    """The Python loop that sums a vector gives the bits of the cumulative
+    sum from 0.0 that sums each column of a matrix."""
+    rng = np.random.default_rng(2718)
+    vectors = [np.array([1e16, 1.0, -1e16]), np.array([-0.0]), np.array([-0.0, -0.0]),
+               np.empty(0), np.array([np.inf, -np.inf]), np.array([1.0, np.nan, np.inf])]
+    for size in (1, 2, 7, 100):
+        for _ in range(20):
+            values = rng.standard_normal(size) * 10.0 ** rng.integers(-20, 20, size)
+            special = rng.random(size)
+            values[special < 0.1] = -0.0
+            values[(special >= 0.1) & (special < 0.13)] = np.inf
+            values[(special >= 0.13) & (special < 0.16)] = -np.inf
+            values[(special >= 0.16) & (special < 0.18)] = np.nan
+            vectors.append(values)
+    for values in vectors:
+        total = sequential_sum(values)
+        assert type(total) is float
+        with np.errstate(invalid="ignore"):  # inf - inf
+            cumulative = float(np.cumsum(np.concatenate([[0.0], values]))[-1])
+            column = sequential_sum(values[:, None])
+        assert column.shape == (1,)
+        assert total.hex() == cumulative.hex() == float(column[0]).hex()
+    assert sequential_sum(np.array([1e16, 1.0, -1e16])) == 0.0
 
 
 @settings(max_examples=50, deadline=None)

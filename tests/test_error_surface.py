@@ -166,3 +166,36 @@ def test_integer_beyond_the_float_range_names_its_field(tmp_path, capsys, flag, 
     assert code == 2 and out == ""
     assert err.startswith(f"error: {field}: ")
     assert BEYOND_FLOAT[:20] not in err  # the digits are not echoed
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("(x1 - x1 + 1)^100000000", "exponent 100000000 exceeds cap 128"),
+        ("(x1 - x1 + 1)^129", "exponent 129 exceeds cap 128"),
+        ("(x1 - x1)^1000000", "exponent 1000000 exceeds cap 128"),
+        # the degree check runs first
+        ("x1^1000000000", "total degree 1000000000 exceeds cap 128"),
+    ],
+    ids=["constant-base", "constant-base-above-cap", "zero-base", "degree-first"],
+)
+def test_exact_power_above_the_degree_cap_fails_at_once(capsys, expr, message):
+    start = time.perf_counter()
+    code = main(["interact", "--expr", expr, "--x", "1", "--method", "ig"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_exact_power_at_the_degree_cap_of_a_constant_base_is_expanded(capsys):
+    code = main(["interact", "--expr", "(x1 - x1 + 2)^128 + x1", "--x", "1", "--method", "ig"])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    assert json.loads(out)["entries"][1] == {"coalition": [1], "value": 1.0}
+
+
+def test_overflowing_expression_power_names_the_non_finite_value(capsys):
+    code = main(["interact", "--expr", "(sin(x1) + 2)^2000", "--x", "1", "--method", "ig"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: non-finite sample in dF/dx1\n"

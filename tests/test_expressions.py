@@ -74,6 +74,14 @@ def test_evaluate_worked_example():
     assert ex.evaluate(ex.parse("sin(x1)", 1), (0.0,)) == 0.0
 
 
+def test_evaluate_power_beyond_the_float_range_is_the_signed_infinity():
+    # Python's float power raises OverflowError there; evaluate takes the
+    # infinity the power rounds to, as SparsePolynomial.evaluate does
+    assert ex.evaluate(ex.parse("(sin(x1) + 2)^2000", 1), (1.0,)) == math.inf
+    assert ex.evaluate(ex.parse("(sin(x1) - 3)^2001", 1), (1.0,)) == -math.inf
+    assert ex.evaluate(ex.parse("(sin(x1) - 3)^2000", 1), (1.0,)) == math.inf
+
+
 def test_evaluate_agrees_with_polynomial_path(rng):
     for _ in range(15):
         tree = ex.parse("x1^3 - 2*x1*x2 + 0.5*x2^2 - 4", 2)

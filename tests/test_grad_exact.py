@@ -685,3 +685,39 @@ def test_powers_beyond_the_float_range_are_signed_infinities():
     table = grad_exact._powers(-1e3, (np.array([0, 3, 127, 128, 3]),), 128, False)
     assert table[[0, 3, 127, 128]].tolist() == [1.0, -1e9, -np.inf, np.inf]
     assert table[[1, 2, 4]].tolist() == [1.0, 1.0, 1.0]  # not taken
+
+
+def test_kernels_read_the_form_a_polynomial_is_stored_in():
+    """On a loaded polynomial the array kernels read its arrays and never
+    build its term dict; on a small polynomial stored as its dict the term
+    loop never builds its arrays."""
+    rng = np.random.default_rng(8)
+    vectors = [m for m in polynomials.multi_indices(4, 7) if any(m)][:300]
+    payload = {"n": 4, "center": [0.5, -0.25, 0.0, 1.0],
+               "terms": [{"m": list(m), "c": float(c)}
+                         for m, c in zip(vectors, rng.uniform(-1, 1, len(vectors)))]}
+    x = (1.5, 0.25, -1.0, 0.5)
+    assert len(vectors) >= grad_exact.ARRAY_MIN_TERMS
+    loaded = SparsePolynomial.from_json_dict(payload)
+    reports = [
+        integrated_gradients(loaded, x),
+        integrated_hessian(loaded, x, 2),
+        augmented_integrated_hessian(loaded, x, 3),
+        sum_of_powers(loaded, x, 3),
+        integrated_hessian_pairwise(loaded, x),
+    ]
+    assert "terms" not in loaded.__dict__
+    built = SparsePolynomial(loaded.center, dict(loaded.terms))
+    for report, again in zip(reports, (
+        integrated_gradients(built, x),
+        integrated_hessian(built, x, 2),
+        augmented_integrated_hessian(built, x, 3),
+        sum_of_powers(built, x, 3),
+        integrated_hessian_pairwise(built, x),
+    )):
+        assert _bits(report.values) == _bits(again.values)
+    small = built.truncate(2)  # stored as its dict
+    assert small.term_count < grad_exact.ARRAY_MIN_TERMS
+    for rule in ("ih", "ih-aug", "sop"):
+        _termwise(small, x, 2, rule)
+    assert "exponent_array" not in small.__dict__ and "coefficients" not in small.__dict__

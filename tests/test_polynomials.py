@@ -463,3 +463,75 @@ def test_exponent_array_holds_the_terms_in_order():
         assert list(map(tuple, rows.tolist())) == list(poly.terms)
         assert not rows.flags.writeable
         assert poly.exponent_array is rows
+
+
+@st.composite
+def polynomial_files(draw):
+    """Polynomial file payloads the loader accepts: terms in random order,
+    of up to 320 distinct vectors, with zero and -0.0 coefficients, integer
+    coefficients, boolean or integral-float exponents, no features, or
+    exponent codes too wide for int64."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([3, 5, 2, 10, 4, 1, 0]))
+    wide = n == 10
+    vectors = multi_indices(n, 3 if wide else 8)
+    size = min(draw(st.sampled_from([40, 320, 7, 1, 0])), len(vectors))
+    picked = [list(vectors[i]) for i in rng.permutation(len(vectors))[:size]]
+    if wide:
+        # one exponent of 100 per feature: the codes would need 101^10 > 2^63
+        picked += [[100 * (j == i) for j in range(n)] for i in range(n)]
+    coefficients = rng.uniform(-2.0, 2.0, len(picked)).tolist()
+    for i in rng.choice(len(picked), size=len(picked) // 4, replace=False).tolist():
+        coefficients[i] = draw(st.sampled_from([0.0, -0.0, 3, -(10**20), 2**53 + 1]))
+    exponents = draw(st.sampled_from(["int", "bool", "float"]))
+    for m in picked[:3]:
+        if exponents == "bool":
+            m[:] = [bool(e) if e < 2 else e for e in m]
+        elif exponents == "float":
+            m[:] = [float(e) for e in m]
+    return {
+        "n": n,
+        "center": rng.uniform(-1.0, 1.0, n).tolist(),
+        "terms": [{"m": m, "c": c} for m, c in zip(picked, coefficients)],
+    }
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(polynomial_files())
+def test_loader_stores_what_the_validating_constructor_stores(payload):
+    """Whether the one array pass takes a file or hands it to the term-by-term
+    check, the loader stores the terms, exponent rows and coefficients that
+    SparsePolynomial(center, {tuple(m): c}) stores, bit for bit."""
+    loaded = SparsePolynomial.from_json_dict(payload)
+    built = SparsePolynomial(
+        tuple(payload["center"]), {tuple(t["m"]): t["c"] for t in payload["terms"]}
+    )
+    for poly in (loaded, built):
+        assert not poly.exponent_array.flags.writeable
+        assert not poly.coefficients.flags.writeable
+        assert poly.exponent_array.dtype == np.int64 and poly.coefficients.dtype == np.float64
+    assert loaded.term_count == built.term_count
+    assert np.array_equal(loaded.exponent_array, built.exponent_array)
+    assert loaded.coefficients.tobytes() == built.coefficients.tobytes()
+    assert loaded.center == built.center
+    assert list(loaded.terms) == list(built.terms) == sorted(built.terms)
+    assert [c.hex() for c in loaded.terms.values()] == [c.hex() for c in built.terms.values()]
+    assert all(type(e) is int for m in loaded.terms for e in m)
+    assert loaded == built
+
+
+def test_a_loaded_polynomial_builds_its_terms_on_first_read():
+    payload = {"n": 2, "center": [0.5, -1.0],
+               "terms": [_term([2, 1], -0.0), _term([1, 1], 4), _term([0, 1], 1.5)]}
+    poly = SparsePolynomial.from_json_dict(payload)
+    assert "terms" not in poly.__dict__
+    assert poly.term_count == 2
+    assert poly.exponent_array.tolist() == [[0, 1], [1, 1]]
+    assert poly.coefficients.tolist() == [1.5, 4.0]
+    assert "terms" not in poly.__dict__
+    terms = poly.terms
+    assert terms == {(0, 1): 1.5, (1, 1): 4.0} and poly.terms is terms
+    with pytest.raises(ValueError):
+        poly.coefficients[0] = 2.0
+    with pytest.raises(AttributeError, match="no attribute 'term'"):
+        poly.term
