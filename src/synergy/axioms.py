@@ -202,7 +202,8 @@ def _random_polynomial(
         fallback = 1 if exclude != 1 else 2
         unit = tuple(1 if i == fallback - 1 else 0 for i in range(n))
         terms[unit] = float(rng.uniform(-1, 1))
-    return SparsePolynomial((0.0,) * n, terms)
+    # the candidates are in lexicographic order, so the terms are sorted
+    return SparsePolynomial._exact((0.0,) * n, {m: c for m, c in terms.items() if c != 0.0})
 
 
 def _random_analytic(
@@ -300,7 +301,7 @@ def _pure_synergy_trial(
     m = tuple(exponents.get(i, 0) for i in range(1, n + 1))
     x = tuple(_signed_uniform(rng) for _ in range(n))
     if mut.kind == "polynomial":
-        function = SparsePolynomial((0.0,) * n, {m: _signed_uniform(rng)})
+        function = SparsePolynomial._exact((0.0,) * n, {m: _signed_uniform(rng)})
     else:
         monomial = ex.mul(
             ex.Const(_signed_uniform(rng)),
@@ -351,8 +352,8 @@ def _permute_trial(trial: Trial, permutation: Sequence[int]) -> Trial:
 
     if trial.kind == "polynomial":
         poly = trial.function
-        function = SparsePolynomial(
-            poly.center, {image(m): c for m, c in poly.terms.items()}
+        function = SparsePolynomial._exact(
+            poly.center, {image(m): c for m, c in poly.terms.items()}, ordered=False
         )
     else:
         function = relabel(trial.function)

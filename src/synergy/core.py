@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
 from itertools import chain, combinations, repeat
@@ -51,8 +52,8 @@ def as_int(value: Any) -> int:
 
 
 def as_real(value: Any) -> float:
-    """`value` as a float: a TypeError unless it is a number (a string is not)."""
-    if not isinstance(value, (int, float)):
+    """`value` as a float: a TypeError unless it is a real number (a string is not)."""
+    if not isinstance(value, numbers.Real):
         raise TypeError(f"expected a number, got {value!r}")
     try:
         return float(value)

@@ -138,13 +138,23 @@ def power(base: Expr, exponent: int) -> Expr:
     if exponent == 1:
         return base
     if isinstance(base, Const):
-        return Const(base.value**exponent)
+        try:
+            return Const(base.value**exponent)
+        except OverflowError:
+            return Const(overflowed_power(base.value, exponent))
     return Pow(base, exponent)
 
 
 def call(func: str, arg: Expr) -> Expr:
+    # a constant folds as `evaluate` maps an array: exp beyond the float
+    # range is inf, and sin or cos of an infinity is nan
     if isinstance(arg, Const):
-        return Const(getattr(math, func)(arg.value))
+        try:
+            return Const(getattr(math, func)(arg.value))
+        except OverflowError:
+            return Const(math.inf)
+        except ValueError:
+            return Const(math.nan)
     return Call(func, arg)
 
 
@@ -476,7 +486,7 @@ def _series(e: Expr, center: Point, order: int | None) -> dict[MultiIndex, float
         if order is None or order >= 1:
             out[tuple(1 if j == e.index - 1 else 0 for j in range(n))] = 1.0
         if center[e.index - 1] != 0.0:
-            out[zero] = center[e.index - 1]
+            out[zero] = float(center[e.index - 1])  # a numpy center's items are not floats
         return out
     if isinstance(e, Neg):
         return {m: -c for m, c in _series(e.arg, center, order).items()}
@@ -538,7 +548,7 @@ def taylor(expr: Expr, center: Point, order: int) -> SparsePolynomial:
         raise CapExceededError(
             f"taylor of transcendental expressions capped at {TAYLOR_MAX_FEATURES} features"
         )
-    return SparsePolynomial(center, _series(expr, center, order))
+    return SparsePolynomial._exact(center, _series(expr, center, order), ordered=False)
 
 
 def from_polynomial(p: SparsePolynomial) -> Expr:

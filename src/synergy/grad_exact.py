@@ -264,11 +264,9 @@ def ig_polynomial(p: SparsePolynomial, i: int) -> SparsePolynomial:
     """Integrated-gradients attribution to feature i as a polynomial in y."""
     if not 1 <= i <= p.n:
         raise ValueError(f"feature index {i} outside 1..{p.n}")
-    terms = {}
-    for m, c in p.terms.items():
-        if m[i - 1] > 0:
-            terms[m] = c * m[i - 1] / sum(m)
-    return SparsePolynomial(p.center, terms)
+    terms = ((m, c * m[i - 1] / sum(m)) for m, c in p.terms.items() if m[i - 1] > 0)
+    # a share can underflow to zero
+    return SparsePolynomial._exact(p.center, {m: c for m, c in terms if c != 0.0})
 
 
 def sum_of_powers_nested(
@@ -407,7 +405,7 @@ def _pairwise_parts(
     curvature = np.zeros(len(i))
     curvature[twice] = e2 * (e2 - 1) * inv_square[twice_row] * twice_r * square[i2]
     single_parts = coefficients[row] * (main + curvature)
-    # pair (a, b) follows the n + 1 coalitions of size <= 1 and the pairs
-    # (a', b') with a' < a, or a' = a and b' < b
-    pair_slots = 1 + n + a * (2 * n - a - 1) // 2 + (b - a - 1)
-    return np.concatenate([pair_slots, 1 + i]), np.concatenate([pair_parts, single_parts])
+    slots = np.concatenate(
+        [coalition_slots(n, np.stack([a, b], axis=1) + 1), coalition_slots(n, i[:, None] + 1)]
+    )
+    return slots, np.concatenate([pair_parts, single_parts])

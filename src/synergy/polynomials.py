@@ -12,7 +12,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -218,8 +218,7 @@ def _decode(
     codes: np.ndarray, coefs: np.ndarray, weights: np.ndarray, radices: Sequence[int]
 ) -> dict[MultiIndex, float]:
     """The terms of exponent codes and their coefficients, in array order."""
-    digits = codes[:, None] // weights % np.array(radices, np.int64)
-    return dict(zip(map(tuple, digits.tolist()), coefs.tolist()))
+    return _term_dict(codes[:, None] // weights % np.array(radices, np.int64), coefs)
 
 
 def compose(
@@ -245,35 +244,28 @@ def compose(
 
 
 def _valid_terms(
-    exponents: Sequence[Sequence], coefficients: Sequence, n: int, exact: bool = False
+    exponents: Sequence[Sequence], coefficients: Sequence, n: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """The nonzero terms of parallel exponent vectors and coefficients, as
-    the term-by-term check converts them (int() per exponent, float() per
-    coefficient), checked in one array pass: their exponent rows (int64) and
+    """The nonzero terms of a polynomial file's parallel exponent vectors and
+    coefficients, checked in one array pass: their exponent rows (int64) and
     coefficients (float64), read-only, in canonical order. Exponent codes
     (see code_weights) give the order and find repeated vectors.
 
-    None when the pass does not take the input, which the term-by-term
-    check then takes: an invalid term, a vector not of length n or
-    repeating another, codes beyond int64, or more than MAX_TERMS terms.
-    With `exact`, as for a file, also None when an exponent is not an
-    integer or a coefficient not an int or a float."""
+    None when the pass does not take the input, which the loader then reads
+    term by term: an exponent that is not an integer, a coefficient not an
+    int or a float, an invalid term, a vector not of length n or repeating
+    another, codes beyond int64, or more than MAX_TERMS terms."""
     if len(exponents) > MAX_TERMS:
         return None
     try:
-        if exact:
-            # a file's exponents must read back as written: a fraction, a
-            # string or a ragged row makes an array of another dtype or shape
-            rows = np.array(exponents) if len(exponents) else np.empty((0, n), np.int64)
-            if rows.shape != (len(exponents), n) or rows.size and rows.dtype.kind != "i":
-                return None
-            rows = rows.astype(np.int64, copy=False)  # rows of no features read as float
-            if not set(map(type, coefficients)) <= {int, float}:
-                return None
-        else:
-            if len(exponents) and set(map(len, exponents)) != {n}:
-                return None
-            rows = exponent_rows(exponents, n)
+        # the exponents must read back as written: a fraction, a string or a
+        # ragged row makes an array of another dtype or shape
+        rows = np.array(exponents) if len(exponents) else np.empty((0, n), np.int64)
+        if rows.shape != (len(exponents), n) or rows.size and rows.dtype.kind != "i":
+            return None
+        rows = rows.astype(np.int64, copy=False)  # rows of no features read as float
+        if not set(map(type, coefficients)) <= {int, float}:
+            return None
         values = np.fromiter(map(float, coefficients), float, len(coefficients))
     except (TypeError, ValueError, OverflowError):  # ragged rows; beyond int64 or float
         return None
@@ -305,9 +297,10 @@ def _valid_terms(
     return rows, values
 
 
-def _keep_arrays(poly: "SparsePolynomial", arrays: tuple[np.ndarray, np.ndarray]) -> None:
-    """Store the array pass's (exponent rows, coefficients) as a polynomial's own."""
-    poly.__dict__["exponent_array"], poly.__dict__["coefficients"] = arrays
+def _exponent(value: Any) -> int:
+    """An exponent as an int: a TypeError unless it is an integral number (a
+    boolean reads as 0 or 1)."""
+    return int(value) if isinstance(value, bool) else as_int(value)
 
 
 def _term_dict(rows: np.ndarray, coefficients: np.ndarray) -> dict[MultiIndex, float]:
@@ -323,29 +316,31 @@ def _finite(center: Point) -> Point:
 
 @dataclass(frozen=True)
 class SparsePolynomial:
-    """Terms validated by the array pass (`_valid_terms`) are stored as its
-    two read-only arrays, `exponent_array` and `coefficients`; a loaded
-    polynomial builds its `terms` dict from them on first read. Terms from
-    the term-by-term check or from exact arithmetic are stored as the
-    `terms` dict, and the arrays are built from it on first read. Either
-    way they hold the same terms, in the same order."""
+    """Each source of terms has one way in, and every way stores the same
+    terms in the same canonical order:
+
+    - a caller's mapping, through this constructor: checked term by term,
+      which names the first offending term; stored as the `terms` dict;
+    - a polynomial file, through `from_json_dict`: checked in one array pass
+      (`_valid_terms`) and stored as its two read-only arrays,
+      `exponent_array` and `coefficients`, which build `terms` on first read;
+      a file the pass does not take is read term by term into a mapping;
+    - terms the program builds, valid by construction, through `_exact`,
+      which checks only what float arithmetic can break.
+
+    A polynomial stored as `terms` builds its arrays from them on first read."""
 
     center: Point
     terms: Mapping[MultiIndex, float]
 
     def __post_init__(self) -> None:
         n = len(_finite(self.center))
-        valid = _valid_terms(list(self.terms), list(self.terms.values()), n)
-        if valid is not None:
-            # the caller reads back the terms it gave, so they are built at once
-            _keep_arrays(self, valid)
-            object.__setattr__(self, "terms", _term_dict(*valid))
-            return
-        # keys or coefficients the array pass does not take, or an invalid
-        # term: check term by term, which names the first offending one
-        clean = {}
+        checked = {}
         for m, c in self.terms.items():
-            key = tuple(int(e) for e in m)
+            try:
+                key = tuple(map(_exponent, m))
+            except TypeError as err:
+                raise SynergyError(f"exponent vector {m!r}: {err}") from None
             if len(key) != n:
                 raise DimensionMismatchError(
                     f"exponent vector {key} does not match dimension {n}"
@@ -353,14 +348,19 @@ class SparsePolynomial:
             if any(e < 0 for e in key):
                 raise ValueError(f"negative exponent in {key}")
             _require_degree(sum(key))
-            value = float(c)
+            try:
+                value = as_real(c)
+            except TypeError as err:
+                raise SynergyError(f"coefficient for {key}: {err}") from None
             if not math.isfinite(value):
                 raise NonFiniteError(f"non-finite coefficient for {key}")
-            if value != 0.0:
-                clean[key] = value
+            if key in checked:
+                raise SynergyError(f"polynomial repeats the exponent vector {key}")
+            checked[key] = value
+        clean = {m: checked[m] for m in sorted(checked) if checked[m] != 0.0}
         if len(clean) > MAX_TERMS:
             raise CapExceededError(f"{len(clean)} terms exceed cap {MAX_TERMS}")
-        object.__setattr__(self, "terms", {m: clean[m] for m in sorted(clean)})
+        object.__setattr__(self, "terms", clean)
 
     def __getattr__(self, name: str):
         # only reached when `name` is not stored: `terms` of a polynomial
@@ -372,23 +372,16 @@ class SparsePolynomial:
         return terms
 
     @classmethod
-    def _canonical(cls, center: Point, terms: dict[MultiIndex, float]) -> "SparsePolynomial":
-        """The polynomial on terms already clean and sorted, such as a filter of another's."""
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "center", center)
-        object.__setattr__(poly, "terms", terms)
-        return poly
-
-    @classmethod
     def _exact(
         cls, center: Point, terms: dict[MultiIndex, float], ordered: bool = True
     ) -> "SparsePolynomial":
-        """The polynomial on the result of exact arithmetic on valid terms:
-        exponent vectors of the center's length within the degree cap, no
-        zero coefficient. Only what the arithmetic can break is checked, and
-        the terms are sorted unless `ordered`. On a non-float or non-finite
-        coefficient, a non-finite center or more than MAX_TERMS terms, the
-        validating constructor takes the terms as given and raises its error."""
+        """The one trusted constructor, for terms the program builds valid by
+        construction: distinct exponent vectors of ints, of the center's
+        length, within the degree cap, and no zero coefficient. Only what
+        float arithmetic can break is checked, and the terms are sorted
+        unless `ordered`. On a non-float or non-finite coefficient, a
+        non-finite center or more than MAX_TERMS terms, the validating
+        constructor takes the terms as given and raises its error."""
         values = terms.values()
         if (
             len(terms) > MAX_TERMS
@@ -396,7 +389,12 @@ class SparsePolynomial:
             or not all(map(math.isfinite, chain(center, values)))
         ):
             return cls(center, terms)
-        return cls._canonical(center, terms if ordered else {m: terms[m] for m in sorted(terms)})
+        if not ordered:
+            terms = {m: terms[m] for m in sorted(terms)}
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "center", center)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     @property
     def n(self) -> int:
@@ -480,7 +478,7 @@ class SparsePolynomial:
         """Drop every term of total degree above max_degree."""
         if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
-        return SparsePolynomial._canonical(
+        return SparsePolynomial._exact(
             self.center, {m: c for m, c in self.terms.items() if sum(m) <= max_degree}
         )
 
@@ -490,7 +488,7 @@ class SparsePolynomial:
         for m, c in self.terms.items():
             pieces.setdefault(support(m), {})[m] = c
         return {
-            coalition: SparsePolynomial._canonical(self.center, terms)
+            coalition: SparsePolynomial._exact(self.center, terms)
             for coalition, terms in pieces.items()
         }
 
@@ -513,31 +511,20 @@ class SparsePolynomial:
             raise DimensionMismatchError("center length does not match n")
         items = json_field(payload, "terms", "polynomial", list)
         try:
-            valid = _valid_terms(
-                [item["m"] for item in items], [item["c"] for item in items], n, exact=True
-            )
+            valid = _valid_terms([item["m"] for item in items], [item["c"] for item in items], n)
         except (KeyError, TypeError):  # an item without "m" or "c", or not an object
             valid = None
         if valid is not None:
             poly = object.__new__(cls)
             object.__setattr__(poly, "center", _finite(center))
-            _keep_arrays(poly, valid)
+            poly.__dict__["exponent_array"], poly.__dict__["coefficients"] = valid
             return poly
-        # a term the one pass does not take: check term by term, which names
+        # a term the one pass does not take: read term by term, which names
         # the first offending field or repeated vector
         terms = {}
         for item in items:
-            try:
-                m = tuple(map(int, item["m"]))
-                if m != tuple(item["m"]):  # a fraction or a string
-                    raise TypeError
-                c = as_real(item["c"])
-            except (KeyError, TypeError, ValueError, OverflowError):  # int(inf) overflows
-                # raise again, naming the missing or mistyped field (a boolean exponent is 0 or 1)
-                json_field(item, "m", "polynomial term",
-                           lambda m: [as_int(e) for e in m if not isinstance(e, bool)])
-                json_field(item, "c", "polynomial term", as_real)
-                raise
+            m = json_field(item, "m", "polynomial term", lambda m: tuple(map(_exponent, m)))
+            c = json_field(item, "c", "polynomial term", as_real)
             if m in terms:
                 raise SynergyError(f"polynomial repeats the exponent vector {m}")
             terms[m] = c

@@ -8,7 +8,10 @@ from synergy import expressions as ex
 from synergy import set_methods
 from synergy.axioms import (
     SuiteConfig,
+    _permute_trial,
+    _pure_synergy_trial,
     _random_polynomial,
+    _random_trial,
     check_baseline_test,
     check_completeness,
     check_continuity,
@@ -195,6 +198,54 @@ def test_random_polynomial_replays_the_one_draw_stream(n, density):
                 )
                 runs.append((list(p.terms.items()), after))
             assert runs[0] == runs[1]
+
+
+class _OneDraw:
+    """A generator stand-in whose every uniform draw is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+    def uniform(self, low, high):
+        return low + (high - low) * self.u
+
+
+@pytest.mark.parametrize("density", [0.3, 0.6])
+def test_random_polynomial_drops_a_zero_coefficient(density):
+    """A draw of exactly 0.5 makes the coefficient -1 + 2 * 0.5 = 0.0, as a
+    term (density 0.6) or as the fallback's (0.3); it is dropped, as the
+    constructor drops it."""
+    poly = _random_polynomial(_OneDraw(0.5), 3, density=density)
+    assert poly.terms == {} and len(poly.coefficients) == 0
+
+
+def test_trusted_trial_polynomials_equal_the_validated_construction():
+    """The harness builds its polynomial trials (random, low-density
+    fallback, permuted, pure-synergy) through the trusted
+    `SparsePolynomial._exact`; each holds the terms, in the order and to the
+    bit, that the validating constructor makes of the same mapping."""
+    checked = 0
+    for seed in range(300):
+        rng = np.random.default_rng([seed, 20])
+        method = SUITE_METHODS[("ig", "ih", "ih-aug", "sop")[seed % 4]]
+        trial, _ = _random_trial(method, rng, null_feature=seed % 2 == 1)
+        permutation = [int(v) for v in rng.permutation(range(1, trial.n + 1))]
+        pure, _ = _pure_synergy_trial(method, rng, within_order=seed % 3 == 0)
+        sparse = _random_polynomial(rng, int(rng.integers(2, 5)), density=0.02)
+        for poly in (
+            trial.function, _permute_trial(trial, permutation).function, pure.function, sparse
+        ):
+            built = SparsePolynomial(poly.center, dict(poly.terms))
+            assert poly.center == built.center
+            assert list(poly.terms) == list(built.terms)
+            assert [c.hex() for c in poly.terms.values()] == [
+                c.hex() for c in built.terms.values()
+            ]
+            checked += 1
+    assert checked == 1200
 
 
 def test_suite_honors_expected_failures():

@@ -199,3 +199,21 @@ def test_overflowing_expression_power_names_the_non_finite_value(capsys):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err == "error: non-finite sample in dF/dx1\n"
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("10^400*x1", "non-finite coefficient for (1,)"),
+        ("(-10)^401 + x1", "non-finite coefficient for (0,)"),
+        ("exp(1000)*x1", "non-finite coefficient for (1,)"),
+        ("sin(exp(1000))*x1", "non-finite coefficient for (1,)"),
+    ],
+    ids=["power", "signed-power", "exp", "sin-of-inf"],
+)
+def test_overflowing_constant_names_the_non_finite_value(capsys, expr, message):
+    """A constant folded beyond the float range reads as `evaluate` reads it
+    on arrays, so the expansion names the term it leaves non-finite."""
+    code = main(["interact", "--expr", expr, "--x", "1", "--method", "ig"])
+    assert code == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -178,6 +178,26 @@ def test_taylor_of_polynomial_is_identity():
     assert ex.taylor(tree, (0.0, 0.0), p.degree()) == p
 
 
+def test_constant_folding_matches_array_evaluation():
+    """ex.power and ex.call fold a constant to what `evaluate` gives on an
+    array holding it: the signed infinity beyond the float range, inf for an
+    overflowing exp, nan for sin or cos of an infinity."""
+    def same(a, b):
+        return a == b or math.isnan(a) and math.isnan(b)
+
+    for value in (10.0, -10.0, 0.5, 1e300, -1e300, -math.inf, math.inf, math.nan):
+        for exponent in (2, 400, 401):
+            with np.errstate(over="ignore"):
+                expected = ex.evaluate(ex.Pow(ex.Var(1), exponent), [np.array([value])])[0]
+            assert same(ex.power(ex.Const(value), exponent).value, expected)
+    # arguments whose results are exact, so math and numpy agree
+    exact = (0.0, -math.inf, math.inf, math.nan)
+    for func, value in [(f, v) for f in ex.FUNCTIONS for v in exact] + [("exp", 1000.0)]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = ex.evaluate(ex.Call(func, ex.Var(1)), [np.array([value])])[0]
+        assert same(ex.call(func, ex.Const(value)).value, expected)
+
+
 def test_taylor_of_monomial_is_exact():
     p = ex.taylor(ex.parse("x1^2*x2", 2), (0.0, 0.0), 5)
     assert p.terms == {(2, 1): 1.0}
@@ -451,11 +471,23 @@ def test_to_polynomial_stores_what_the_validated_construction_stores(monkeypatch
     validated = SparsePolynomial(center, _expand(monkeypatch, expr, center, LOOP_ONLY))
     assert p.center == validated.center
     _assert_identical(p.terms, validated.terms)
-    # an integer center leaves an int coefficient, which the constructor converts
+    # an integer center gives a float coefficient too
     shifted = ex.to_polynomial(ex.Var(1), (2,))
     assert list(shifted.terms.items()) == [((0,), 2.0), ((1,), 1.0)]
     assert type(shifted.terms[(0,)]) is float
 
+
+
+def test_taylor_stores_what_the_validated_construction_stores():
+    """`taylor` trusts its series (`SparsePolynomial._exact`); it stores the
+    terms the constructor makes of them, all floats, for a numpy center too."""
+    expr = ex.parse("sin(x1*x2) + exp(x2 - x3)*x1 - 0.5*cos(x3)^2", 3)
+    for center in ((0.25, -0.5, 0.75), tuple(np.array([0.25, -0.5, 0.75]))):
+        p = ex.taylor(expr, center, 6)
+        validated = SparsePolynomial(center, ex._series(expr, center, 6))
+        assert p.center == validated.center
+        _assert_identical(p.terms, validated.terms)
+        assert all(type(c) is float for c in p.terms.values())
 
 # --- the series walker, pinned bit for bit ------------------------------------
 

@@ -190,6 +190,20 @@ def test_sum_of_powers_nested_oracle(rng):
         assert a.max_abs_difference(b) < 1e-9
 
 
+def test_ig_polynomial_stores_what_the_validated_construction_stores():
+    """The shares c * m_i / |m|, in the polynomial's term order, a share that
+    underflows to zero dropped, as the constructor drops it."""
+    p = SparsePolynomial(
+        (0.5, -1.0), {(1, 1): 5e-324, (2, 1): 3.0, (0, 2): 1.5, (3, 0): -1e-300}
+    )
+    for i in (1, 2):
+        shares = {m: c * m[i - 1] / sum(m) for m, c in p.terms.items() if m[i - 1]}
+        built = ig_polynomial(p, i)
+        validated = SparsePolynomial(p.center, shares)
+        assert list(built.terms.items()) == list(validated.terms.items())
+    assert (1, 1) not in ig_polynomial(p, 1).terms
+
+
 def test_sum_of_powers_nested_order_one_is_the_ig_construction(monkeypatch):
     """At k = 1 the oracle evaluates each feature's integrated-gradients
     polynomial, so it catches a fault in the production share rows."""

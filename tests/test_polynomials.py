@@ -1,4 +1,5 @@
 import math
+import numbers
 
 import numpy as np
 import pytest
@@ -187,22 +188,37 @@ def test_zero_coefficients_are_dropped():
 
 def _terms_checked_one_by_one(n, terms):
     """The terms a polynomial keeps, checked term by term in insertion order,
-    or the error for the first offending one (reference)."""
-    clean = {}
+    or the error for the first offending one (reference): every exponent an
+    integral number (a boolean reads as 0 or 1), every coefficient a real
+    number within the float range, and no two keys naming one vector."""
+    checked = {}
     for m, c in terms.items():
-        key = tuple(int(e) for e in m)
+        try:
+            exponents = list(m)
+        except TypeError as error:
+            raise SynergyError(f"exponent vector {m!r}: {error}") from None
+        for e in exponents:
+            if not (isinstance(e, numbers.Real) and math.isfinite(e) and e == math.floor(e)):
+                raise SynergyError(f"exponent vector {m!r}: expected an integer, got {e!r}")
+        key = tuple(math.floor(e) for e in exponents)
         if len(key) != n:
             raise DimensionMismatchError(f"exponent vector {key} does not match dimension {n}")
         if any(e < 0 for e in key):
             raise ValueError(f"negative exponent in {key}")
         if sum(key) > MAX_TOTAL_DEGREE:
             raise CapExceededError(f"total degree {sum(key)} exceeds cap {MAX_TOTAL_DEGREE}")
-        value = float(c)
+        if not isinstance(c, numbers.Real):
+            raise SynergyError(f"coefficient for {key}: expected a number, got {c!r}")
+        try:
+            value = float(c)
+        except OverflowError:
+            raise SynergyError(f"coefficient for {key}: expected a number within the float range")
         if not math.isfinite(value):
             raise NonFiniteError(f"non-finite coefficient for {key}")
-        if value != 0.0:
-            clean[key] = value
-    return clean
+        if key in checked:
+            raise SynergyError(f"polynomial repeats the exponent vector {key}")
+        checked[key] = value
+    return {m: c for m, c in checked.items() if c != 0.0}
 
 
 def _outcome(build):
@@ -231,6 +247,14 @@ def _outcome(build):
         {(1, "a"): 1.0},
         {(float("nan"), 0): 1.0},
         {7: 1.0},
+        {(1.5, 0): 1.0},  # a fraction is not read as its floor
+        {(1.5, 0): 1.0, (1, 0): 2.0},  # nor merged with the vector it would floor to
+        {("2", 0): 1.0},  # a string is not a number
+        {(float("inf"), 0): 1.0},
+        {(1, 0): "1"},
+        {(1, 0): None},
+        {(1, 0): 10**400},  # an int beyond the float range
+        {(1, 0): 1.0, b"\x01\x00": 2.0},  # two keys naming one vector
     ],
 )
 def test_invalid_terms_raise_the_per_term_error(terms):
@@ -324,6 +348,43 @@ def test_file_loader_keeps_what_the_term_by_term_read_keeps(terms):
         assert all(type(c) is float for c in got[1].values())
 
 
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [((1, 0), 1.5), ((0, 2), -2), ((0, 0), 0.0), ((3, 1), -0.0)],
+        [((True, 2), 2.5), ((2.0, False), 1.0), ((0, 1), True)],  # booleans, integral floats
+        [((np.int64(1), np.uint8(2)), np.float32(0.5)), ((0, 1), np.float64(2.0))],
+        [((2, 1), 1.0), ((0, 1), 4.0), ((1, 0), 10**20)],  # unsorted
+        [],
+        [((1.5, 0), 1.0)],
+        [((1.5, 0), 1.0), ((1, 0), 2.0)],
+        [(("2", 0), 1.0)],
+        [((float("inf"), 0), 1.0)],
+        [((float("nan"), 0), 1.0)],
+        [((1, 0), "1")],
+        [((1, 0), None)],
+        [((1, 0), 10**400)],
+        [((1, 0), float("inf"))],
+        [((1, -1), 1.0)],
+        [((1, 0, 0), 1.0)],
+        [((129, 0), 1.0)],
+    ],
+)
+def test_constructor_and_loader_take_the_same_terms(pairs):
+    """A mapping given to the constructor and the same terms in a file keep
+    the same terms and arrays, or fail with the same error class."""
+    center = (0.5, -1.0)
+    payload = {"n": 2, "center": list(center),
+               "terms": [_term(list(m), c) for m, c in pairs]}
+    built = _outcome(lambda: SparsePolynomial(center, dict(pairs)))
+    loaded = _outcome(lambda: SparsePolynomial.from_json_dict(payload))
+    assert built[0] == loaded[0]
+    if built[0] == "ok":
+        assert _stored(built[1]) == _stored(loaded[1])
+        assert np.array_equal(built[1].exponent_array, loaded[1].exponent_array)
+        assert built[1].coefficients.tobytes() == loaded[1].coefficients.tobytes()
+
+
 def test_file_loader_reads_a_large_file_like_the_term_by_term_read():
     rng = np.random.default_rng(12)
     vectors = multi_indices(6, 8)
@@ -350,18 +411,20 @@ def _descending_terms(n, max_total, seed):
 def test_array_path_stores_terms_in_ascending_exponent_order():
     terms = _descending_terms(3, 4, seed=1)
     assert _valid_terms(list(terms), list(terms.values()), 3) is not None
-    poly = SparsePolynomial((0.5, -1.0, 0.0), terms)
+    payload = {"n": 3, "terms": [_term(list(m), c) for m, c in terms.items()]}
+    poly = SparsePolynomial.from_json_dict(payload)
     assert list(poly.terms) == sorted(terms)
     assert poly.terms == terms
 
 
 def test_per_term_path_stores_terms_in_ascending_exponent_order():
-    # (1.5, 0) and (1, 0) collide after int(), which the array pass leaves
-    # to the per-term check; the later term wins
-    terms = {(2, 1): 1.0, (1.5, 0): 3.0, (0, 1): 4.0, (1, 0): 2.0}
-    assert _valid_terms(list(terms), list(terms.values()), 2) is None
-    poly = SparsePolynomial((0.0, 0.0), terms)
-    assert list(poly.terms.items()) == [((0, 1), 4.0), ((1, 0), 2.0), ((2, 1), 1.0)]
+    # a boolean coefficient sends the file term by term, as a mapping always goes
+    terms = {(2, 1): 1.0, (0, 1): True, (1, 0): 2.0}
+    items = [_term(list(m), c) for m, c in terms.items()]
+    assert _valid_terms([t["m"] for t in items], [t["c"] for t in items], 2) is None
+    expected = [((0, 1), 1.0), ((1, 0), 2.0), ((2, 1), 1.0)]
+    assert list(SparsePolynomial((0.0, 0.0), terms).terms.items()) == expected
+    assert list(SparsePolynomial.from_json_dict({"n": 2, "terms": items}).terms.items()) == expected
 
 
 @pytest.mark.parametrize("coefficient", [1.25, True], ids=["one-pass", "term-by-term"])
