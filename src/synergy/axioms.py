@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import expressions as ex
-from . import set_methods
+from . import grad_exact, set_methods
 from .core import Instance, InteractionReport, as_int, json_field
 from .exceptions import SynergyError
 from .expressions import Expr
@@ -381,6 +381,49 @@ def _report(mut: Method, trial: Trial) -> InteractionReport:
     return mut.run(trial.function, inst, SUITE_QUAD_CONFIG)
 
 
+def _reports(requests: Sequence[tuple[Method, Trial]]) -> list[InteractionReport]:
+    """The report of each (method, trial) request, in order.
+
+    Requests whose method carries a shared-kernel rule are grouped by (kind,
+    rule, n, k), and each group runs as one kernel call per run of at most
+    _BATCH_TERMS polynomial terms: tables stacked as rows, polynomials laid
+    end to end. Every other request runs its method's `run` on its own, in
+    request order. The reports are built in request order, so the first one
+    whose values are not finite raises."""
+    groups: dict[tuple, list[int]] = {}
+    for i, (mut, trial) in enumerate(requests):
+        if mut.rule is not None:
+            groups.setdefault((mut.kind, mut.rule, trial.n, trial.k), []).append(i)
+    rows = {}
+    for (kind, rule, n, k), members in groups.items():
+        trials = [requests[i][1] for i in members]
+        if kind == "table":
+            tables = np.stack([trial.function.values for trial in trials])
+            rows.update(zip(members, set_methods._superset_rule(tables, n, k, rule)))
+            continue
+        for run in _term_runs(members, [trial.function.term_count for trial in trials]):
+            polys = [requests[i][1].function for i in run]
+            points = [requests[i][1].x for i in run]
+            rows.update(zip(run, grad_exact._array_termwise(polys, points, k, rule)))
+    return [
+        InteractionReport(trial.n, trial.k, rows[i]) if i in rows else _report(mut, trial)
+        for i, (mut, trial) in enumerate(requests)
+    ]
+
+
+def _term_runs(members: list[int], sizes: list[int]):
+    """Consecutive runs of `members` whose sizes add up to at most
+    _BATCH_TERMS, or of one member."""
+    run, total = [], 0
+    for member, size in zip(members, sizes):
+        if run and total + size > _BATCH_TERMS:
+            yield run
+            run, total = [], 0
+        run.append(member)
+        total += size
+    yield run
+
+
 def _peak(scored) -> tuple[float, object]:
     """The largest of (residual, key) pairs and the first key reaching it."""
     worst, where = 0.0, None
@@ -405,13 +448,32 @@ def _not_applicable(mut: Method, axiom: str) -> CheckResult:
     )
 
 
+# Trials a cell draws, and runs the kernels of, at a time, and the most
+# polynomial terms one kernel call takes (or one polynomial): memory stays
+# bounded however many trials a cell runs.
+_BATCH_TRIALS = 128
+_BATCH_TERMS = 1 << 11
+
+
 def _trial_result(
-    method_id: str, axiom: str, expected: str, trials: int, seed: int, tol: float, score
+    method_id: str, axiom: str, expected: str, trials: int, seed: int, tol: float, draw
 ) -> CheckResult:
-    """The trial loop. `score(rng)` gives one seeded trial's residual and a
-    witness thunk; the witness is the first trial with the largest residual,
-    described only when the check fails."""
-    worst, witness = _peak(score(_rng(seed, t)) for t in range(trials))
+    """The trial loop, in two phases per batch of trials. First
+    `draw(rng)` draws each seeded trial and names the (method, trial)
+    requests whose reports it needs, with a scorer; then every request of
+    the batch runs (see `_reports`), and each scorer takes its trial's
+    reports, in the order it named them, and gives the trial's residual and
+    a witness thunk. The witness is the first trial with the largest
+    residual, described only when the check fails."""
+
+    def scored():
+        for start in range(0, trials, _BATCH_TRIALS):
+            drawn = [draw(_rng(seed, t)) for t in range(start, min(trials, start + _BATCH_TRIALS))]
+            reports = iter(_reports([request for needed, _ in drawn for request in needed]))
+            for needed, score in drawn:
+                yield score(*(next(reports) for _ in needed))
+
+    worst, witness = _peak(scored())
     status = "pass" if worst <= tol else "fail"
     return CheckResult(
         method=method_id,
@@ -424,8 +486,8 @@ def _trial_result(
     )
 
 
-def _run_trials(mut, axiom: str, trials: int, seed: int, tol: float | None, score) -> CheckResult:
-    """One method x axiom cell: `score(mut, rng)` per trial, at the axiom's tolerance."""
+def _run_trials(mut, axiom: str, trials: int, seed: int, tol: float | None, draw) -> CheckResult:
+    """One method x axiom cell: `draw(mut, rng)` per trial, at the axiom's tolerance."""
     mut = _resolve(mut)
     return _trial_result(
         mut.id,
@@ -434,75 +496,91 @@ def _run_trials(mut, axiom: str, trials: int, seed: int, tol: float | None, scor
         trials,
         seed,
         TOLERANCES[axiom][mut.kind] if tol is None else tol,
-        lambda rng: score(mut, rng),
+        lambda rng: draw(mut, rng),
     )
 
 
 def _completeness(mut: Method, rng: np.random.Generator):
     trial, _ = _random_trial(mut, rng)
     target = trial.difference()
-    residual = abs(_report(mut, trial).total() - target) / max(1.0, abs(target))
-    return residual, lambda: trial.describe() | {"target": target}
+
+    def score(report):
+        residual = abs(report.total() - target) / max(1.0, abs(target))
+        return residual, lambda: trial.describe() | {"target": target}
+
+    return ((mut, trial),), score
 
 
 def _linearity(mut: Method, rng: np.random.Generator):
     trial, _ = _random_trial(mut, rng)
     other = replace(trial, function=_random_function(trial.kind, rng, trial.n))
     a, b = float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))
-    combined = _report(mut, _combine(trial, other, a, b))
-    left = _report(mut, trial).entries
-    right = _report(mut, other).entries
-    residual = max(
-        (_gap(value, a * left[c] + b * right[c]) for c, value in combined.entries.items()),
-        default=0.0,
-    )
-    return residual, lambda: trial.describe() | {"a": a, "b": b}
+
+    def score(combined, left, right):
+        left, right = left.entries, right.entries
+        residual = max(
+            (_gap(value, a * left[c] + b * right[c]) for c, value in combined.entries.items()),
+            default=0.0,
+        )
+        return residual, lambda: trial.describe() | {"a": a, "b": b}
+
+    return ((mut, _combine(trial, other, a, b)), (mut, trial), (mut, other)), score
 
 
 def _null_feature(mut: Method, rng: np.random.Generator):
     trial, i = _random_trial(mut, rng, null_feature=True)
-    entries = _report(mut, trial).entries
-    residual, coalition = _peak((abs(v), c) for c, v in entries.items() if i in c)
-    return residual, lambda: trial.describe() | {
-        "null_feature": i,
-        "coalition": list(coalition),
-    }
+
+    def score(report):
+        residual, coalition = _peak((abs(v), c) for c, v in report.entries.items() if i in c)
+        return residual, lambda: trial.describe() | {
+            "null_feature": i,
+            "coalition": list(coalition),
+        }
+
+    return ((mut, trial),), score
 
 
 def _symmetry(mut: Method, rng: np.random.Generator):
     trial, _ = _random_trial(mut, rng)
     permutation = [int(v) for v in rng.permutation(range(1, trial.n + 1))]
-    base = _report(mut, trial).entries
-    image = _report(mut, _permute_trial(trial, permutation)).entries
-    residual = max(
-        (
-            _gap(value, image[tuple(sorted(permutation[i - 1] for i in c))])
-            for c, value in base.items()
-        ),
-        default=0.0,
-    )
-    return residual, lambda: trial.describe() | {"permutation": permutation}
+
+    def score(base, image):
+        base, image = base.entries, image.entries
+        residual = max(
+            (
+                _gap(value, image[tuple(sorted(permutation[i - 1] for i in c))])
+                for c, value in base.items()
+            ),
+            default=0.0,
+        )
+        return residual, lambda: trial.describe() | {"permutation": permutation}
+
+    return ((mut, trial), (mut, _permute_trial(trial, permutation))), score
 
 
 def _pure_synergy(within_order: bool):
-    """Scorer: a pure interaction must give zero to its proper subsets of size < k."""
+    """Draw: a pure interaction must give zero to its proper subsets of size < k."""
 
-    def score(mut: Method, rng: np.random.Generator):
+    def draw(mut: Method, rng: np.random.Generator):
         trial, members = _pure_synergy_trial(mut, rng, within_order)
         member_set = set(members)
-        entries = _report(mut, trial).entries
-        residual, coalition = _peak(
-            (abs(v), c)
-            for c, v in entries.items()
-            if set(c) < member_set and len(c) < trial.k
-        )
-        return residual, lambda: trial.describe() | {
-            "synergy": list(members),
-            "coalition": list(coalition),
-            "value": entries[coalition],
-        }
 
-    return score
+        def score(report):
+            entries = report.entries
+            residual, coalition = _peak(
+                (abs(v), c)
+                for c, v in entries.items()
+                if set(c) < member_set and len(c) < trial.k
+            )
+            return residual, lambda: trial.describe() | {
+                "synergy": list(members),
+                "coalition": list(coalition),
+                "value": entries[coalition],
+            }
+
+        return ((mut, trial),), score
+
+    return draw
 
 
 def check_completeness(mut, trials: int, seed: int = 0, tol: float | None = None) -> CheckResult:
@@ -613,24 +691,29 @@ def check_uniqueness_support(
     the synergy table: assert shapley-taylor(k=n), the Möbius transform, and
     augmented recursive Shapley (k=n) agree entrywise."""
 
-    def score(rng: np.random.Generator):
+    full_order = (REGISTRY["shapley-taylor"], REGISTRY["rs-aug"])
+
+    def draw(rng: np.random.Generator):
         n = int(rng.integers(2, 6))
-        table = SetFunctionTable(n, rng.uniform(-1, 1, size=1 << n))
-        synergies = mobius(table)
-        st = set_methods.shapley_taylor(table, n)
-        rsa = set_methods.augmented_recursive_shapley(table, n).entries
-        residual, coalition = _peak(
-            (max(abs(v - synergies.at(c)), abs(rsa[c] - synergies.at(c))), c)
-            for c, v in st.entries.items()
-        )
-        return residual, lambda: {
-            "n": n,
-            "values": table.values.tolist(),
-            "coalition": list(coalition),
-        }
+        trial = Trial("table", n, SetFunctionTable(n, rng.uniform(-1, 1, size=1 << n)))
+
+        def score(st, rsa):
+            synergies = mobius(trial.function)
+            rsa = rsa.entries
+            residual, coalition = _peak(
+                (max(abs(v - synergies.at(c)), abs(rsa[c] - synergies.at(c))), c)
+                for c, v in st.entries.items()
+            )
+            return residual, lambda: {
+                "n": n,
+                "values": trial.function.values.tolist(),
+                "coalition": list(coalition),
+            }
+
+        return tuple((mut, trial) for mut in full_order), score
 
     return _trial_result(
-        "(all-full-order)", "uniqueness-support", "pass", trials, seed, tol, score
+        "(all-full-order)", "uniqueness-support", "pass", trials, seed, tol, draw
     )
 
 

@@ -251,17 +251,18 @@ def _binomial_table(n: int, k: int) -> np.ndarray:
     return table
 
 
-def coalition_slots(n: int, members: np.ndarray) -> np.ndarray:
+def coalition_slots(n: int, members: np.ndarray, offset: np.ndarray | int = 0) -> np.ndarray:
     """`coalition_slot` of every coalition along the last axis of an int
     array, each one's 1-based members ascending, by the same count: a
-    coalition's slot is the same in every P_k that holds it. The coalitions
-    are not checked: each must hold distinct features of 1..n."""
+    coalition's slot is the same in every P_k that holds it. Each slot is
+    shifted by `offset`, which broadcasts against the leading axes. The
+    coalitions are not checked: each must hold distinct features of 1..n."""
     size = members.shape[-1]
     counts = _binomial_table(n, size)
     later = np.zeros(members.shape[:-1], np.int64)
     for i in range(size):
         later += counts[size - i].take(n - members[..., i])
-    return coalition_count(n, size) - 1 - later
+    return (offset + (coalition_count(n, size) - 1)) - later
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,15 @@ import numpy as np
 
 from .core import Point
 from .exceptions import CapExceededError, DimensionMismatchError, ParseError
-from .polynomials import MultiIndex, SparsePolynomial, compose, overflowed_power, product, term_sum
+from .polynomials import (
+    MultiIndex,
+    SparsePolynomial,
+    compose,
+    overflowed_power,
+    product,
+    scalar_power,
+    term_sum,
+)
 
 TAYLOR_MAX_ORDER = 12
 TAYLOR_MAX_FEATURES = 6
@@ -138,23 +146,25 @@ def power(base: Expr, exponent: int) -> Expr:
     if exponent == 1:
         return base
     if isinstance(base, Const):
-        try:
-            return Const(base.value**exponent)
-        except OverflowError:
-            return Const(overflowed_power(base.value, exponent))
+        return Const(scalar_power(base.value, exponent))
     return Pow(base, exponent)
 
 
+def _scalar_call(func: str, value: float) -> float:
+    """`func` at a float as numpy maps an array: exp beyond the float range
+    is inf, and sin or cos of an infinity is nan, where `math` raises."""
+    try:
+        return getattr(math, func)(value)
+    except OverflowError:
+        return math.inf
+    except ValueError:
+        return math.nan
+
+
 def call(func: str, arg: Expr) -> Expr:
-    # a constant folds as `evaluate` maps an array: exp beyond the float
-    # range is inf, and sin or cos of an infinity is nan
+    # a constant folds as `evaluate` maps an array
     if isinstance(arg, Const):
-        try:
-            return Const(getattr(math, func)(arg.value))
-        except OverflowError:
-            return Const(math.inf)
-        except ValueError:
-            return Const(math.nan)
+        return Const(_scalar_call(func, arg.value))
     return Call(func, arg)
 
 
@@ -302,7 +312,7 @@ def parse(src: str, n: int, bindings: Mapping[str, float] | None = None) -> Expr
 def _apply(func: str, value):
     if isinstance(value, np.ndarray):
         return {"sin": np.sin, "cos": np.cos, "exp": np.exp}[func](value)
-    return getattr(math, func)(value)
+    return _scalar_call(func, value)
 
 
 def evaluate(expr: Expr, y: Sequence):
@@ -452,12 +462,13 @@ def is_polynomial(expr: Expr) -> bool:
     raise TypeError(f"unknown node {expr!r}")
 
 
-# Derivatives of sin, cos and exp at a0, repeating with period 4, 4 and 1.
-_DERIVATIVE_CYCLES = {
-    "sin": lambda a0: (math.sin(a0), math.cos(a0), -math.sin(a0), -math.cos(a0)),
-    "cos": lambda a0: (math.cos(a0), -math.sin(a0), -math.cos(a0), math.sin(a0)),
-    "exp": lambda a0: (math.exp(a0),),
-}
+def _derivative_cycle(func: str, a0: float) -> tuple[float, ...]:
+    """The derivatives of sin, cos or exp at a0 over one period (4, 4 and
+    1), each taken as `evaluate` takes it."""
+    if func == "exp":
+        return (_scalar_call("exp", a0),)
+    sin, cos = _scalar_call("sin", a0), _scalar_call("cos", a0)
+    return (sin, cos, -sin, -cos) if func == "sin" else (cos, -sin, -cos, sin)
 
 
 def _split(
@@ -500,13 +511,13 @@ def _series(e: Expr, center: Point, order: int | None) -> dict[MultiIndex, float
         if order is None:
             return product([(base, k)], zero, None)
         a0, rest = _split(base, zero)
-        weights = [math.comb(k, j) * a0 ** (k - j) for j in range(min(k, order) + 1)]
+        weights = [math.comb(k, j) * scalar_power(a0, k - j) for j in range(min(k, order) + 1)]
         return compose(rest, weights, zero, order)
     if isinstance(e, Call):
         if order is None:
             raise ValueError(f"{e.func} has no exact polynomial expansion")
         a0, rest = _split(_series(e.arg, center, order), zero)
-        cycle = _DERIVATIVE_CYCLES[e.func](a0)
+        cycle = _derivative_cycle(e.func, a0)
         weights = [cycle[j % len(cycle)] / math.factorial(j) for j in range(order + 1)]
         return compose(rest, weights, zero, order)
     raise TypeError(f"unknown node {e!r}")

@@ -10,23 +10,16 @@ the report name a non-finite coalition.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, compress
+from itertools import chain, combinations
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import polynomials
 from .combinatorics import binomial, coalition_count, require_order
-from .core import (
-    Coalition,
-    Instance,
-    InteractionReport,
-    coalition_layout,
-    coalition_slot,
-    coalition_slots,
-)
+from .core import Instance, InteractionReport, coalition_layout, coalition_slots
 from .exceptions import CapExceededError, DimensionMismatchError
-from .polynomials import SparsePolynomial, overflowed_power
+from .polynomials import SparsePolynomial, scalar_power
 from .set_methods import (
     ORACLE_MAX_FEATURES,
     build_table,
@@ -34,30 +27,13 @@ from .set_methods import (
 )
 
 SOP_ORACLE_MAX_ORDER = 3
-# Polynomials of this many terms or more run the termwise rules on arrays
-# (see _array_termwise), polynomials.ARRAY_BLOCK (term, coalition) parts at a time.
-ARRAY_MIN_TERMS = 256
-
-
-# A share row depends on the rule, k and the monomial's positive exponents,
-# never on where its support sits, so the report slots a row runs over and
-# its shares are cached apart.
-
-@lru_cache(maxsize=4096)
-def _slots(n: int, k: int, members: Coalition) -> tuple[int, ...]:
-    """Layout slots in P_k over 1..n of the subsets of `members` of size
-    min(k, |members|) down to 1, each size in lexicographic order: the
-    coalitions an unpinned share row runs over."""
-    return tuple(
-        coalition_slot(n, k, subset)
-        for size in range(min(k, len(members)), 0, -1)
-        for subset in combinations(members, size)
-    )
 
 
 @lru_cache(maxsize=4096)
 def _shares(rule: str, k: int, exponents: tuple[int, ...]) -> tuple[float, ...]:
-    """Fraction of an unpinned monomial's value per coalition of `_slots`.
+    """Fraction of an unpinned monomial's value per coalition of its row:
+    the subsets of its support of size min(k, |support|) down to 1, each
+    size in lexicographic order (see `_row_subsets`).
 
     `ih` (and `ih-aug` above size k) gives S mass(S) / |m|^k, where mass is
     the Möbius transform of U -> m(U)^k on the support lattice and m(U) the
@@ -85,76 +61,76 @@ def _shares(rule: str, k: int, exponents: tuple[int, ...]) -> tuple[float, ...]:
 
 
 def _termwise(p: SparsePolynomial, x: Sequence[float], k: int, rule: str) -> InteractionReport:
-    """Scatter each monomial's value c * (x - center)^m over its share row, in
-    term order, into the report's values in layout order. A term adds
-    to each coalition at most once, so the order of coalitions within a row
-    does not change the result. From ARRAY_MIN_TERMS terms on, the same
-    sums run on arrays, with the same bits."""
-    n = p.n
-    require_order(n, k)
-    if len(x) != n:
-        raise DimensionMismatchError(f"point has {len(x)} components, expected {n}")
-    shifted = [x[i] - p.center[i] for i in range(n)]
-    if p.term_count >= ARRAY_MIN_TERMS:
-        values = _array_termwise(p, shifted, k, rule)
-        if values is not None:
-            return InteractionReport(n, k, values)
-    features = range(1, n + 1)
-    values = [0.0] * coalition_count(n, k)
-    for m, value in p.terms.items():
-        # the support and its positive exponents, in feature order
-        coalition = tuple(compress(features, m))
-        exponents = tuple(filter(None, m))
-        for i, e in zip(coalition, exponents):
-            try:
-                value *= shifted[i - 1] ** e
-            except OverflowError:
-                value *= overflowed_power(shifted[i - 1], e)
-        # constants, and supports of size <= k under ih-aug and sop, are pinned
-        if not coalition or (rule != "ih" and len(coalition) <= k):
-            values[coalition_slot(n, k, coalition)] += value
-            continue
-        shares = _shares(rule, k, exponents)
-        # zip stops where the row does: sop's row is the leading size-k block
-        for slot, share in zip(_slots(n, k, coalition), shares):
-            values[slot] += value * share
-    return InteractionReport(n, k, values)
+    """The report of one polynomial under a termwise rule: `_array_termwise`
+    on a batch of one."""
+    return InteractionReport(p.n, k, _array_termwise([p], [x], k, rule)[0])
 
 
 @lru_cache(maxsize=256)
 def _row_subsets(size: int, k: int, rule: str) -> tuple[np.ndarray, ...]:
     """Positions, within a support of `size` features, of the coalitions an
-    unpinned share row runs over, as `_slots` orders them: one (count, width)
+    unpinned share row runs over, as `_shares` orders them: one (count, width)
     array per width, widths descending. `sop`'s row is the size-k block."""
     widths = [k] if rule == "sop" else range(min(k, size), 0, -1)
     return tuple(np.array(list(combinations(range(size), w)), np.intp) for w in widths)
 
 
-def _term_values(p: SparsePolynomial, shifted: list) -> np.ndarray:
-    """Each term's c * (x - center)^m as the loop takes it: the Python powers
-    of each feature multiplied into the coefficients in feature order, an
-    exact 1.0 where a term's exponent is 0."""
-    exponents = p.exponent_array
-    values = np.array(p.coefficients)
+def _stacked(polys: Sequence[SparsePolynomial]) -> tuple[np.ndarray, np.ndarray]:
+    """The exponent rows and coefficients of the polynomials' terms, end to
+    end in polynomial order. Polynomials that all hold their term dicts are
+    read from those in one pass, without building their arrays; otherwise
+    each one's arrays are read."""
+    stored = [p.__dict__.get("terms") for p in polys]
+    if None in stored:  # a loaded polynomial holds its arrays only
+        if len(polys) == 1:
+            return polys[0].exponent_array, polys[0].coefficients
+        return (
+            np.concatenate([p.exponent_array for p in polys]),
+            np.concatenate([p.coefficients for p in polys]),
+        )
+    count = sum(map(len, stored))
+    exponents = polynomials.exponent_rows(list(chain.from_iterable(stored)), polys[0].n)
+    return exponents, np.fromiter(chain.from_iterable(t.values() for t in stored), float, count)
+
+
+def _term_values(
+    exponents: np.ndarray, coefficients: np.ndarray, owner: np.ndarray, shifted: list
+) -> np.ndarray:
+    """Each term's c * (x - center)^m, where row `owner[t]` of `shifted`
+    holds x - center of term t's polynomial: per feature, one power table
+    per polynomial of the exponents its terms take there, multiplied into
+    the coefficients feature by feature, an exact 1.0 where a term's
+    exponent is 0."""
+    values = np.array(coefficients)
+    width = int(exponents.max(initial=0)) + 1
+    rows = owner * width  # where each term's polynomial starts in a table
     for f in np.flatnonzero(exponents.any(axis=0)).tolist():
-        column = exponents[:, f]
-        values *= _powers(shifted[f], (column,), int(column.max()), False)[column]
+        at = rows + exponents[:, f]
+        taken = np.zeros(len(shifted) * width, dtype=bool)
+        taken[at] = True
+        taken[::width] = False  # exponent 0
+        table = np.ones(len(taken))
+        for position in np.flatnonzero(taken).tolist():
+            j, e = divmod(position, width)
+            table[position] = scalar_power(shifted[j][f], e)
+        values *= table[at]
     return values
 
 
-def _support_groups(p: SparsePolynomial, k: int, rule: str) -> list[tuple] | None:
+def _support_groups(exponents: np.ndarray, k: int, rule: str) -> list[tuple]:
     """The terms grouped by support size s, each group as (its term indices
     ascending, its supports as a (terms, s) array of 1-based features, the
     support positions of its row's coalitions as `_row_subsets` gives them,
     its distinct share rows, the share row of each term). A pinned group's
     row is the support itself, its one share an exact 1.0. An unpinned
     group's rows are fetched once per distinct positive-exponent pattern,
-    found by mixed-radix int64 codes; None when those would not fit."""
-    exponents = p.exponent_array
+    found by mixed-radix int64 codes, or by the rows themselves where those
+    codes would not fit."""
+    n = exponents.shape[1]
     # the positive exponents and their features, term-major, features ascending
     flat = np.flatnonzero(exponents > 0)
-    term = flat // p.n
-    feature = flat - term * p.n
+    term = flat // n
+    feature = flat - term * n
     positive = exponents.ravel().take(flat)
     sizes = np.bincount(term, minlength=len(exponents))
     starts = np.cumsum(sizes) - sizes
@@ -170,10 +146,10 @@ def _support_groups(p: SparsePolynomial, k: int, rule: str) -> list[tuple] | Non
         patterns = positive[at]
         # one digit per support position, the last one least significant
         weights = polynomials.code_weights(tuple((patterns.max(axis=0) + 1).tolist()))
-        if weights is None:
-            return None
-        codes = patterns @ weights
-        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        keys = patterns if weights is None else patterns @ weights
+        _, first, inverse = np.unique(
+            keys, axis=0 if weights is None else None, return_index=True, return_inverse=True
+        )
         shares = np.array(
             [_shares(rule, k, tuple(pattern)) for pattern in patterns[first].tolist()]
         )
@@ -181,25 +157,41 @@ def _support_groups(p: SparsePolynomial, k: int, rule: str) -> list[tuple] | Non
     return groups
 
 
-def _array_termwise(p: SparsePolynomial, shifted: list, k: int, rule: str) -> np.ndarray | None:
-    """`_termwise`'s report values by array passes, bit for bit; None when a
-    support group's exponent codes would not fit in int64 (the loop runs).
+def _array_termwise(
+    polys: Sequence[SparsePolynomial], points: Sequence[Sequence[float]], k: int, rule: str
+) -> np.ndarray:
+    """Report values of a termwise rule on same-n polynomials, each at its
+    point: one row per polynomial, in layout order. Each monomial's value
+    c * (x - center)^m is scattered over its share row; constants, and
+    supports of size <= k under `ih-aug` and `sop`, are pinned to their
+    support.
 
-    Each term's parts (its value times each share of its row) are laid out
-    term-major and added by an unbuffered `np.add.at`, block by block, so
-    every slot sums its parts from 0.0 in term order."""
-    groups = _support_groups(p, k, rule)
-    if groups is None:
-        return None
-    n = p.n
-    lengths = np.empty(p.term_count, np.int64)
+    The terms of all the polynomials are laid end to end, and each term's
+    parts (its value times each share of its row) term-major, each
+    polynomial's slots offset by its index times the layout size. They are
+    added by an unbuffered `np.add.at`, polynomials.ARRAY_BLOCK parts at a
+    time, so every slot sums its own polynomial's parts from 0.0 in term
+    order. A term adds to each coalition at most once, so the order of
+    coalitions within a row does not change the result."""
+    n = polys[0].n
+    require_order(n, k)
+    for x in points:
+        if len(x) != n:
+            raise DimensionMismatchError(f"point has {len(x)} components, expected {n}")
+    shifted = [[x[i] - p.center[i] for i in range(n)] for p, x in zip(polys, points)]
+    exponents, coefficients = _stacked(polys)
+    owner = np.repeat(np.arange(len(polys)), [p.term_count for p in polys])
+    groups = _support_groups(exponents, k, rule)
+    count = coalition_count(n, k)
+    offsets = owner * count
+    lengths = np.empty(len(exponents), np.int64)
     for terms, _, _, shares, _ in groups:
         lengths[terms] = shares.shape[1]
     ends = np.cumsum(lengths)  # parts up to each term
-    values = np.zeros(coalition_count(n, k))
+    values = np.zeros(len(polys) * count)
     # Python float arithmetic overflows to inf and nan without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        term_values = _term_values(p, shifted)
+        term_values = _term_values(exponents, coefficients, owner, shifted)
         for start, stop in _blocks(ends, polynomials.ARRAY_BLOCK):
             done = ends[start - 1] if start else 0
             slots = np.empty(ends[stop - 1] - done, np.int64)
@@ -210,14 +202,15 @@ def _array_termwise(p: SparsePolynomial, shifted: list, k: int, rule: str) -> np
                     continue
                 width = shares.shape[1]
                 at = (ends[terms[a:b]] - width - done)[:, None] + np.arange(width)
-                supports = members[a:b]
+                supports, offset = members[a:b], offsets[terms[a:b], None]
                 slots[at] = np.concatenate(
-                    [coalition_slots(n, supports[:, positions]) for positions in subsets], axis=1
+                    [coalition_slots(n, supports[:, positions], offset) for positions in subsets],
+                    axis=1,
                 )
                 parts[at] = term_values[terms[a:b], None] * shares[inverse[a:b]]
             # unbuffered: each slot adds its parts one at a time, in order
             np.add.at(values, slots, parts)
-    return values
+    return values.reshape(len(polys), count)
 
 
 def _blocks(ends: np.ndarray, limit: int) -> Iterator[tuple[int, int]]:
@@ -355,10 +348,7 @@ def _powers(u: float, columns: Sequence[np.ndarray], top: int, square: bool) -> 
         taken[2] = True
     table = np.ones(top + 1)
     for e in np.flatnonzero(taken[1:]).tolist():
-        try:
-            table[e + 1] = u ** (e + 1)
-        except OverflowError:
-            table[e + 1] = overflowed_power(u, e + 1)
+        table[e + 1] = scalar_power(u, e + 1)
     return table
 
 

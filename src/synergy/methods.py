@@ -11,6 +11,11 @@ Each record carries what the CLI and the axiom suite need to run an engine:
   accepts.
 - ``quadrature`` names the analytic engine that computes the same report on
   a transcendental expression (at that engine's order).
+- ``rule`` names the shared kernel rule ``run`` applies at k, where it has
+  one: a weight row of ``set_methods._superset_rule`` (table kind) or a
+  termwise rule of ``grad_exact._array_termwise`` (polynomial kind). The
+  axiom harness runs such a record's trials through that kernel in batches,
+  not through ``run``.
 
 The runners reach the kernels through their module attributes, so a caller
 that redirects a kernel there also redirects its registry entry.
@@ -31,23 +36,27 @@ class Method:
     run: Callable
     oracle: bool = False
     quadrature: str | None = None
+    rule: str | None = None
 
 
 REGISTRY: dict[str, Method] = {
     m.id: m
     for m in (
-        Method("shapley", "table", 1, lambda table, k: set_methods.shapley(table)),
-        Method("shapley-taylor", "table", None, set_methods.shapley_taylor),
-        Method("rs", "table", None, set_methods.recursive_shapley),
-        Method("rs-aug", "table", None, set_methods.augmented_recursive_shapley),
+        Method("shapley", "table", 1, lambda table, k: set_methods.shapley(table), rule="rs"),
+        Method("shapley-taylor", "table", None, set_methods.shapley_taylor,
+               rule="shapley-taylor"),
+        Method("rs", "table", None, set_methods.recursive_shapley, rule="rs"),
+        Method("rs-aug", "table", None, set_methods.augmented_recursive_shapley, rule="rs-aug"),
         Method(
             "ig", "polynomial", 1,
             lambda poly, x, k: grad_exact.integrated_gradients(poly, x),
-            quadrature="ig-quad",
+            quadrature="ig-quad", rule="ih",
         ),
-        Method("ih", "polynomial", None, grad_exact.integrated_hessian, quadrature="ih2-quad"),
-        Method("ih-aug", "polynomial", None, grad_exact.augmented_integrated_hessian),
-        Method("sop", "polynomial", None, grad_exact.sum_of_powers),
+        Method("ih", "polynomial", None, grad_exact.integrated_hessian, quadrature="ih2-quad",
+               rule="ih"),
+        Method("ih-aug", "polynomial", None, grad_exact.augmented_integrated_hessian,
+               rule="ih-aug"),
+        Method("sop", "polynomial", None, grad_exact.sum_of_powers, rule="sop"),
         Method(
             "shapley-marginal", "table", 1,
             lambda table, k: set_methods.shapley_from_marginals(table),

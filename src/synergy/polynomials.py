@@ -22,6 +22,9 @@ from .exceptions import CapExceededError, DimensionMismatchError, NonFiniteError
 
 MAX_TOTAL_DEGREE = 128
 MAX_TERMS = 10**6
+# The most term pairs one product step may form: checked before the step
+# forms any, so an expansion too large to finish in seconds fails at once.
+MAX_PRODUCT_PAIRS = 10**7
 
 MultiIndex = tuple[int, ...]
 
@@ -57,9 +60,26 @@ def _require_degree(degree: int) -> None:
         raise CapExceededError(f"total degree {degree} exceeds cap {MAX_TOTAL_DEGREE}")
 
 
+def _require_pairs(count: int) -> None:
+    """The pair cap, on a product step before it forms any pair."""
+    if count > MAX_PRODUCT_PAIRS:
+        raise CapExceededError(
+            f"a product step of {count} term pairs exceeds cap {MAX_PRODUCT_PAIRS}"
+        )
+
+
 def overflowed_power(u: float, e: int) -> float:
     """The signed infinity u ** e rounds to when it is beyond the float range."""
     return -np.inf if u < 0 and e % 2 else np.inf
+
+
+def scalar_power(u: float, e: int) -> float:
+    """u ** e by Python's power, or the signed infinity it rounds to beyond
+    the float range, where Python's power raises."""
+    try:
+        return u**e
+    except OverflowError:
+        return overflowed_power(u, e)
 
 
 # Exact products of at least this many term pairs run on exponent-code arrays;
@@ -86,7 +106,9 @@ def _convolve(
 ) -> dict[MultiIndex, float]:
     """Series product, pairs in dict order; with an `order`, every pair of
     total degree above it is skipped. Exact products (order None) are checked
-    against the degree cap before they are expanded, so none is skipped."""
+    against the degree cap before they are expanded, so none is skipped.
+    Every pair counts against MAX_PRODUCT_PAIRS, a skipped one too."""
+    _require_pairs(len(a) * len(b))
     limit = MAX_TOTAL_DEGREE if order is None else order
     b_items = [(mb, cb, sum(mb)) for mb, cb in b.items()]
     out: dict[MultiIndex, float] = {}
@@ -111,7 +133,8 @@ def product(
     its first step of ARRAY_MIN_PAIRS pairs or more on runs on exponent codes
     (see _radices), bit for bit, unless its codes would not fit in int64.
     An exact power is also capped at MAX_TOTAL_DEGREE factors, so one of a
-    constant base fails at once rather than multiplying it out."""
+    constant base fails at once rather than multiplying it out. Each step
+    is checked against MAX_PRODUCT_PAIRS before it forms a pair."""
     if order is None:
         _require_degree(sum(max(map(sum, f), default=0) * count for f, count in factors))
         power = max((count for _, count in factors), default=0)
@@ -142,7 +165,8 @@ def _array_product(
     """_convolve(a, b, None) on exponent codes, bit for bit: the pairs in
     (a term, b term) order, each product rounded once and summed from 0.0 in
     pair order, the keys in order of first appearance, zeros dropped. The
-    pairs are formed ARRAY_BLOCK at a time."""
+    pairs are formed ARRAY_BLOCK at a time, once MAX_PRODUCT_PAIRS is checked."""
+    _require_pairs(len(a_codes) * len(b_codes))
     keys = np.empty(0, np.int64)  # in order of first appearance
     sums = np.empty(0)
     seen = np.empty(0, np.int64)  # the keys sorted, and their slots in `keys`
@@ -460,19 +484,6 @@ class SparsePolynomial:
         factor = float(factor)
         scaled = ((m, c * factor) for m, c in self.terms.items())
         return SparsePolynomial._exact(self.center, {m: c for m, c in scaled if c != 0.0})
-
-    def partial(self, i: int) -> "SparsePolynomial":
-        """Exact partial derivative with respect to feature i (1-based)."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"feature index {i} outside 1..{self.n}")
-        out: dict[MultiIndex, float] = {}
-        for m, c in self.terms.items():
-            e = m[i - 1]
-            if e:
-                key = m[: i - 1] + (e - 1,) + m[i:]
-                out[key] = out.get(key, 0.0) + c * e
-        # taking e_i from every key keeps their order
-        return SparsePolynomial._exact(self.center, out)
 
     def truncate(self, max_degree: int) -> "SparsePolynomial":
         """Drop every term of total degree above max_degree."""

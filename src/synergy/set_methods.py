@@ -152,9 +152,10 @@ def build_table(
 
 
 def _sweep(values: np.ndarray, n: int, combine, supersets: bool = False) -> np.ndarray:
-    """One pass per bit 0..n-1 over a copy of `values`: every coalition without
-    the bit is paired with the coalition that adds it, and `combine` updates
-    the larger one from the smaller (subset direction) or the smaller from the
+    """One pass per bit 0..n-1 over a copy of `values`, 2^n values or several
+    2^n blocks end to end: every coalition without the bit is paired with
+    the coalition that adds it, in the same block, and `combine` updates the
+    larger one from the smaller (subset direction) or the smaller from the
     larger (superset direction)."""
     a = np.array(values, dtype=float)
     for bit_index in range(n):
@@ -219,36 +220,44 @@ def _weight_rows(rule: str, n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.
     return w, own, spread
 
 
-def _superset_rule(table: SetFunctionTable, k: int, rule: str) -> InteractionReport:
-    require_order(table.n, k)
-    n = table.n
+def _superset_rule(values: np.ndarray, n: int, k: int, rule: str) -> np.ndarray:
+    """One rule's report values, in layout order, on same-n tables: `values`
+    is one table's 2^n array, or the rows of a (tables, 2^n) array laid end
+    to end, and the result has one row per table. A sweep pairs coalitions
+    within one 2^n block only, so each row has the bits of its table alone,
+    and one table is used as given, with no copy of its own."""
+    require_order(n, k)
     w, own, spread = _weight_rows(rule, n, k)
-    syn = mobius(table).values
+    syn = _sweep(values, n, np.subtract)
     sizes = _sizes(n)
     sums = _sweep(w[sizes] * syn, n, np.add, supersets=True)
     entry = own[sizes] * syn + spread[sizes] * sums
-    entry[0] = table.values[0]
-    return InteractionReport.from_masks(n, k, entry)
+    entry[..., 0] = values[..., 0]
+    return entry[..., coalition_layout(n, k)[1]]
+
+
+def _rule_report(table: SetFunctionTable, k: int, rule: str) -> InteractionReport:
+    return InteractionReport(table.n, k, _superset_rule(table.values, table.n, k, rule))
 
 
 def shapley(table: SetFunctionTable) -> InteractionReport:
     """Shapley attribution: each synergy split equally among its members."""
-    return _superset_rule(table, 1, "rs")
+    return _rule_report(table, 1, "rs")
 
 
 def shapley_taylor(table: SetFunctionTable, k: int) -> InteractionReport:
     """Shapley-Taylor index: top-distributing synergy rule."""
-    return _superset_rule(table, k, "shapley-taylor")
+    return _rule_report(table, k, "shapley-taylor")
 
 
 def recursive_shapley(table: SetFunctionTable, k: int) -> InteractionReport:
     """Recursive Shapley: synergy of S sends weight N^k_|T| / |S|^k to each T within S."""
-    return _superset_rule(table, k, "rs")
+    return _rule_report(table, k, "rs")
 
 
 def augmented_recursive_shapley(table: SetFunctionTable, k: int) -> InteractionReport:
     """Recursive Shapley with synergies of size <= k pinned to their own group."""
-    return _superset_rule(table, k, "rs-aug")
+    return _rule_report(table, k, "rs-aug")
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from synergy import axioms, set_methods
 from synergy import expressions as ex
-from synergy import set_methods
 from synergy.axioms import (
     SuiteConfig,
     _permute_trial,
@@ -23,6 +24,7 @@ from synergy.axioms import (
     run_suite,
 )
 from synergy.core import Instance, InteractionReport
+from synergy.exceptions import NonFiniteError
 from synergy.methods import SUITE_METHODS, Method
 from synergy.polynomials import SparsePolynomial, multi_indices
 
@@ -127,6 +129,16 @@ def test_continuity_self_convergence_mode():
     result = check_continuity("sop", probe, inst, max_order=12, k=2)
     assert result.details["mode"] == "cauchy-self-convergence"
     assert result.status == "pass"
+
+
+def test_continuity_names_a_series_beyond_the_float_range():
+    """The methods without a quadrature reference go straight to `taylor`,
+    whose series at this baseline leaves the float range."""
+    probe = ex.parse("exp(x1*x2) - 1", 2)
+    inst = Instance(x=(1001.0, 1.0), baseline=(1000.0, 1.0))
+    for method in ("ih-aug", "sop"):
+        with pytest.raises(NonFiniteError, match="non-finite coefficient"):
+            check_continuity(method, probe, inst, max_order=4, k=2)
 
 
 def test_uniqueness_support():
@@ -246,6 +258,60 @@ def test_trusted_trial_polynomials_equal_the_validated_construction():
             ]
             checked += 1
     assert checked == 1200
+
+
+CELLS = [check_completeness, check_linearity, check_null_feature, check_symmetry,
+         check_baseline_test, check_interaction_distribution]
+
+
+@pytest.mark.parametrize("small", [False, True], ids=["one-batch", "small-batches"])
+@pytest.mark.parametrize(
+    "method", ["shapley", "shapley-taylor", "rs", "rs-aug", "ig", "ih", "ih-aug", "sop"]
+)
+def test_batched_cells_equal_trial_by_trial_cells(monkeypatch, method, small):
+    """A cell whose method carries a shared-kernel rule runs its trials in
+    batches; the same record without the rule runs `run` trial by trial.
+    Both give the same result, residual and witness to the bit, whether a
+    batch holds every trial or the trials and terms are split into many
+    batches and kernel runs. Uniqueness support batches its two full-order
+    rules the same way."""
+    if small:
+        monkeypatch.setattr(axioms, "_BATCH_TRIALS", 7)
+        monkeypatch.setattr(axioms, "_BATCH_TERMS", 60)
+    batched = SUITE_METHODS[method]
+    one_by_one = replace(batched, rule=None)
+    for seed, check in enumerate(CELLS):
+        # at tolerance 0 every cell with a residual fails and describes its witness
+        got = check(batched, 30, seed=seed, tol=0.0).to_json_dict()
+        assert got == check(one_by_one, 30, seed=seed, tol=0.0).to_json_dict()
+    if method == "shapley":
+        got = check_uniqueness_support(40, seed=3, tol=0.0)
+        registry = {m: replace(SUITE_METHODS[m], rule=None) for m in ("shapley-taylor", "rs-aug")}
+        monkeypatch.setattr(axioms, "REGISTRY", registry)
+        assert got == check_uniqueness_support(40, seed=3, tol=0.0)
+
+
+def test_a_method_without_a_rule_runs_once_per_report():
+    """A record with no shared-kernel rule has its `run` called for every
+    report a trial needs, in draw order, and scores as the batched rule."""
+    calls = []
+
+    def counted(table, k):
+        calls.append((table, k))
+        return set_methods.shapley_taylor(table, k)
+
+    spy = Method("shapley-taylor", "table", None, counted)
+    expected = {check_completeness: 12, check_linearity: 36, check_symmetry: 24,
+                check_baseline_test: 12}
+    for check, count in expected.items():
+        calls.clear()
+        result = check(spy, 12, seed=9)
+        assert len(calls) == count
+        assert result == check("shapley-taylor", 12, seed=9)
+    calls.clear()
+    check_completeness(spy, 5, seed=9)
+    drawn = [axioms._random_trial(spy, axioms._rng(9, t))[0].function for t in range(5)]
+    assert [table for table, _ in calls] == drawn
 
 
 def test_suite_honors_expected_failures():

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -198,9 +199,17 @@ def test_overflow_and_deep_nesting_are_usage_errors(capsys, argv):
         ("interact", "--expr", "x1*x2", "--x", ",".join(["1"] * 30), "--method", "ih",
          "-k", "30"),
         ("decompose", "--expr", "x1*x2", "--x", ",".join(["1"] * 21)),
+        # squaring powers of 8,008 and 12,870 terms: 64 and 166 million pairs
+        ("interact", "--expr", "((x1+x2+x3+x4+x5+x6+1)^10)^2", "--x", "1,1,1,1,1,1",
+         "--method", "ig"),
+        ("interact", "--expr", "((" + "+".join(f"x{i}" for i in range(1, 11)) + "+1)^6)^2",
+         "--x", ",".join(["1"] * 10), "--method", "ig"),
+        ("interact", "--expr", "((" + "+".join(f"x{i}" for i in range(1, 9)) + "+1)^8)^2",
+         "--x", ",".join(["1"] * 8), "--method", "ig"),
     ],
     ids=["degree-before-expansion", "degree-of-cancelling-powers", "quadrature-size",
-         "quadrature-work", "coalitions-of-interact", "coalitions-of-decompose"],
+         "quadrature-work", "coalitions-of-interact", "coalitions-of-decompose",
+         "pairs-of-squared-power-6", "pairs-of-squared-power-10", "pairs-of-squared-power-8"],
 )
 def test_size_caps_apply_before_work_starts(argv):
     """Each cap rejects its input before expanding or allocating anything, in
@@ -208,10 +217,13 @@ def test_size_caps_apply_before_work_starts(argv):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    start = time.perf_counter()
     done = subprocess.run(
         [sys.executable, "-m", "synergy.cli", *argv],
         capture_output=True, text=True, timeout=20, env=env,
     )
+    # start-up included; the uncapped expansions ran for 9 s and more
+    assert time.perf_counter() - start < 5
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.startswith("error:") and "Traceback" not in done.stderr

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synergy.cli import main
-from synergy.grad_exact import ARRAY_MIN_TERMS
 from synergy.methods import REGISTRY, SUITE_METHODS
 
 IDS = sorted({*REGISTRY, *SUITE_METHODS, "bogus"})
@@ -105,7 +104,7 @@ def test_every_request_succeeds_or_is_a_usage_error(files, data):
 
 # c * x1^128 at x1 = 1e3 is beyond the float range, as is x1^128 itself; at
 # x1 = 10 only the product is. The large file holds the same term among
-# enough others to take the gradient rules' array route.
+# 275 others.
 OVERFLOW_TERM = {"m": [128, 0], "c": 1e300}
 SMALL_TERMS = [
     {"m": [a, b], "c": 0.5 / (1 + a + b)} for a in range(23) for b in range(23 - a) if a + b
@@ -127,7 +126,7 @@ SMALL_TERMS = [
 )
 def test_overflowing_gradient_rule_names_the_coalition(tmp_path, capsys, size, argv):
     terms = [OVERFLOW_TERM] + (SMALL_TERMS if size == "large" else [])
-    assert (len(terms) >= ARRAY_MIN_TERMS) == (size == "large")
+    assert len(terms) == (276 if size == "large" else 1)
     path = tmp_path / "poly.json"
     path.write_text(json.dumps({"n": 2, "center": [0, 0], "terms": terms}))
     code = main([argv[0], "--poly", str(path), *argv[1:]])

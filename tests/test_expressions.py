@@ -328,10 +328,39 @@ def test_taylor_of_huge_powers_is_quick(text, n):
 
 
 def test_taylor_overflow_is_never_a_non_finite_coefficient():
-    with pytest.raises(OverflowError):
-        ex.taylor(ex.parse("exp(x1)", 1), (1000.0,), 4)
-    with pytest.raises(NonFiniteError):
-        ex.taylor(ex.parse("exp(x1)*exp(x1)", 1), (700.0,), 4)
+    """A series leaving the float range is a named NonFiniteError, never a
+    bare OverflowError or ValueError from `math`, nor a polynomial holding an
+    infinity."""
+    cases = [
+        # exp at the center is beyond the float range
+        ("exp(x1)", (1000.0,)),
+        # the product of two finite series overflows
+        ("exp(x1)*exp(x1)", (700.0,)),
+        # the base's constant term cubed is beyond the float range
+        ("(x1 + sin(x1))^3", (1e200,)),
+        # sin and cos of an infinite constant term are nan
+        ("sin(x1*x1)", (1e300,)),
+    ]
+    for text, center in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="non-finite coefficient"):
+                ex.taylor(ex.parse(text, 1), center, 3)
+
+
+def test_scalar_evaluate_follows_the_array_rules():
+    """At a scalar point, exp beyond the float range is inf and sin or cos
+    of an infinity is nan, as numpy maps an array, where `math` raises."""
+    cases = [("exp(x1)", 1000.0), ("sin(x1)", math.inf), ("cos(x1^2)", -1e300),
+             ("exp(x1)*sin(x1)", 710.0), ("(exp(x1) + 1)^3", 300.0)]
+    for text, value in cases:
+        tree = ex.parse(text, 1)
+        scalar = ex.evaluate(tree, (value,))
+        with np.errstate(over="ignore", invalid="ignore"):
+            array = ex.evaluate(tree, (np.array([value]),))
+        assert isinstance(scalar, float)
+        assert np.array_equal([scalar], array, equal_nan=True)
+        assert not math.isfinite(scalar)
 
 
 def test_print_parse_is_fixed_point(rng):
@@ -462,6 +491,28 @@ def test_array_products_keep_the_term_and_degree_caps(monkeypatch, min_pairs):
     for text in ("(x1+1)^5000", "(x1+1)^200 - (x1+1)^200", "((x1*x2)^8)^9"):
         with pytest.raises(CapExceededError, match="^total degree .* exceeds cap 128$"):
             ex.to_polynomial(ex.parse(text, 2), center)
+
+
+@pytest.mark.parametrize("min_pairs", [LOOP_ONLY, 0])
+def test_product_steps_are_capped_by_their_pair_count(monkeypatch, min_pairs):
+    """A product step of more than MAX_PRODUCT_PAIRS term pairs raises,
+    naming its count, exact (on either route) or truncated, and so does a
+    power step of a truncated composition; a step of exactly the cap runs."""
+    monkeypatch.setattr(polynomials, "ARRAY_MIN_PAIRS", min_pairs)
+    # two cubes of 35 terms each, all of degree <= 3
+    cubes = ex.parse("(x1 + x2 + x3 + x4 + 1)^3 * (x1 - x2 + x3 - x4 + 2)^3", 4)
+    monkeypatch.setattr(polynomials, "MAX_PRODUCT_PAIRS", 35 * 35 - 1)
+    for order in (None, 6):
+        with pytest.raises(
+            CapExceededError, match="^a product step of 1225 term pairs exceeds cap 1224$"
+        ):
+            ex._series(cubes, (0.0,) * 4, order)
+    # the 11th power of a 4-term sum (364 terms) times the sum: 1,456 pairs
+    with pytest.raises(CapExceededError, match="^a product step of 1456 term pairs"):
+        ex.taylor(ex.parse("sin(x1 + x2 + x3 + x4)", 4), (0.5,) * 4, 12)
+    monkeypatch.setattr(polynomials, "MAX_PRODUCT_PAIRS", 35 * 35)
+    for order in (None, 6):
+        assert len(ex._series(cubes, (0.0,) * 4, order)) == 170  # 40 terms cancel
 
 
 def test_to_polynomial_stores_what_the_validated_construction_stores(monkeypatch):

@@ -38,8 +38,7 @@ EXACT_CHECK = ["check", "--seed", "2024", "--trials", "50",
                                            "ig", "ih", "ih-aug", "sop")),
                *(f"--axiom={a}" for a in ("completeness", "linearity", "null-feature",
                                           "symmetry", "baseline-test",
-                                          "interaction-distribution")),
-               "--output", "csv"]
+                                          "interaction-distribution"))]
 
 CASES = {
     "interact-table-rs-k2.json": ["interact", "--table", TABLE, "--method", "rs", "-k", "2"],
@@ -82,7 +81,9 @@ CASES = {
     "interact-expr-power-sop-k3.json": ["interact", *POWER_EXPR, "--method", "sop", "-k", "3"],
     "interact-poly6-large-ih-k3.json": ["interact", *LARGE_POLY, "--method", "ih", "-k", "3"],
     "decompose-poly6-large-x.json": ["decompose", *LARGE_POLY],
-    "check-seed2024-trials50.csv": EXACT_CHECK,
+    "check-seed2024-trials50.csv": [*EXACT_CHECK, "--output", "csv"],
+    # the JSON form also pins each failing cell's witness: its trial and coalition
+    "check-seed2024-trials50.json": [*EXACT_CHECK, "--output", "json"],
 }
 
 

@@ -1,16 +1,17 @@
 import warnings
-from itertools import combinations, product
+from functools import lru_cache
+from itertools import combinations, compress, product
 
 import numpy as np
 import pytest
 
 from synergy import grad_exact, polynomials
-from synergy.combinatorics import enumerate_coalitions, monomial_mass
-from synergy.core import Instance
-from synergy.exceptions import CapExceededError, NonFiniteError
+from synergy.combinatorics import coalition_count, enumerate_coalitions, monomial_mass
+from synergy.core import Instance, InteractionReport, coalition_slot
+from synergy.exceptions import CapExceededError, DimensionMismatchError, NonFiniteError
 from synergy.grad_exact import (
+    _array_termwise,
     _shares,
-    _slots,
     _termwise,
     augmented_integrated_hessian,
     ig_polynomial,
@@ -20,7 +21,7 @@ from synergy.grad_exact import (
     sum_of_powers,
     sum_of_powers_nested,
 )
-from synergy.polynomials import SparsePolynomial, support
+from synergy.polynomials import SparsePolynomial, overflowed_power, support
 from synergy.set_methods import (
     augmented_recursive_shapley,
     build_table,
@@ -317,6 +318,46 @@ def _row_coalitions(k, members):
         for size in range(min(k, len(members)), 0, -1)
         for subset in combinations(members, size)
     ]
+
+
+@lru_cache(maxsize=4096)
+def _slots(n, k, members):
+    """Layout slots in P_k over 1..n of the subsets of `members` of size
+    min(k, |members|) down to 1, each size in lexicographic order: the
+    coalitions an unpinned share row runs over."""
+    return tuple(
+        coalition_slot(n, k, subset)
+        for size in range(min(k, len(members)), 0, -1)
+        for subset in combinations(members, size)
+    )
+
+
+def _term_loop(p, x, k, rule):
+    """The termwise scatter one term at a time, in term order, into the
+    report's values in layout order: each monomial's value c * (x - center)^m,
+    its factors multiplied in feature order by Python's power (the signed
+    infinity beyond the float range), added unscaled to its pinned support
+    or times each share of its row to the row's slots (reference)."""
+    n = p.n
+    shifted = [x[i] - p.center[i] for i in range(n)]
+    features = range(1, n + 1)
+    values = [0.0] * coalition_count(n, k)
+    for m, value in p.terms.items():
+        # the support and its positive exponents, in feature order
+        coalition = tuple(compress(features, m))
+        exponents = tuple(filter(None, m))
+        for i, e in zip(coalition, exponents):
+            try:
+                value *= shifted[i - 1] ** e
+            except OverflowError:
+                value *= overflowed_power(shifted[i - 1], e)
+        if not coalition or (rule != "ih" and len(coalition) <= k):
+            values[coalition_slot(n, k, coalition)] += value
+            continue
+        # zip stops where the row does: sop's row is the leading size-k block
+        for slot, share in zip(_slots(n, k, coalition), _shares(rule, k, exponents)):
+            values[slot] += value * share
+    return values
 
 
 def test_slot_rows_are_layout_positions_of_the_row_coalitions():
@@ -619,14 +660,6 @@ def _array_corpus(rng):
         )
 
 
-def _loop_and_array(monkeypatch, p, x, k, rule):
-    """`_termwise` on the term loop and on the array route."""
-    monkeypatch.setattr(grad_exact, "ARRAY_MIN_TERMS", len(p.terms) + 1)
-    loop = _termwise(p, x, k, rule)
-    monkeypatch.setattr(grad_exact, "ARRAY_MIN_TERMS", 0)
-    return loop, _termwise(p, x, k, rule)
-
-
 @pytest.mark.parametrize("block", [1, 7, None], ids=["1", "7", "default"])
 def test_array_termwise_is_the_term_loop_bit_for_bit(monkeypatch, block):
     if block is not None:
@@ -635,64 +668,134 @@ def test_array_termwise_is_the_term_loop_bit_for_bit(monkeypatch, block):
     for p, x, top in _array_corpus(rng):
         if block is not None and p.n > 4:
             continue  # small blocks: many per polynomial already at n <= 4
-        shifted = [a - b for a, b in zip(x, p.center)]
         for rule in ("ih", "ih-aug", "sop"):
             for k in range(1, top + 1):
-                # the array route runs, and gives the loop's bits
-                assert grad_exact._array_termwise(p, shifted, k, rule) is not None
-                loop, array = _loop_and_array(monkeypatch, p, x, k, rule)
-                assert _bits(array.values) == _bits(loop.values)
+                got = _termwise(p, x, k, rule)
+                assert _bits(got.values) == _bits(_term_loop(p, x, k, rule))
 
 
-def test_array_termwise_on_the_empty_and_constant_polynomials(monkeypatch):
+def test_array_termwise_on_the_empty_and_constant_polynomials():
     for terms in ({}, {(0, 0, 0): -2.5}):
         p = SparsePolynomial((0.5, -1.0, 2.0), terms)
+        x = (1.0, -0.0, 3.0)
         for rule in ("ih", "ih-aug", "sop"):
-            loop, array = _loop_and_array(monkeypatch, p, (1.0, -0.0, 3.0), 2, rule)
-            assert _bits(array.values) == _bits(loop.values)
+            got = _termwise(p, x, 2, rule)
+            assert _bits(got.values) == _bits(_term_loop(p, x, 2, rule))
 
 
-def test_exponent_codes_too_wide_for_int64_take_the_loop(monkeypatch):
-    """40-feature supports, each with one exponent 2: one radix 3 digit per
-    position, 3^40 > 2^63."""
-    terms = {tuple(2 if f == j else 1 for f in range(40)): 1.0 / (j + 1) for j in range(40)}
-    p = SparsePolynomial((0.1,) * 40, terms)
+# 40-feature supports, each with one exponent 2: one radix 3 digit per
+# position, 3^40 > 2^63, so their exponent codes would not fit in int64
+WIDE_TERMS = {tuple(2 if f == j else 1 for f in range(40)): 1.0 / (j + 1) for j in range(40)}
+
+
+def test_exponent_codes_too_wide_for_int64_take_the_array_route():
+    p = SparsePolynomial((0.1,) * 40, WIDE_TERMS)
     x = tuple(np.linspace(-1.1, 1.2, 40).tolist())
-    shifted = [a - b for a, b in zip(x, p.center)]
     for rule, k in (("ih", 1), ("ih", 2), ("sop", 2)):
-        assert grad_exact._array_termwise(p, shifted, k, rule) is None
-        loop, array = _loop_and_array(monkeypatch, p, x, k, rule)
-        assert _bits(array.values) == _bits(loop.values)
+        got = _termwise(p, x, k, rule)
+        assert _bits(got.values) == _bits(_term_loop(p, x, k, rule))
+
+
+OVERFLOW_CASES = [
+    # c * x1^128 overflows in the product
+    ({(128, 0): 1e300, (1, 1): 1.0, (0, 2): 0.5}, (10.0, 2.0)),
+    # x1^128 itself is beyond the float range, negative: -inf
+    ({(127, 1): 1.0, (1, 0): 2.0}, (-1e3, 2.0)),
+    # +inf and -inf into the same coalition: nan
+    ({(120, 1): 1e300, (121, 1): 1e300, (0, 1): 1.0}, (10.0, 0.5)),
+    # an infinite power times an exact zero factor: nan
+    ({(127, 1): 1.0, (2, 2): 1.0}, (1e3, 0.0)),
+]
 
 
 @pytest.mark.parametrize(
-    "terms, x",
-    [
-        # c * x1^128 overflows in the product
-        ({(128, 0): 1e300, (1, 1): 1.0, (0, 2): 0.5}, (10.0, 2.0)),
-        # x1^128 itself is beyond the float range, negative: -inf
-        ({(127, 1): 1.0, (1, 0): 2.0}, (-1e3, 2.0)),
-        # +inf and -inf into the same coalition: nan
-        ({(120, 1): 1e300, (121, 1): 1e300, (0, 1): 1.0}, (10.0, 0.5)),
-        # an infinite power times an exact zero factor: nan
-        ({(127, 1): 1.0, (2, 2): 1.0}, (1e3, 0.0)),
-    ],
+    "terms, x", OVERFLOW_CASES,
     ids=["product-inf", "power-inf", "inf-minus-inf", "inf-times-zero"],
 )
-def test_overflow_gives_the_loops_error_on_both_routes(monkeypatch, capfd, terms, x):
+def test_overflow_gives_the_loops_error_on_both_routes(capfd, terms, x):
+    """The array route and the test-side term loop name the same
+    non-finite coalition, and neither warns."""
     p = SparsePolynomial((0.0, 0.0), terms)
     for rule, k in (("ih", 1), ("ih", 2), ("ih-aug", 2), ("sop", 1)):
         messages = []
-        for threshold in (len(terms) + 1, 0):
-            monkeypatch.setattr(grad_exact, "ARRAY_MIN_TERMS", threshold)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for route in (
+                lambda: _termwise(p, x, k, rule),
+                lambda: InteractionReport(2, k, _term_loop(p, x, k, rule)),
+            ):
                 with pytest.raises(NonFiniteError) as raised:
-                    _termwise(p, x, k, rule)
-            messages.append(str(raised.value))
+                    route()
+                messages.append(str(raised.value))
         assert messages[0] == messages[1]
         assert messages[0].startswith("non-finite value for coalition")
     assert capfd.readouterr() == ("", "")
+
+
+def _batch_corpus(rng, n):
+    """n-feature polynomials of mixed term counts and nonzero centers, with
+    the empty and constant-only polynomials, an overflowing power and a
+    polynomial held as its arrays among them, each with its point."""
+    cases = []
+    for density in (0.05, 0.3, 0.7):
+        p = make_polynomial(rng, n, degree=5, density=density)
+        center = tuple(rng.uniform(-1, 1, n).tolist())
+        cases.append((SparsePolynomial(center, p.terms), tuple(rng.uniform(-2, 2, n).tolist())))
+    cases.append((SparsePolynomial((0.5,) * n, {}), (1.0,) * n))
+    cases.append((SparsePolynomial((0.0,) * n, {(0,) * n: -2.5}), (0.25,) * n))
+    # a power beyond the float range: one row holds infinities and nans
+    overflow = {(127,) + (1,) * min(n - 1, 1) + (0,) * max(n - 2, 0): 1.0, (2,) * n: 1.0}
+    cases.append((SparsePolynomial((0.0,) * n, overflow), (1e3,) + (0.0,) * (n - 1)))
+    loaded = make_polynomial(rng, n, degree=4, density=0.5)
+    payload = {"n": n, "center": [0.25] * n,
+               "terms": [{"m": list(m), "c": c} for m, c in loaded.terms.items()]}
+    cases.append((SparsePolynomial.from_json_dict(payload), tuple(rng.uniform(-2, 2, n).tolist())))
+    order = rng.permutation(len(cases))
+    return [cases[i] for i in order.tolist()]
+
+
+@pytest.mark.parametrize("block", [7, None], ids=["7", "default"])
+def test_a_batch_of_polynomials_gives_each_ones_own_bits(monkeypatch, block):
+    """Each row of a batch is the polynomial's values on its own and the
+    test-side term loop's, bit for bit, infinities and nans included, for
+    all four rules, blocks spanning polynomials included."""
+    if block is not None:
+        monkeypatch.setattr(polynomials, "ARRAY_BLOCK", block)
+    rng = np.random.default_rng(2101)
+    for n in range(1, 5):
+        cases = _batch_corpus(rng, n)
+        polys, points = [p for p, _ in cases], [x for _, x in cases]
+        for rule, ks in (("ih", range(1, n + 1)), ("ih-aug", range(1, n + 1)),
+                         ("sop", range(1, n + 1)), ("ih", [1])):  # ig is ih at k = 1
+            for k in ks:
+                rows = _array_termwise(polys, points, k, rule)
+                assert rows.shape == (len(polys), coalition_count(n, k))
+                for row, p, x in zip(rows, polys, points):
+                    assert _bits(row) == _bits(_array_termwise([p], [x], k, rule)[0])
+                    assert _bits(row) == _bits(_term_loop(p, x, k, rule))
+
+
+def test_a_batch_of_too_wide_polynomials_gives_each_ones_own_bits():
+    """40-feature polynomials whose exponent codes would not fit in int64,
+    batched with one whose codes fit."""
+    rng = np.random.default_rng(2102)
+    narrow = {tuple(int(v) for v in rng.integers(0, 2, 40)): 0.5 for _ in range(30)}
+    polys = [
+        SparsePolynomial((0.1,) * 40, WIDE_TERMS),
+        SparsePolynomial((0.0,) * 40, narrow),
+        SparsePolynomial((-0.2,) * 40, {m: -c for m, c in WIDE_TERMS.items()}),
+    ]
+    points = [tuple(rng.uniform(-1.2, 1.2, 40).tolist()) for _ in polys]
+    for rule, k in (("ih", 1), ("ih", 2), ("ih-aug", 2), ("sop", 2)):
+        rows = _array_termwise(polys, points, k, rule)
+        for row, p, x in zip(rows, polys, points):
+            assert _bits(row) == _bits(_term_loop(p, x, k, rule))
+
+
+def test_a_batch_checks_each_point_against_its_polynomial():
+    p = SparsePolynomial((0.0, 0.0), {(1, 1): 1.0})
+    with pytest.raises(DimensionMismatchError):
+        _array_termwise([p, p], [(1.0, 2.0), (1.0,)], 1, "ih")
 
 
 def test_powers_beyond_the_float_range_are_signed_infinities():
@@ -703,15 +806,14 @@ def test_powers_beyond_the_float_range_are_signed_infinities():
 
 def test_kernels_read_the_form_a_polynomial_is_stored_in():
     """On a loaded polynomial the array kernels read its arrays and never
-    build its term dict; on a small polynomial stored as its dict the term
-    loop never builds its arrays."""
+    build its term dict; on a polynomial stored as its dict the termwise
+    rules read the dict and never build its arrays."""
     rng = np.random.default_rng(8)
     vectors = [m for m in polynomials.multi_indices(4, 7) if any(m)][:300]
     payload = {"n": 4, "center": [0.5, -0.25, 0.0, 1.0],
                "terms": [{"m": list(m), "c": float(c)}
                          for m, c in zip(vectors, rng.uniform(-1, 1, len(vectors)))]}
     x = (1.5, 0.25, -1.0, 0.5)
-    assert len(vectors) >= grad_exact.ARRAY_MIN_TERMS
     loaded = SparsePolynomial.from_json_dict(payload)
     reports = [
         integrated_gradients(loaded, x),
@@ -731,7 +833,6 @@ def test_kernels_read_the_form_a_polynomial_is_stored_in():
     )):
         assert _bits(report.values) == _bits(again.values)
     small = built.truncate(2)  # stored as its dict
-    assert small.term_count < grad_exact.ARRAY_MIN_TERMS
     for rule in ("ih", "ih-aug", "sop"):
         _termwise(small, x, 2, rule)
     assert "exponent_array" not in small.__dict__ and "coefficients" not in small.__dict__

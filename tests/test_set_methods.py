@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synergy.combinatorics import binomial, enumerate_coalitions, enumerate_sequences
+from synergy.combinatorics import (
+    binomial,
+    coalition_count,
+    enumerate_coalitions,
+    enumerate_sequences,
+)
 from synergy.core import Instance, masked_point
 from synergy.exceptions import CapExceededError
 from synergy.expressions import evaluate, parse
@@ -12,6 +17,7 @@ from synergy.set_methods import (
     SetFunctionTable,
     SynergyTable,
     _shapley_retabulated,
+    _superset_rule,
     _shapley_retabulated_at_full,
     augmented_recursive_shapley,
     build_table,
@@ -464,3 +470,31 @@ def test_pure_synergy_table_structure():
     for mask in range(8):
         expected = 2.0 if (mask & 0b101) == 0b101 else 0.0
         assert table.values[mask] == expected
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_stacked_tables_give_each_table_its_own_bits(n):
+    """The distribution rules on same-n tables stacked as rows give each row
+    the bits of its table's report alone, for all four binary rules and
+    every k, and leave the stacked tables as they were."""
+    rng = np.random.default_rng(2100 + n)
+    tables = [make_table(rng, n) for _ in range(6)]
+    tables += [SetFunctionTable(n, np.zeros(1 << n)), pure_synergy_table(n, range(1, n + 1), -1.5)]
+    stacked = np.stack([table.values for table in tables])
+    before = stacked.copy()
+    rules = [("rs", shapley, [1])] + [
+        (rule, method, range(1, n + 1))
+        for rule, method in (
+            ("shapley-taylor", shapley_taylor),
+            ("rs", recursive_shapley),
+            ("rs-aug", augmented_recursive_shapley),
+        )
+    ]
+    for rule, method, orders in rules:
+        for k in orders:
+            rows = _superset_rule(stacked, n, k, rule)
+            assert rows.shape == (len(tables), coalition_count(n, k))
+            for row, table in zip(rows, tables):
+                alone = method(table) if method is shapley else method(table, k)
+                assert row.view(np.uint64).tolist() == alone.values.view(np.uint64).tolist()
+    assert np.array_equal(stacked, before)
