@@ -385,11 +385,10 @@ def _reports(requests: Sequence[tuple[Method, Trial]]) -> list[InteractionReport
     """The report of each (method, trial) request, in order.
 
     Requests whose method carries a shared-kernel rule are grouped by (kind,
-    rule, n, k), and each group runs as one kernel call per run of at most
-    _BATCH_TERMS polynomial terms: tables stacked as rows, polynomials laid
-    end to end. Every other request runs its method's `run` on its own, in
-    request order. The reports are built in request order, so the first one
-    whose values are not finite raises."""
+    rule, n, k), and each group runs as one kernel call: tables stacked as
+    rows, polynomials laid end to end. Every other request runs its
+    method's `run` on its own, in request order. The reports are built in
+    request order, so the first one whose values are not finite raises."""
     groups: dict[tuple, list[int]] = {}
     for i, (mut, trial) in enumerate(requests):
         if mut.rule is not None:
@@ -399,29 +398,15 @@ def _reports(requests: Sequence[tuple[Method, Trial]]) -> list[InteractionReport
         trials = [requests[i][1] for i in members]
         if kind == "table":
             tables = np.stack([trial.function.values for trial in trials])
-            rows.update(zip(members, set_methods._superset_rule(tables, n, k, rule)))
-            continue
-        for run in _term_runs(members, [trial.function.term_count for trial in trials]):
-            polys = [requests[i][1].function for i in run]
-            points = [requests[i][1].x for i in run]
-            rows.update(zip(run, grad_exact._array_termwise(polys, points, k, rule)))
+            values = set_methods._superset_rule(tables, n, k, rule)
+        else:
+            polys, points = [trial.function for trial in trials], [trial.x for trial in trials]
+            values = grad_exact._array_termwise(polys, points, k, rule)
+        rows.update(zip(members, values))
     return [
         InteractionReport(trial.n, trial.k, rows[i]) if i in rows else _report(mut, trial)
         for i, (mut, trial) in enumerate(requests)
     ]
-
-
-def _term_runs(members: list[int], sizes: list[int]):
-    """Consecutive runs of `members` whose sizes add up to at most
-    _BATCH_TERMS, or of one member."""
-    run, total = [], 0
-    for member, size in zip(members, sizes):
-        if run and total + size > _BATCH_TERMS:
-            yield run
-            run, total = [], 0
-        run.append(member)
-        total += size
-    yield run
 
 
 def _peak(scored) -> tuple[float, object]:
@@ -448,11 +433,9 @@ def _not_applicable(mut: Method, axiom: str) -> CheckResult:
     )
 
 
-# Trials a cell draws, and runs the kernels of, at a time, and the most
-# polynomial terms one kernel call takes (or one polynomial): memory stays
+# Trials a cell draws, and runs the kernels of, at a time: memory stays
 # bounded however many trials a cell runs.
 _BATCH_TRIALS = 128
-_BATCH_TERMS = 1 << 11
 
 
 def _trial_result(
@@ -735,6 +718,8 @@ class SuiteConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise SynergyError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise SynergyError(f"seed must be >= 0, got {self.seed}")
         for key, tol in self.tolerance_overrides.items():
             real = isinstance(tol, (int, float)) and not isinstance(tol, bool)
             if not (real and 0 <= tol < np.inf):
@@ -750,8 +735,14 @@ class SuiteConfig:
             trials=json_field(payload, "trials", what, as_int, 1000),
             methods=json_field(payload, "methods", what, _names, None),
             axioms=json_field(payload, "axioms", what, _names, None),
-            tolerance_overrides=json_field(payload, "tolerance_overrides", what, dict, {}),
+            tolerance_overrides=json_field(payload, "tolerance_overrides", what, _object, {}),
         )
+
+
+def _object(value) -> dict:
+    if not isinstance(value, Mapping):
+        raise TypeError(f"expected a JSON object, got {type(value).__name__}")
+    return dict(value)
 
 
 def _names(value) -> tuple[str, ...]:

@@ -45,6 +45,7 @@ class UsageError(SynergyError):
 @dataclass
 class FunctionSource:
     kind: str  # expr | poly | table
+    quadrature: QuadratureConfig  # the rule of the analytic engines
     expr: ex.Expr | None = None
     poly: SparsePolynomial | None = None
     table: set_methods.SetFunctionTable | None = None
@@ -77,14 +78,15 @@ def _load_json(path: str) -> dict:
 
 def _load_source(args) -> tuple[FunctionSource, Instance | None]:
     """Resolve the function source plus the instance (None for raw tables)."""
+    quadrature = QuadratureConfig(nodes=args.quad_nodes, panels=args.quad_panels)
     lets = _parse_lets(getattr(args, "let", None))
     if args.table is not None:
         table = set_methods.SetFunctionTable.from_json_dict(_load_json(args.table))
-        return FunctionSource("table", table=table), None
+        return FunctionSource("table", quadrature, table=table), None
     if args.poly is not None:
         poly = SparsePolynomial.from_json_dict(_load_json(args.poly))
         if args.x is None:
-            return FunctionSource("poly", poly=poly), None
+            return FunctionSource("poly", quadrature, poly=poly), None
         x = _parse_point(args.x, "--x")
         baseline = (
             _parse_point(args.baseline, "--baseline") if args.baseline else poly.center
@@ -95,9 +97,7 @@ def _load_source(args) -> tuple[FunctionSource, Instance | None]:
             )
         inst = Instance(x=x, baseline=baseline)
         validate_instance(inst)
-        if inst.n != poly.n:
-            raise UsageError(f"--x has {inst.n} components but polynomial has {poly.n}")
-        return FunctionSource("poly", poly=poly), inst
+        return FunctionSource("poly", quadrature, poly=poly), inst
     if args.x is None:
         raise UsageError("--x is required with --expr")
     x = _parse_point(args.x, "--x")
@@ -108,7 +108,7 @@ def _load_source(args) -> tuple[FunctionSource, Instance | None]:
     inst = Instance(x=x, baseline=baseline)
     validate_instance(inst)
     expr = ex.parse(args.expr, n, lets)
-    return FunctionSource("expr", expr=expr), inst
+    return FunctionSource("expr", quadrature, expr=expr), inst
 
 
 def _source_table(source: FunctionSource, inst: Instance | None) -> set_methods.SetFunctionTable:
@@ -133,10 +133,6 @@ def _source_expression(source: FunctionSource) -> ex.Expr:
     return ex.from_polynomial(source.poly)
 
 
-def _quad_config(args) -> QuadratureConfig:
-    return QuadratureConfig(nodes=args.quad_nodes, panels=args.quad_panels)
-
-
 def _check_order(method: Method, k: int) -> None:
     if method.order is not None and k != method.order:
         raise UsageError(f"method {method.id!r} only supports -k {method.order}")
@@ -148,7 +144,7 @@ def _require_x(method: Method, inst: Instance | None) -> Instance:
     return inst
 
 
-def _run_engine(engine: str, source: FunctionSource, inst: Instance | None, k: int, args) -> InteractionReport:
+def _run_engine(engine: str, source: FunctionSource, inst: Instance | None, k: int) -> InteractionReport:
     """Resolve the source into the input the engine's kind takes, check the
     order, and run it."""
     method = REGISTRY[engine]
@@ -161,9 +157,8 @@ def _run_engine(engine: str, source: FunctionSource, inst: Instance | None, k: i
                          f"{', '.join(sorted(TABLE_METHODS))}")
     if method.kind == "analytic":
         expr = _source_expression(source)
-        config = _quad_config(args)
         _check_order(method, k)
-        return method.run(expr, _require_x(method, inst), config)
+        return method.run(expr, _require_x(method, inst), source.quadrature)
     poly = _source_polynomial(source, inst)
     if poly is None:
         # transcendental expression: a method with a quadrature form runs it
@@ -174,7 +169,7 @@ def _run_engine(engine: str, source: FunctionSource, inst: Instance | None, k: i
                 f"method {engine!r} (k={k}) needs a polynomial-expressible source; "
                 "this expression is transcendental"
             )
-        return quadrature.run(source.expr, inst, _quad_config(args))
+        return quadrature.run(source.expr, inst, source.quadrature)
     _check_order(method, k)
     return method.run(poly, _require_x(method, inst).x, k)
 
@@ -193,7 +188,7 @@ def cmd_interact(args) -> int:
     source, inst = _load_source(args)
     if source.kind == "poly" and inst is None:
         raise UsageError("--x is required with --poly for interact")
-    report = _run_engine(args.method, source, inst, args.k, args)
+    report = _run_engine(args.method, source, inst, args.k)
     _emit(report.to_csv() if args.output == "csv" else report.to_json())
     return 0
 
@@ -239,8 +234,8 @@ def cmd_decompose(args) -> int:
 
 def cmd_compare(args) -> int:
     source, inst = _load_source(args)
-    left = _run_engine(args.left, source, inst, args.k, args)
-    right = _run_engine(args.right, source, inst, args.k, args)
+    left = _run_engine(args.left, source, inst, args.k)
+    right = _run_engine(args.right, source, inst, args.k)
     write = comparison_to_csv if args.output == "csv" else comparison_to_json
     _emit(write(left, right, (args.left, args.right)))
     return 0

@@ -226,7 +226,8 @@ def coalition_layout(n: int, k: int) -> tuple[tuple[Coalition, ...], np.ndarray 
 @lru_cache(maxsize=4096)
 def coalition_slot(n: int, k: int, members: Coalition) -> int:
     """Position of a coalition (ascending 1-based members) in the layout of
-    P_k over 1..n, counted without building the layout."""
+    P_k over 1..n: checked against P_k, then counted by `coalition_slots`,
+    without building the layout."""
     coalition_count(n, k)  # checks n and k
     size = len(members)
     if (
@@ -235,11 +236,7 @@ def coalition_slot(n: int, k: int, members: Coalition) -> int:
         or (members and not 1 <= members[0] <= members[-1] <= n)
     ):
         raise InvalidCoalitionError(f"coalition {members} outside P_{k} over 1..{n}")
-    # the last slot of this size, less the coalitions of this size after
-    # this one: those that share its first i members and whose next member
-    # is above its (i+1)-th
-    later = sum(math.comb(n - member, size - i) for i, member in enumerate(members))
-    return coalition_count(n, size) - 1 - later
+    return int(coalition_slots(n, np.array(members, np.int64)))
 
 
 @lru_cache(maxsize=64)
@@ -252,11 +249,15 @@ def _binomial_table(n: int, k: int) -> np.ndarray:
 
 
 def coalition_slots(n: int, members: np.ndarray, offset: np.ndarray | int = 0) -> np.ndarray:
-    """`coalition_slot` of every coalition along the last axis of an int
-    array, each one's 1-based members ascending, by the same count: a
-    coalition's slot is the same in every P_k that holds it. Each slot is
-    shifted by `offset`, which broadcasts against the leading axes. The
-    coalitions are not checked: each must hold distinct features of 1..n."""
+    """The layout position of every coalition along the last axis of an int
+    array, each one's 1-based members ascending: a coalition's slot is the
+    same in every P_k that holds it. Each slot is shifted by `offset`,
+    which broadcasts against the leading axes. The coalitions are not
+    checked: each must hold distinct features of 1..n.
+
+    A slot is the last slot of its coalition's size, less the coalitions of
+    that size after it: those that share its first i members and whose
+    next member is above its (i+1)-th."""
     size = members.shape[-1]
     counts = _binomial_table(n, size)
     later = np.zeros(members.shape[:-1], np.int64)

@@ -31,7 +31,6 @@ from .polynomials import (
     MultiIndex,
     SparsePolynomial,
     compose,
-    overflowed_power,
     product,
     scalar_power,
     term_sum,
@@ -338,13 +337,24 @@ def evaluate(expr: Expr, y: Sequence):
             total = total * evaluate(factor, y)
         return total
     if isinstance(expr, Pow):
-        base = evaluate(expr.base, y)
-        try:
-            return base**expr.exponent
-        except OverflowError:
-            return overflowed_power(base, expr.exponent)
+        return scalar_power(evaluate(expr.base, y), expr.exponent)
     if isinstance(expr, Call):
         return _apply(expr.func, evaluate(expr.arg, y))
+    raise TypeError(f"unknown node {expr!r}")
+
+
+def _children(expr: Expr) -> tuple[Expr, ...]:
+    """The operands of a node, in parsed order."""
+    if isinstance(expr, (Const, Var)):
+        return ()
+    if isinstance(expr, (Neg, Call)):
+        return (expr.arg,)
+    if isinstance(expr, Pow):
+        return (expr.base,)
+    if isinstance(expr, Add):
+        return expr.terms
+    if isinstance(expr, Mul):
+        return expr.factors
     raise TypeError(f"unknown node {expr!r}")
 
 
@@ -355,17 +365,7 @@ def tree_size(expr: Expr, memo: dict[int, int]) -> int:
     node, however large the tree."""
     size = memo.get(id(expr))
     if size is None:
-        if isinstance(expr, (Neg, Call)):
-            children: tuple[Expr, ...] = (expr.arg,)
-        elif isinstance(expr, Pow):
-            children = (expr.base,)
-        elif isinstance(expr, Add):
-            children = expr.terms
-        elif isinstance(expr, Mul):
-            children = expr.factors
-        else:
-            children = ()
-        size = 1 + sum(tree_size(child, memo) for child in children)
+        size = 1 + sum(tree_size(child, memo) for child in _children(expr))
         memo[id(expr)] = size
     return size
 
@@ -447,19 +447,8 @@ def partial(expr: Expr, i: int) -> Expr:
 
 
 def is_polynomial(expr: Expr) -> bool:
-    if isinstance(expr, Call):
-        return False
-    if isinstance(expr, (Const, Var)):
-        return True
-    if isinstance(expr, Neg):
-        return is_polynomial(expr.arg)
-    if isinstance(expr, Add):
-        return all(is_polynomial(t) for t in expr.terms)
-    if isinstance(expr, Mul):
-        return all(is_polynomial(f) for f in expr.factors)
-    if isinstance(expr, Pow):
-        return is_polynomial(expr.base)
-    raise TypeError(f"unknown node {expr!r}")
+    """Whether `expr` holds no sin, cos or exp call."""
+    return not isinstance(expr, Call) and all(map(is_polynomial, _children(expr)))
 
 
 def _derivative_cycle(func: str, a0: float) -> tuple[float, ...]:

@@ -29,11 +29,20 @@ from .set_methods import (
 SOP_ORACLE_MAX_ORDER = 3
 
 
+@lru_cache(maxsize=256)
+def _row_subsets(size: int, k: int, rule: str) -> tuple[np.ndarray, ...]:
+    """Positions, within a support of `size` features, of the coalitions an
+    unpinned share row runs over, in row order: one (count, width) array per
+    width, widths descending, each in lexicographic order. `sop`'s row is
+    the size-k block."""
+    widths = [k] if rule == "sop" else range(min(k, size), 0, -1)
+    return tuple(np.array(list(combinations(range(size), w)), np.intp) for w in widths)
+
+
 @lru_cache(maxsize=4096)
 def _shares(rule: str, k: int, exponents: tuple[int, ...]) -> tuple[float, ...]:
-    """Fraction of an unpinned monomial's value per coalition of its row:
-    the subsets of its support of size min(k, |support|) down to 1, each
-    size in lexicographic order (see `_row_subsets`).
+    """Fraction of an unpinned monomial's value per coalition of its row,
+    in `_row_subsets` order.
 
     `ih` (and `ih-aug` above size k) gives S mass(S) / |m|^k, where mass is
     the Möbius transform of U -> m(U)^k on the support lattice and m(U) the
@@ -42,16 +51,14 @@ def _shares(rule: str, k: int, exponents: tuple[int, ...]) -> tuple[float, ...]:
     integers until the one division.
     """
     size, degree = len(exponents), sum(exponents)
+    row = [subset for block in _row_subsets(size, k, rule) for subset in block.tolist()]
     if rule == "sop":
         scale = binomial(size - 1, k - 1) * degree
-        return tuple(sum(parts) / scale for parts in combinations(exponents, k))
-    # subsets of size <= k as bit masks over support positions: the family is
-    # closed under removing an element, so the per-bit Möbius sweep stays in it
-    masks = [
-        sum(1 << i for i in subset)
-        for width in range(min(k, size), -1, -1)
-        for subset in combinations(range(size), width)
-    ]
+        return tuple(sum(exponents[i] for i in subset) / scale for subset in row)
+    # the row's subsets and the empty one as bit masks over support
+    # positions: the family is closed under removing an element, so the
+    # per-bit Möbius sweep stays in it
+    masks = [sum(1 << i for i in subset) for subset in row] + [0]
     mass = {mask: sum(e for i, e in enumerate(exponents) if mask >> i & 1) ** k for mask in masks}
     for bit in (1 << i for i in range(size)):
         for mask in masks:
@@ -66,21 +73,12 @@ def _termwise(p: SparsePolynomial, x: Sequence[float], k: int, rule: str) -> Int
     return InteractionReport(p.n, k, _array_termwise([p], [x], k, rule)[0])
 
 
-@lru_cache(maxsize=256)
-def _row_subsets(size: int, k: int, rule: str) -> tuple[np.ndarray, ...]:
-    """Positions, within a support of `size` features, of the coalitions an
-    unpinned share row runs over, as `_shares` orders them: one (count, width)
-    array per width, widths descending. `sop`'s row is the size-k block."""
-    widths = [k] if rule == "sop" else range(min(k, size), 0, -1)
-    return tuple(np.array(list(combinations(range(size), w)), np.intp) for w in widths)
-
-
 def _stacked(polys: Sequence[SparsePolynomial]) -> tuple[np.ndarray, np.ndarray]:
     """The exponent rows and coefficients of the polynomials' terms, end to
     end in polynomial order. Polynomials that all hold their term dicts are
     read from those in one pass, without building their arrays; otherwise
     each one's arrays are read."""
-    stored = [p.__dict__.get("terms") for p in polys]
+    stored = [p.stored_terms for p in polys]
     if None in stored:  # a loaded polynomial holds its arrays only
         if len(polys) == 1:
             return polys[0].exponent_array, polys[0].coefficients

@@ -425,9 +425,15 @@ class SparsePolynomial:
         return len(self.center)
 
     @property
+    def stored_terms(self) -> Mapping[MultiIndex, float] | None:
+        """The `terms` dict if the polynomial holds one, else None: a loaded
+        polynomial holds its arrays only until `terms` is first read."""
+        return self.__dict__.get("terms")
+
+    @property
     def term_count(self) -> int:
         """len(terms), read from the form the polynomial is stored in."""
-        terms = self.__dict__.get("terms")
+        terms = self.stored_terms
         return len(self.coefficients if terms is None else terms)
 
     @cached_property
@@ -462,10 +468,7 @@ class SparsePolynomial:
         for m, value in self.terms.items():
             for i, e in enumerate(m):
                 if e:
-                    try:
-                        value = value * shifted[i] ** e
-                    except OverflowError:
-                        value = value * overflowed_power(shifted[i], e)
+                    value = value * scalar_power(shifted[i], e)
             total = total + value
         return total
 

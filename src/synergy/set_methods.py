@@ -40,45 +40,49 @@ ORACLE_MAX_FEATURES = 6
 ORACLE_MAX_ORDER = 4
 
 
-def _frozen_array(values) -> np.ndarray:
-    array = np.array(values, dtype=float)
-    array.setflags(write=False)
-    return array
-
-
 @dataclass(frozen=True, eq=False)
-class SetFunctionTable:
-    """All 2^n evaluations of a function at the masked points of one instance."""
+class _LatticeTable:
+    """2^n values in the subset encoding, held as a read-only float64 copy."""
 
     n: int
     values: np.ndarray
 
+    _label = "table"  # names the table in the length error
+
+    def __post_init__(self) -> None:
+        array = np.array(self.values, dtype=float)
+        array.setflags(write=False)
+        if array.shape != (1 << self.n,):
+            raise DimensionMismatchError(
+                f"{self._label} for n={self.n} needs {1 << self.n} values, got {array.shape}"
+            )
+        object.__setattr__(self, "values", array)
+
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, SetFunctionTable)
+            isinstance(other, type(self))
             and self.n == other.n
             and np.array_equal(self.values, other.values)
         )
-
-    def __post_init__(self) -> None:
-        if self.n > MAX_TABLE_FEATURES:
-            raise CapExceededError(
-                f"tables are capped at n <= {MAX_TABLE_FEATURES}, got {self.n}"
-            )
-        array = _frozen_array(self.values)
-        if array.shape != (1 << self.n,):
-            raise DimensionMismatchError(
-                f"table for n={self.n} needs {1 << self.n} values, got {array.shape}"
-            )
-        if not np.isfinite(array).all():
-            raise NonFiniteError("table contains a non-finite value")
-        object.__setattr__(self, "values", array)
 
     def at(self, members: Iterable[int]) -> float:
         return float(self.values[coalition_mask(members, self.n)])
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "values": self.values.tolist()}
+
+
+class SetFunctionTable(_LatticeTable):
+    """All 2^n evaluations of a function at the masked points of one instance."""
+
+    def __post_init__(self) -> None:
+        if self.n > MAX_TABLE_FEATURES:
+            raise CapExceededError(
+                f"tables are capped at n <= {MAX_TABLE_FEATURES}, got {self.n}"
+            )
+        super().__post_init__()
+        if not np.isfinite(self.values).all():
+            raise NonFiniteError("table contains a non-finite value")
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "SetFunctionTable":
@@ -86,31 +90,10 @@ class SetFunctionTable:
         return cls(n, json_field(payload, "values", "table", as_reals))
 
 
-@dataclass(frozen=True, eq=False)
-class SynergyTable:
+class SynergyTable(_LatticeTable):
     """Möbius transform of a set-function table: values[S] = synergy of S at x."""
 
-    n: int
-    values: np.ndarray
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SynergyTable)
-            and self.n == other.n
-            and np.array_equal(self.values, other.values)
-        )
-
-    def __post_init__(self) -> None:
-        array = _frozen_array(self.values)
-        if array.shape != (1 << self.n,):
-            raise DimensionMismatchError("synergy table has the wrong length")
-        object.__setattr__(self, "values", array)
-
-    def at(self, members: Iterable[int]) -> float:
-        return float(self.values[coalition_mask(members, self.n)])
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "values": self.values.tolist()}
+    _label = "synergy table"
 
     def to_json(self) -> str:
         """The text of json.dumps(self.to_json_dict(), indent=2); a value

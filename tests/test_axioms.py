@@ -272,12 +272,10 @@ def test_batched_cells_equal_trial_by_trial_cells(monkeypatch, method, small):
     """A cell whose method carries a shared-kernel rule runs its trials in
     batches; the same record without the rule runs `run` trial by trial.
     Both give the same result, residual and witness to the bit, whether a
-    batch holds every trial or the trials and terms are split into many
-    batches and kernel runs. Uniqueness support batches its two full-order
-    rules the same way."""
+    batch holds every trial or the trials are split into many batches.
+    Uniqueness support batches its two full-order rules the same way."""
     if small:
         monkeypatch.setattr(axioms, "_BATCH_TRIALS", 7)
-        monkeypatch.setattr(axioms, "_BATCH_TERMS", 60)
     batched = SUITE_METHODS[method]
     one_by_one = replace(batched, rule=None)
     for seed, check in enumerate(CELLS):

@@ -230,6 +230,42 @@ def test_size_caps_apply_before_work_starts(argv):
     assert "exceeds" in done.stderr
 
 
+ONES_64, ONES_21 = ",".join(["1"] * 64), ",".join(["1"] * 21)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # the quadrature flags are checked on every route, used or not
+        (("interact", "--expr", "x1", "--x", "1", "--method", "ig", "--quad-nodes", "1"),
+         "nodes must be >= 2"),
+        (("interact", "--expr", "sin(x1)", "--x", "1", "--method", "shapley",
+          "--quad-panels", "0"), "panels must be >= 1"),
+        (("decompose", "--expr", "x1", "--x", "1", "--quad-panels", "0"),
+         "panels must be >= 1"),
+        (("compare", "ig", "ih", "--expr", "x1", "--x", "1", "--quad-nodes", "100000000"),
+         "nodes * panels = 400000000 exceeds the cap 1024"),
+        (("interact", "--expr", "x1", "--x", "1", "--method", "shapley", "--let", "a"),
+         "--let expects NAME=VALUE, got 'a'"),
+        (("interact", "--expr", "x1", "--x", "1", "--method", "shapley", "--let", "a=abc"),
+         "--let a: 'abc' is not a number"),
+        (("interact", "--expr", "x1", "--x", ONES_64, "--method", "shapley"),
+         "n=64 exceeds the 63-feature cap"),
+        (("interact", "--expr", "sin(x1", "--x", "1", "--method", "shapley"),
+         "expected ')' (at offset 6)"),
+        (("interact", "--expr", "x1 $ x2", "--x", "1,1", "--method", "shapley"),
+         "unexpected character '$' (at offset 3)"),
+        (("interact", "--expr", "x1", "--x", ONES_21, "--method", "shapley"),
+         "build_table capped at n <= 20"),
+    ],
+    ids=["interact-quad-nodes", "interact-quad-panels", "decompose-quad-panels",
+         "compare-quad-points", "let-without-value", "let-not-a-number", "x-above-cap",
+         "unclosed-call", "unknown-character", "table-above-cap"],
+)
+def test_bad_flag_value_is_named_usage_error(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("kind", ["parens", "calls", "unary-minus"])
 def test_nesting_cap_is_one_hundred_levels(capsys, kind):
     def nested(depth):
@@ -584,6 +620,14 @@ MALFORMED_INPUT_ERRORS = {
     "term-boolean-exponent-string-c": "polynomial term field 'c': expected a number, got '2'",
     "term-infinite-exponent": "polynomial term field 'm': expected an integer, got inf",
     "term-overflowing-exponent": "polynomial term field 'm': expected an integer, got inf",
+    "config-tolerance-overrides-string":
+        "suite config field 'tolerance_overrides': expected a JSON object, got str",
+    "config-tolerance-overrides-list":
+        "suite config field 'tolerance_overrides': expected a JSON object, got list",
+    "config-tolerance-overrides-pairs":
+        "suite config field 'tolerance_overrides': expected a JSON object, got list",
+    "poly-center-length": "center length does not match n",
+    "table-nan-value": "table contains a non-finite value",
 }
 
 
@@ -631,6 +675,13 @@ MALFORMED_INPUT_ERRORS = {
         # an exponent beyond every integer: JSON's Infinity, or a literal that overflows
         ("--poly", {"n": 1, "terms": [{"m": [float("inf")], "c": 1}]}, "field 'm'"),
         ("--poly", '{"n": 1, "terms": [{"m": [1e400], "c": 1}]}', "field 'm'"),
+        # the overrides must be an object, not a string, a list or a list of pairs
+        *(
+            ("--config", {"tolerance_overrides": overrides}, "'tolerance_overrides'")
+            for overrides in ("abc", [1, 2], [["completeness", 0.001]])
+        ),
+        ("--poly", {"n": 2, "center": [0.0], "terms": []}, "center"),
+        ("--table", {"n": 1, "values": [float("nan"), 1.0]}, "non-finite"),
     ],
     ids=["table-without-n", "term-without-c", "table-list", "poly-list", "config-list",
          "config-methods-string", "config-tolerance-string", "config-tolerance-bool",
@@ -641,7 +692,9 @@ MALFORMED_INPUT_ERRORS = {
          "poly-repeated-vector", "poly-repeated-vector-term-by-term",
          "table-boolean-n", "poly-boolean-n", "config-boolean-trials", "config-boolean-seed",
          "term-boolean-exponent-string-c", "term-infinite-exponent",
-         "term-overflowing-exponent"],
+         "term-overflowing-exponent", "config-tolerance-overrides-string",
+         "config-tolerance-overrides-list", "config-tolerance-overrides-pairs",
+         "poly-center-length", "table-nan-value"],
 )
 def test_malformed_input_file_is_usage_error(tmp_path, capsys, request, flag, payload, field):
     path = tmp_path / "input.json"
@@ -665,8 +718,12 @@ def test_malformed_input_file_is_usage_error(tmp_path, capsys, request, flag, pa
         ((), {"methods": ["shapley", "bogus"]}),
         (("--trials", "0"), None),
         (("--trials", "-1"), None),
+        (("--seed", "-1"), None),
+        ((), {"seed": -1}),
+        (("--axiom", "bogus"), None),
     ],
-    ids=["unknown-method", "config-unknown-method", "zero-trials", "negative-trials"],
+    ids=["unknown-method", "config-unknown-method", "zero-trials", "negative-trials",
+         "negative-seed", "config-negative-seed", "unknown-axiom"],
 )
 def test_check_unknown_method_or_trials_below_one_is_usage_error(tmp_path, capsys, flags, config):
     argv = ["check", "--axiom", "completeness", *flags]
@@ -677,7 +734,7 @@ def test_check_unknown_method_or_trials_below_one_is_usage_error(tmp_path, capsy
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error:") and ("bogus" in err or "trials" in err)
+    assert err.startswith("error:") and any(name in err for name in ("bogus", "trials", "seed"))
 
 
 def test_poly_baseline_must_match_center(tmp_path, capsys):

@@ -129,9 +129,10 @@ def test_report_values_are_a_read_only_copy():
 
 @pytest.mark.parametrize("n, k", [(1, 1), (4, 2), (6, 6), (9, 3), (12, 4), (21, 2), (40, 2), (63, 1)])
 def test_vectorised_slots_are_the_scalar_slots(n, k):
-    """Every coalition of P_k, grouped by size, ranks where the scalar
-    count and the layout put it, beyond the 20-feature table scale too,
-    whatever the shape of the array holding the coalitions."""
+    """Every coalition of P_k, grouped by size, ranks where the layout puts
+    it, by the checked scalar call and the array call alike, beyond the
+    20-feature table scale too, whatever the shape of the array holding the
+    coalitions."""
     coalitions, _ = coalition_layout(n, k)
     for size in range(k + 1):
         block = [c for c in coalitions if len(c) == size]
