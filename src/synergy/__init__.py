@@ -5,7 +5,6 @@ for the gradient-based family and a quadrature oracle."""
 from .core import (
     Instance,
     InteractionReport,
-    as_point,
     masked_point,
     validate_instance,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "NonFiniteError",
     "OutOfBoxError",
     "ParseError",
-    "as_point",
     "augmented_integrated_hessian",
     "augmented_recursive_shapley",
     "build_table",

@@ -78,7 +78,11 @@ def _load_json(path: str) -> dict:
 
 def _load_source(args) -> tuple[FunctionSource, Instance | None]:
     """Resolve the function source plus the instance (None for raw tables)."""
-    quadrature = QuadratureConfig(nodes=args.quad_nodes, panels=args.quad_panels)
+    try:
+        quadrature = QuadratureConfig(nodes=args.quad_nodes, panels=args.quad_panels)
+    except ValueError as err:  # the config names its fields; name the flags
+        message = str(err).replace("nodes", "--quad-nodes").replace("panels", "--quad-panels")
+        raise UsageError(message) from None
     lets = _parse_lets(getattr(args, "let", None))
     if args.table is not None:
         table = set_methods.SetFunctionTable.from_json_dict(_load_json(args.table))

@@ -36,10 +36,6 @@ Point = tuple[float, ...]
 Coalition = tuple[int, ...]
 
 
-def as_point(values: Iterable[float]) -> Point:
-    return tuple(float(v) for v in values)
-
-
 def as_int(value: Any) -> int:
     """`value` as an int: a TypeError unless it is an integral number, not a boolean."""
     try:

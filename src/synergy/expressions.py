@@ -1,6 +1,7 @@
-"""A small analytic expression language: parsing, evaluation, exact symbolic
-partial derivatives, and power series (exact polynomial expansion and
-truncated Taylor expansion, one series walker for both).
+"""A small analytic expression language: parsing, one walk (`jet`) for
+values, gradients and Hessians, exact symbolic partial derivatives, and
+power series (exact polynomial expansion and truncated Taylor expansion,
+one series walker for both).
 
 Grammar (EBNF):
 
@@ -13,8 +14,8 @@ Grammar (EBNF):
 Implicit multiplication is rejected. Named constants must be bound at parse
 time; unbound identifiers are errors. Parentheses, function calls and unary
 minus nest at most MAX_NESTING levels deep. Every expression built from these
-primitives is real-analytic, so symbolic differentiation and truncated
-power-series expansion are total.
+primitives is real-analytic, so its derivatives, symbolic or carried by
+the jet, and its truncated power-series expansion are total.
 """
 from __future__ import annotations
 
@@ -314,33 +315,78 @@ def _apply(func: str, value):
     return _scalar_call(func, value)
 
 
-def evaluate(expr: Expr, y: Sequence):
-    """Evaluate at a point; components may be scalars or numpy arrays."""
+def _scaled(c, d):
+    return None if d is None else c * d
+
+
+def _outer(a, b):
+    return None if a is None or b is None else a[:, None] * b[None]
+
+
+def _sum(*parts):
+    """The parts that are not None added left to right; None if all are."""
+    total = None
+    for part in parts:
+        if part is not None:
+            total = part if total is None else total + part
+    return total
+
+
+def jet(expr: Expr, y: Sequence, active: Sequence[int], order: int):
+    """The value of `expr` at a point with, up to `order` (0, 1 or 2), its
+    gradient rows (m, …) and Hessian (m, m, …) in the m features `active`
+    (1-based), each broadcasting against the value; components may be
+    scalars or numpy arrays. A derivative is None where it is structurally
+    zero: at a node holding no active feature, or above `order`. Children
+    are walked in parsed order, folded into their parent one at a time."""
     if isinstance(expr, Const):
-        return expr.value
+        return expr.value, None, None
     if isinstance(expr, Var):
         if expr.index > len(y):
             raise DimensionMismatchError(
                 f"expression uses x{expr.index} but point has {len(y)} components"
             )
-        return y[expr.index - 1]
+        unit = np.equal(active, expr.index)[:, None] * 1.0 if order and expr.index in active else None
+        return y[expr.index - 1], unit, None
     if isinstance(expr, Neg):
-        return -evaluate(expr.arg, y)
+        v, g, h = jet(expr.arg, y, active, order)
+        return -v, _scaled(-1.0, g), _scaled(-1.0, h)
     if isinstance(expr, Add):
-        total = evaluate(expr.terms[0], y)
+        v, g, h = jet(expr.terms[0], y, active, order)
         for term in expr.terms[1:]:
-            total = total + evaluate(term, y)
-        return total
+            tv, tg, th = jet(term, y, active, order)
+            if order:
+                g, h = _sum(g, tg), _sum(h, th)
+            v = v + tv
+        return v, g, h
     if isinstance(expr, Mul):
-        total = evaluate(expr.factors[0], y)
+        v, g, h = jet(expr.factors[0], y, active, order)
         for factor in expr.factors[1:]:
-            total = total * evaluate(factor, y)
-        return total
-    if isinstance(expr, Pow):
-        return scalar_power(evaluate(expr.base, y), expr.exponent)
+            b, gb, hb = jet(factor, y, active, order)
+            if order > 1:
+                h = _sum(_scaled(b, h), _outer(g, gb), _outer(gb, g), _scaled(v, hb))
+            if order:
+                g = _sum(_scaled(b, g), _scaled(v, gb))
+            v = v * b
+        return v, g, h
+    v, g, h = jet(_children(expr)[0], y, active, order)
+    if g is None:
+        value = _apply(expr.func, v) if isinstance(expr, Call) else scalar_power(v, expr.exponent)
+        return value, None, None
     if isinstance(expr, Call):
-        return _apply(expr.func, evaluate(expr.arg, y))
-    raise TypeError(f"unknown node {expr!r}")
+        phi = _derivative_cycle(expr.func, v)
+    else:
+        k = expr.exponent
+        phi = [math.perm(k, j) * scalar_power(v, k - j) for j in range(order + 1)]
+    # the chain rule with f^(j) = phi[j % len(phi)]: f'·∇a and f'·Ha + f''·∇a∇aᵀ
+    d1 = phi[1 % len(phi)]
+    h = _sum(_scaled(d1, h), _scaled(phi[2 % len(phi)], _outer(g, g))) if order > 1 else None
+    return phi[0], _scaled(d1, g), h
+
+
+def evaluate(expr: Expr, y: Sequence):
+    """Evaluate at a point of scalars or numpy arrays: the order-0 `jet`."""
+    return jet(expr, y, (), 0)[0]
 
 
 def _children(expr: Expr) -> tuple[Expr, ...]:
@@ -359,10 +405,10 @@ def _children(expr: Expr) -> tuple[Expr, ...]:
 
 
 def tree_size(expr: Expr, memo: dict[int, int]) -> int:
-    """Nodes `evaluate` visits walking `expr` as a tree. A subtree shared
-    by several parents is counted once per use but sized once, through
-    `memo`, keyed by node identity: the count costs one step per distinct
-    node, however large the tree."""
+    """Nodes `jet`, and so `evaluate`, visits walking `expr` as a tree. A
+    subtree shared by several parents is counted once per use but sized
+    once, through `memo`, keyed by node identity: the count costs one step
+    per distinct node, however large the tree."""
     size = memo.get(id(expr))
     if size is None:
         size = 1 + sum(tree_size(child, memo) for child in _children(expr))
@@ -413,7 +459,8 @@ def to_text(expr: Expr) -> str:
 
 
 def partial(expr: Expr, i: int) -> Expr:
-    """Exact symbolic derivative with respect to x_i."""
+    """Exact symbolic derivative with respect to x_i: no production path
+    calls it; the tests check `jet` and the quadrature oracles against it."""
     if isinstance(expr, (Const,)):
         return _ZERO
     if isinstance(expr, Var):
@@ -451,12 +498,12 @@ def is_polynomial(expr: Expr) -> bool:
     return not isinstance(expr, Call) and all(map(is_polynomial, _children(expr)))
 
 
-def _derivative_cycle(func: str, a0: float) -> tuple[float, ...]:
-    """The derivatives of sin, cos or exp at a0 over one period (4, 4 and
-    1), each taken as `evaluate` takes it."""
+def _derivative_cycle(func: str, a0):
+    """The derivatives of sin, cos or exp at a0, a float or an array, over
+    one period (4, 4 and 1), each taken as `evaluate` takes it."""
     if func == "exp":
-        return (_scalar_call("exp", a0),)
-    sin, cos = _scalar_call("sin", a0), _scalar_call("cos", a0)
+        return (_apply("exp", a0),)
+    sin, cos = _apply("sin", a0), _apply("cos", a0)
     return (sin, cos, -sin, -cos) if func == "sin" else (cos, -sin, -cos, sin)
 
 

@@ -1,28 +1,28 @@
 """Quadrature oracle for the path-integral methods on analytic expressions.
 
-Integrals run along the straight baseline-to-input path only. Integrands use
-exact symbolic partial derivatives; the quadrature rule is the single source
-of numeric error. `ig` uses composite Gauss-Legendre on [0, 1]. The order-2
-integrated Hessian is a double integral over s, t whose integrands depend on
-s and t only through u = st, so it is the 1-D integral of g(u)(-ln u) over
-[0, 1]: one composite Gauss rule for the weight -ln u, sampled on the same
-1-D path as `ig`. Summation order is fixed for deterministic output. The
-integrands' tree sizes times their per-node sampling cost are capped
-(MAX_QUADRATURE_WORK) before anything is sampled.
+Integrals run along the straight baseline-to-input path only. Integrands are
+the exact gradient and Hessian rows that one forward-mode walk
+(`expressions.jet`) carries along the path; the quadrature rule is the
+single source of numeric error. `ig` uses composite Gauss-Legendre on
+[0, 1]. The order-2 integrated Hessian is a double integral over s, t whose
+integrands depend on s and t only through u = st, so it is the 1-D integral
+of g(u)(-ln u) over [0, 1]: one composite Gauss rule for the weight -ln u,
+sampled on the same 1-D path as `ig`. Summation order is fixed for
+deterministic output. The walk's nodes times its rows times the samples are
+capped (MAX_QUADRATURE_WORK) before anything is sampled.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 import numpy as np
 
 from .core import Instance, InteractionReport, report_from_values
 from .exceptions import CapExceededError, NonFiniteError
-from .expressions import Expr, evaluate, partial, tree_size
+from .expressions import Expr, evaluate, jet, tree_size
 
 
 # Nodes times panels: the length of either 1-D rule, so the samples per
@@ -49,31 +49,11 @@ class QuadratureConfig:
 
 DEFAULT_CONFIG = QuadratureConfig()
 
-# Work is counted in units of one sample of one tree node. Besides its
-# per-sample cost, `evaluate` pays a fixed cost per node (one numpy call on
-# a short array) worth NODE_COST_IN_SAMPLES samples: fitted on a 2-vCPU Xeon
-# VM as about 1000 on polynomial trees and 300 on sin-heavy ones, whose
-# samples cost more. A call's work is the integrand nodes that `evaluate`
-# visits times (samples + NODE_COST_IN_SAMPLES). The largest call in the
-# tests and benchmark workloads does 5.1e6 (4030 nodes on 256 samples). On
-# that VM a call at the cap takes about 6 s on sin-heavy trees at 256
-# samples and about 7.5 s at 1024; 100 nested levels of sin under ih2
-# (2.17e6 nodes, 2.7e9) are refused.
-NODE_COST_IN_SAMPLES = 1000
-MAX_QUADRATURE_WORK = 2 * 10**9
-
-
-def _require_work(integrands: Iterable[Expr], samples: int) -> None:
-    """Raise before any sampling when evaluating every integrand on `samples`
-    points would exceed MAX_QUADRATURE_WORK."""
-    memo: dict[int, int] = {}
-    nodes = sum(tree_size(e, memo) for e in integrands)
-    work = nodes * (samples + NODE_COST_IN_SAMPLES)
-    if work > MAX_QUADRATURE_WORK:
-        raise CapExceededError(
-            f"quadrature work {work:.4g} ({nodes} integrand nodes on {samples} "
-            f"samples) exceeds the cap {MAX_QUADRATURE_WORK:.4g}"
-        )
+# A call's work is the nodes `jet` visits times its rows (1 + m for ig,
+# 1 + m + m^2 for ih2, m the features off their baseline) times the samples.
+# The largest call in the tests and benchmark workloads does 2.7e6; on a
+# 2-vCPU Xeon VM one at the cap takes 0.4-1.5 s and peaks at 36-500 MB.
+MAX_QUADRATURE_WORK = 2 * 10**8
 
 
 @lru_cache(maxsize=32)
@@ -198,10 +178,28 @@ def _log_weight_rule(nodes: int, panels: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(points), np.concatenate(weights)
 
 
-def _path_points(inst: Instance, t: np.ndarray) -> list[np.ndarray]:
-    return [
-        inst.baseline[i] + t * (inst.x[i] - inst.baseline[i]) for i in range(inst.n)
-    ]
+def _path_jet(
+    expr: Expr, inst: Instance, active: list[int], order: int, config: QuadratureConfig
+):
+    """The rule t, w of ig (order 1) or ih2 (order 2), then F's gradient (m, t.size) and
+    Hessian (m, m, t.size) in `active` along b + t(x - b), once the work cap allows."""
+    m, samples = len(active), config.nodes * config.panels
+    rows = 1 + m + (m * m if order > 1 else 0)
+    nodes = tree_size(expr, {})
+    work = nodes * rows * samples
+    if work > MAX_QUADRATURE_WORK:
+        raise CapExceededError(
+            f"quadrature work {work:.4g} ({nodes} nodes x {rows} jet rows on {samples} "
+            f"samples) exceeds the cap {MAX_QUADRATURE_WORK:.4g}"
+        )
+    t, w = (_log_weight_rule if order > 1 else _unit_interval_rule)(config.nodes, config.panels)
+    path = [b + t * (a - b) for a, b in zip(inst.x, inst.baseline)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, *derivatives = jet(expr, path, active, order)
+    return t, w, *(
+        np.broadcast_to(0.0 if d is None else d, (m,) * k + t.shape)
+        for k, d in enumerate(derivatives, 1)
+    )
 
 
 def _finite(values: np.ndarray, what: str) -> np.ndarray:
@@ -215,17 +213,12 @@ def ig_quadrature(
 ) -> InteractionReport:
     """Integrated gradients via quadrature of the path derivative per feature."""
     n = inst.n
-    t, w = _unit_interval_rule(config.nodes, config.panels)
-    path = _path_points(inst, t)
     deltas = [inst.x[i] - inst.baseline[i] for i in range(n)]
-    partials = {i: partial(expr, i) for i in range(1, n + 1) if deltas[i - 1] != 0.0}
-    _require_work(partials.values(), t.size)
+    active = [i for i in range(1, n + 1) if deltas[i - 1] != 0.0]
+    _, w, gradient, _ = _path_jet(expr, inst, active, 1, config)
     entries = {(): float(evaluate(expr, inst.baseline))}
-    for i, derivative in partials.items():
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = np.asarray(evaluate(derivative, path), dtype=float)
-        samples = np.broadcast_to(values, t.shape)
-        entries[(i,)] = deltas[i - 1] * float(w @ _finite(samples, f"dF/dx{i}"))
+    for r, i in enumerate(active):
+        entries[(i,)] = deltas[i - 1] * float(w @ _finite(gradient[r], f"dF/dx{i}"))
     return report_from_values(n, 1, entries)
 
 
@@ -236,30 +229,17 @@ def ih2_quadrature(
     integrals. The double path integrals over s, t are taken as 1-D
     integrals in u = st with the weight -ln u (`_log_weight_rule`)."""
     n = inst.n
-    u, w = _log_weight_rule(config.nodes, config.panels)
-    wu = w * u
-    path = _path_points(inst, u)
     deltas = [inst.x[i] - inst.baseline[i] for i in range(n)]
-
-    def sample(e: Expr, what: str) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = np.asarray(evaluate(e, path), dtype=float)
-        return _finite(np.broadcast_to(values, u.shape), what)
-
     active = [i for i in range(1, n + 1) if deltas[i - 1] != 0.0]
-    first_partials = {i: partial(expr, i) for i in active}
-    second_partials = {
-        (i, j): partial(first_partials[i], j)
-        for i, j in combinations_with_replacement(active, 2)
-    }
-    _require_work([*first_partials.values(), *second_partials.values()], u.size)
+    u, w, gradient, hessian = _path_jet(expr, inst, active, 2, config)
+    wu = w * u
     entries = {(): float(evaluate(expr, inst.baseline))}
-    for i, j in combinations(active, 2):
-        integral = float(wu @ sample(second_partials[(i, j)], f"d2F/dx{i}dx{j}"))
+    for (r, i), (s, j) in combinations(enumerate(active), 2):
+        integral = float(wu @ _finite(hessian[r, s], f"d2F/dx{i}dx{j}"))
         entries[(i, j)] = 2.0 * deltas[i - 1] * deltas[j - 1] * integral
-    for i in active:
-        gradient_part = float(w @ sample(first_partials[i], f"dF/dx{i}"))
-        curvature_part = float(wu @ sample(second_partials[(i, i)], f"d2F/dx{i}^2"))
+    for r, i in enumerate(active):
+        gradient_part = float(w @ _finite(gradient[r], f"dF/dx{i}"))
+        curvature_part = float(wu @ _finite(hessian[r, r], f"d2F/dx{i}^2"))
         entries[(i,)] = (
             deltas[i - 1] * gradient_part + deltas[i - 1] ** 2 * curvature_part
         )

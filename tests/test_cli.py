@@ -187,6 +187,9 @@ def test_overflow_and_deep_nesting_are_usage_errors(capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+SUM_63 = "+".join(f"x{i}" for i in range(1, 64))
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -194,8 +197,9 @@ def test_overflow_and_deep_nesting_are_usage_errors(capsys, argv):
         ("interact", "--expr", "(x1+1)^200 - (x1+1)^200", "--x", "0.5", "--method", "ig"),
         ("interact", "--expr", "sin(x1)*x2", "--x", "0.5,0.3", "--method", "ig",
          "--quad-nodes", "100000000"),
-        ("interact", "--expr", "sin(" * 100 + "x1*x2" + ")" * 100, "--x", "0.5,0.3",
-         "--method", "ih", "-k", "2"),
+        # 283 nodes, 1 + 63 + 63^2 jet rows, 256 samples: 2.9e8 units of work
+        ("interact", "--expr", "sin(" * 90 + "*".join([f"({SUM_63})"] * 3) + ")" * 90,
+         "--x", ",".join(["1"] * 63), "--method", "ih", "-k", "2"),
         ("interact", "--expr", "x1*x2", "--x", ",".join(["1"] * 30), "--method", "ih",
          "-k", "30"),
         ("decompose", "--expr", "x1*x2", "--x", ",".join(["1"] * 21)),
@@ -238,13 +242,13 @@ ONES_64, ONES_21 = ",".join(["1"] * 64), ",".join(["1"] * 21)
     [
         # the quadrature flags are checked on every route, used or not
         (("interact", "--expr", "x1", "--x", "1", "--method", "ig", "--quad-nodes", "1"),
-         "nodes must be >= 2"),
+         "--quad-nodes must be >= 2"),
         (("interact", "--expr", "sin(x1)", "--x", "1", "--method", "shapley",
-          "--quad-panels", "0"), "panels must be >= 1"),
+          "--quad-panels", "0"), "--quad-panels must be >= 1"),
         (("decompose", "--expr", "x1", "--x", "1", "--quad-panels", "0"),
-         "panels must be >= 1"),
+         "--quad-panels must be >= 1"),
         (("compare", "ig", "ih", "--expr", "x1", "--x", "1", "--quad-nodes", "100000000"),
-         "nodes * panels = 400000000 exceeds the cap 1024"),
+         "--quad-nodes * --quad-panels = 400000000 exceeds the cap 1024"),
         (("interact", "--expr", "x1", "--x", "1", "--method", "shapley", "--let", "a"),
          "--let expects NAME=VALUE, got 'a'"),
         (("interact", "--expr", "x1", "--x", "1", "--method", "shapley", "--let", "a=abc"),
@@ -264,6 +268,20 @@ ONES_64, ONES_21 = ",".join(["1"] * 64), ",".join(["1"] * 21)
 )
 def test_bad_flag_value_is_named_usage_error(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("method", [("ig",), ("ih", "-k", "2")])
+def test_quadrature_keeps_structural_zeros(capsys, method):
+    """exp(x2) is inf along the whole path, but x2 stays at its baseline, so
+    no derivative takes it: no 0 * inf turns a row into nan."""
+    code, out, _ = run_cli(
+        capsys, "interact", "--expr", "x1 + exp(-exp(x2))", "--x", "0.5,1000",
+        "--baseline", "0,1000", "--method", *method,
+    )
+    assert code == 0
+    entries = entries_dict(json.loads(out))
+    assert entries.pop((1,)) == pytest.approx(0.5, abs=1e-15)
+    assert entries and all(value == 0.0 for value in entries.values())
 
 
 @pytest.mark.parametrize("kind", ["parens", "calls", "unary-minus"])

@@ -132,6 +132,28 @@ def test_partials_commute_by_evaluation(rng):
             )
 
 
+def test_jet_matches_symbolic_partials(rng):
+    """The walk's gradient and Hessian rows agree with the symbolic partial
+    trees on a batch of points, in any subset of the features; a derivative
+    it leaves as None is symbolically zero, and its value is `evaluate`'s."""
+    for trial in range(40):
+        tree = _random_expr(np.random.default_rng(trial + 200), 3)
+        y = [rng.uniform(-1, 1, 7) for _ in range(3)]
+        active = [i for i in (1, 2, 3) if rng.uniform() < 0.7]
+        value, gradient, hessian = ex.jet(tree, y, active, 2)
+        assert np.array_equal(np.broadcast_to(value, (7,)), np.broadcast_to(ex.evaluate(tree, y), (7,)))
+        assert ex.jet(tree, y, active, 1)[2] is None
+        for r, i in enumerate(active):
+            d_i = ex.partial(tree, i)
+            expected = np.broadcast_to(ex.evaluate(d_i, y), (7,))
+            row = np.zeros(7) if gradient is None else np.broadcast_to(gradient[r], (7,))
+            np.testing.assert_allclose(row, expected, rtol=1e-12, atol=1e-12)
+            for s, j in enumerate(active):
+                expected = np.broadcast_to(ex.evaluate(ex.partial(d_i, j), y), (7,))
+                row = np.zeros(7) if hessian is None else np.broadcast_to(hessian[r, s], (7,))
+                np.testing.assert_allclose(row, expected, rtol=1e-12, atol=1e-12)
+
+
 def test_to_polynomial_worked_example():
     tree = ex.parse("2*x1 - 3*x2 + x1*x3 - 15", 3)
     p = ex.to_polynomial(tree, (0.0, 0.0, 0.0))

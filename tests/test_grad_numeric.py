@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -177,14 +178,11 @@ def test_quadrature_skips_features_at_baseline():
 
 
 def test_quadrature_work_cap_counts_tree_nodes_times_samples(monkeypatch):
-    # ig samples dF/dx1 = x2 and dF/dx2 = x1 (one node each) on 256 points;
-    # ih2 adds the three second partials 0, 1, 0 on the same number of points
-    # of its log-weight rule; each node costs its samples plus the fixed
-    # per-node cost
+    # the walk visits the 3 nodes of x1*x2 on 256 points, carrying 1 + 2
+    # rows (value, gradient) for ig and 1 + 2 + 4 (and the Hessian) for ih2
     tree = ex.parse("x1*x2", 2)
     inst = Instance(x=(0.7, -1.2), baseline=(0.0, 0.0))
-    per_node = 256 + grad_numeric.NODE_COST_IN_SAMPLES
-    for engine, work in ((ig_quadrature, 2 * per_node), (ih2_quadrature, 5 * per_node)):
+    for engine, work in ((ig_quadrature, 3 * 3 * 256), (ih2_quadrature, 3 * 7 * 256)):
         monkeypatch.setattr(grad_numeric, "MAX_QUADRATURE_WORK", work)
         engine(tree, inst)
         monkeypatch.setattr(grad_numeric, "MAX_QUADRATURE_WORK", work - 1)
@@ -193,13 +191,35 @@ def test_quadrature_work_cap_counts_tree_nodes_times_samples(monkeypatch):
 
 
 def test_quadrature_work_cap_rejects_nested_input_before_sampling(monkeypatch):
-    text = "sin(" * 100 + "x1*x2" + ")" * 100
-    tree = ex.parse(text, 2)
-    inst = Instance(x=(0.5, 0.3), baseline=(0.0, 0.0))
+    # 164 nodes, 1 + 63 + 63^2 rows, 1024 samples: 6.8e8 units of work
+    text = "sin(" * 100 + "+".join(f"x{i}" for i in range(1, 64)) + ")" * 100
+    tree = ex.parse(text, 63)
+    inst = Instance(x=(0.5,) * 63, baseline=(0.0,) * 63)
+    config = QuadratureConfig(nodes=256, panels=4)
+    assert ex.tree_size(tree, {}) * 4033 * 1024 > grad_numeric.MAX_QUADRATURE_WORK
 
-    def refuse(expr, y):
-        raise AssertionError("sampled an integrand over the work cap")
+    def refuse(*args):
+        raise AssertionError("built the rule or sampled an input over the work cap")
 
-    monkeypatch.setattr(grad_numeric, "evaluate", refuse)
+    monkeypatch.setattr(grad_numeric, "jet", refuse)
+    monkeypatch.setattr(grad_numeric, "_log_weight_rule", refuse)
     with pytest.raises(CapExceededError, match="exceeds the cap"):
-        ih2_quadrature(tree, inst)
+        ih2_quadrature(tree, inst, config)
+
+
+def test_ih2_quadrature_runs_deeply_nested_sine():
+    """One walk carries the derivatives, so the 100-level nested sine, whose
+    symbolic second partials held 2.2 million nodes, runs at once; at 40
+    levels it reads the values the symbolic integrands gave."""
+    inst = Instance(x=(0.5, 0.3), baseline=(0.0, 0.0))
+    for depth, expected in ((40, (0.03287466169412683, 0.06574932338825366)), (100, None)):
+        tree = ex.parse("sin(" * depth + "x1*x2" + ")" * depth, 2)
+        start = time.perf_counter()
+        report = ih2_quadrature(tree, inst)
+        assert time.perf_counter() - start < 1.0
+        values = [report.value(c) for c in ((1,), (1, 2), (2,))]
+        assert all(map(math.isfinite, values))
+        target = ex.evaluate(tree, inst.x) - ex.evaluate(tree, inst.baseline)
+        assert report.total() == pytest.approx(target, abs=1e-12)
+        if expected is not None:
+            assert values == [expected[0], expected[1], expected[0]]
