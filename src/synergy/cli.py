@@ -76,8 +76,8 @@ def _load_json(path: str) -> dict:
         return json.load(handle)
 
 
-def _load_source(args) -> tuple[FunctionSource, Instance | None]:
-    """Resolve the function source plus the instance (None for raw tables)."""
+def _load_source(args, needs_x: bool = True) -> tuple[FunctionSource, Instance | None]:
+    """The source and its instance: None for a table, or --poly without --x unless `needs_x`."""
     try:
         quadrature = QuadratureConfig(nodes=args.quad_nodes, panels=args.quad_panels)
     except ValueError as err:  # the config names its fields; name the flags
@@ -90,6 +90,8 @@ def _load_source(args) -> tuple[FunctionSource, Instance | None]:
     if args.poly is not None:
         poly = SparsePolynomial.from_json_dict(_load_json(args.poly))
         if args.x is None:
+            if needs_x:
+                raise UsageError("--x is required with --poly")
             return FunctionSource("poly", quadrature, poly=poly), None
         x = _parse_point(args.x, "--x")
         baseline = (
@@ -118,8 +120,6 @@ def _load_source(args) -> tuple[FunctionSource, Instance | None]:
 def _source_table(source: FunctionSource, inst: Instance | None) -> set_methods.SetFunctionTable:
     if source.kind == "table":
         return source.table
-    if inst is None:
-        raise UsageError("--x is required to tabulate this source")
     if source.kind == "poly":
         return set_methods.build_table(inst, source.poly.evaluate)
     return set_methods.build_table(inst, lambda point: ex.evaluate(source.expr, point))
@@ -142,12 +142,6 @@ def _check_order(method: Method, k: int) -> None:
         raise UsageError(f"method {method.id!r} only supports -k {method.order}")
 
 
-def _require_x(method: Method, inst: Instance | None) -> Instance:
-    if inst is None:
-        raise UsageError(f"--x is required with --poly for method {method.id!r}")
-    return inst
-
-
 def _run_engine(engine: str, source: FunctionSource, inst: Instance | None, k: int) -> InteractionReport:
     """Resolve the source into the input the engine's kind takes, check the
     order, and run it."""
@@ -162,7 +156,7 @@ def _run_engine(engine: str, source: FunctionSource, inst: Instance | None, k: i
     if method.kind == "analytic":
         expr = _source_expression(source)
         _check_order(method, k)
-        return method.run(expr, _require_x(method, inst), source.quadrature)
+        return method.run(expr, inst, source.quadrature)
     poly = _source_polynomial(source, inst)
     if poly is None:
         # transcendental expression: a method with a quadrature form runs it
@@ -175,7 +169,7 @@ def _run_engine(engine: str, source: FunctionSource, inst: Instance | None, k: i
             )
         return quadrature.run(source.expr, inst, source.quadrature)
     _check_order(method, k)
-    return method.run(poly, _require_x(method, inst).x, k)
+    return method.run(poly, inst.x, k)
 
 
 def _emit(text: str) -> None:
@@ -190,15 +184,13 @@ def _emit(text: str) -> None:
 
 def cmd_interact(args) -> int:
     source, inst = _load_source(args)
-    if source.kind == "poly" and inst is None:
-        raise UsageError("--x is required with --poly for interact")
     report = _run_engine(args.method, source, inst, args.k)
     _emit(report.to_csv() if args.output == "csv" else report.to_json())
     return 0
 
 
 def cmd_decompose(args) -> int:
-    source, inst = _load_source(args)
+    source, inst = _load_source(args, needs_x=False)
     if source.kind == "poly" and inst is None:
         pieces = source.poly.synergy_split()
         if args.output == "csv":

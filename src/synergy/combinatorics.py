@@ -16,7 +16,8 @@ MAX_FEATURES = 63
 MAX_TABLE_FEATURES = 20
 # The 20-feature table scale: every coalition of a full-size table.
 MAX_COALITIONS = 1 << MAX_TABLE_FEATURES
-SEQUENCE_ORACLE_MAX_LENGTH = 6
+# The oracles' scale: the nesting constructions and their sequences.
+ORACLE_MAX_FEATURES = 6
 
 
 def binomial(n: int, r: int) -> int:
@@ -125,9 +126,9 @@ def enumerate_sequences(k: int, members: Sequence[int]) -> list[tuple[int, ...]]
 
     Oracle-scale only (k <= 6): the result size is surjective_sequence_count(k, |members|).
     """
-    if k > SEQUENCE_ORACLE_MAX_LENGTH:
+    if k > ORACLE_MAX_FEATURES:
         raise CapExceededError(
-            f"sequence enumeration capped at k <= {SEQUENCE_ORACLE_MAX_LENGTH}, got {k}"
+            f"sequence enumeration capped at k <= {ORACLE_MAX_FEATURES}, got {k}"
         )
     pool = tuple(members)
     if not pool or len(pool) > k:

@@ -16,17 +16,11 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import polynomials
-from .combinatorics import binomial, coalition_count, require_order
+from .combinatorics import ORACLE_MAX_FEATURES, binomial, coalition_count, require_order
 from .core import Instance, InteractionReport, coalition_layout, coalition_slots
 from .exceptions import CapExceededError, DimensionMismatchError
 from .polynomials import SparsePolynomial, scalar_power
-from .set_methods import (
-    ORACLE_MAX_FEATURES,
-    build_table,
-    shapley_taylor_frozen,
-)
-
-SOP_ORACLE_MAX_ORDER = 3
+from .set_methods import build_table, shapley_taylor_frozen
 
 
 @lru_cache(maxsize=256)
@@ -268,12 +262,10 @@ def sum_of_powers_nested(
 
     At order 1 the construction stops at the first step: feature i gets its
     integrated-gradients polynomial evaluated at x. Each feature's table is
-    built once per call, on first use. Oracle scale only (n <= 6, k <= 3)."""
+    built once per call, on first use. Oracle scale only (n <= 6, any k)."""
     require_order(p.n, k)
-    if p.n > ORACLE_MAX_FEATURES or k > SOP_ORACLE_MAX_ORDER:
-        raise CapExceededError(
-            f"nested oracle capped at n <= {ORACLE_MAX_FEATURES}, k <= {SOP_ORACLE_MAX_ORDER}"
-        )
+    if p.n > ORACLE_MAX_FEATURES:
+        raise CapExceededError(f"nested oracle capped at n <= {ORACLE_MAX_FEATURES}")
     entries = {(): p.constant_term()}
     if k == 1:
         for i in range(1, p.n + 1):

@@ -2,8 +2,9 @@
 the Möbius/synergy decomposition, and the methods built on it.
 
 Every method here routes through the synergy table and a closed-form
-distribution rule; the original averaging formulas and the sequence-nesting
-construction are kept as independent oracles (`*_from_marginals`, `*_nested`).
+distribution rule. The independent oracles state each original sum once:
+Shapley's marginal sum (`shapley-marginal`, each `rs-nested` step) and the
+Shapley-Taylor averaging sum (`st-marginal`, the frozen `sop-nested` step).
 
 Tables hold the 2^n values F(x_S) indexed by the subset encoding
 sum_{i in S} 2^(i-1); index 0 is the baseline, index 2^n - 1 the input.
@@ -18,6 +19,7 @@ import numpy as np
 
 from .combinatorics import (
     MAX_TABLE_FEATURES,
+    ORACLE_MAX_FEATURES,
     binomial,
     enumerate_sequences,
     require_order,
@@ -35,9 +37,6 @@ from .core import (
     sequential_sum,
 )
 from .exceptions import CapExceededError, DimensionMismatchError, NonFiniteError
-
-ORACLE_MAX_FEATURES = 6
-ORACLE_MAX_ORDER = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,61 +261,63 @@ def discrete_derivative(table: SetFunctionTable, s_mask: int, t_mask: int) -> fl
     return total
 
 
+def _marginal_terms(n: int, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Feature i's Shapley marginal sum at the input point, as columns with
+    one row per coalition w without feature i, w ascending: the table
+    positions w | bit and w, and the weight 1/(n C(n-1, |w|))."""
+    bit = 1 << (i - 1)
+    low = np.arange(1 << (n - 1))[:, None]
+    w = low + (low & -bit)  # low with a 0 put in at the bit
+    weights = np.array([1.0 / (n * binomial(n - 1, size)) for size in range(n)])
+    return w | bit, w, weights[_sizes(n)[w]]
+
+
 def shapley_from_marginals(table: SetFunctionTable) -> InteractionReport:
-    """Shapley via the classical average-of-marginal-contributions formula."""
-    n = table.n
-    values = table.values
+    """Shapley via the classical average-of-marginal-contributions formula:
+    the input-point entry of the nested oracle's marginal sum per feature."""
+    n, values = table.n, table.values
+    shares = [float(values[0])]
+    for i in range(1, n + 1):
+        hi, lo, weights = _marginal_terms(n, i)
+        shares.append(float(sequential_sum(weights * (values[hi] - values[lo]))[0]))
+    return InteractionReport(n, 1, shares)
 
-    def fill(members: Coalition, mask: int) -> float:
-        if not members:
-            return float(values[0])
-        total = 0.0
-        for w in range(1 << n):
-            if w & mask:
-                continue
-            weight = 1.0 / (n * binomial(n - 1, w.bit_count()))
-            total += weight * (values[w | mask] - values[w])
-        return total
 
-    return _report(table, 1, fill)
+def _shapley_taylor_entry(table: SetFunctionTable, mask: int, k: int, held: int = 0) -> float:
+    """Order-k Shapley-Taylor score of the coalition `mask` (|S| <= k) by its
+    averaging formula over the n features outside `held`, which stay at
+    their input value: the synergy of S below order k; at order k, k/n times
+    the derivatives of S on top of each T outside S, T descending, weighted
+    1/C(n-1, |T|)."""
+    if mask.bit_count() < k:
+        return discrete_derivative(table, mask, held)
+    n = table.n - held.bit_count()
+    complement = (1 << table.n) - 1 ^ mask ^ held
+    total = 0.0
+    t = complement
+    while True:
+        weight = 1.0 / binomial(n - 1, t.bit_count())
+        total += weight * discrete_derivative(table, mask, t | held)
+        if t == 0:
+            break
+        t = (t - 1) & complement
+    return total * k / n
 
 
 def shapley_taylor_from_marginals(table: SetFunctionTable, k: int) -> InteractionReport:
     """Shapley-Taylor via its discrete-derivative averaging formula."""
     require_order(table.n, k)
-    n = table.n
-
-    def fill(members: Coalition, mask: int) -> float:
-        if len(members) < k:
-            return discrete_derivative(table, mask, 0)
-        complement = (1 << n) - 1 ^ mask
-        total = 0.0
-        t = complement
-        while True:
-            weight = 1.0 / binomial(n - 1, t.bit_count())
-            total += weight * discrete_derivative(table, mask, t)
-            if t == 0:
-                break
-            t = (t - 1) & complement
-        return total * k / n
-
-    return _report(table, k, fill)
+    return _report(table, k, lambda members, mask: _shapley_taylor_entry(table, mask, k))
 
 
 @lru_cache(maxsize=32)
 def _retabulation_plan(n: int, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gather rows of one Shapley retabulation, one row per coalition w
-    without feature i, w ascending: the table positions (w | bit) & masks and
-    w & masks of every mask, and the weight 1/(n C(n-1, |w|)) as a column."""
-    bit = 1 << (i - 1)
+    """`_marginal_terms` at every mask of the lattice, one column per mask:
+    (w | bit) & mask and w & mask, and the weights. Only the nested oracle
+    builds one, so it is cached at oracle scale."""
+    hi, lo, weights = _marginal_terms(n, i)
     masks = np.arange(1 << n)
-    coalitions = np.array([w for w in range(1 << n) if not w & bit])
-    weights = [1.0 / (n * binomial(n - 1, w.bit_count())) for w in coalitions.tolist()]
-    plan = (
-        (coalitions | bit)[:, None] & masks,
-        coalitions[:, None] & masks,
-        np.array(weights)[:, None],
-    )
+    plan = (hi & masks, lo & masks, weights)
     for array in plan:
         array.setflags(write=False)
     return plan
@@ -340,15 +341,12 @@ def _shapley_retabulated_at_full(values: np.ndarray, n: int, i: int) -> float:
 def recursive_shapley_nested(table: SetFunctionTable, k: int) -> InteractionReport:
     """Literal nested-Shapley construction, summed over covering sequences.
 
-    Oracle scale only (n <= 6, k <= 4); shares retabulations across sequences
+    Oracle scale only (n <= 6, any k); shares retabulations across sequences
     through a prefix cache, and takes only the input-point entry of each
-    sequence's last one.
-    """
+    sequence's last one."""
     require_order(table.n, k)
-    if table.n > ORACLE_MAX_FEATURES or k > ORACLE_MAX_ORDER:
-        raise CapExceededError(
-            f"nested oracle capped at n <= {ORACLE_MAX_FEATURES}, k <= {ORACLE_MAX_ORDER}"
-        )
+    if table.n > ORACLE_MAX_FEATURES:
+        raise CapExceededError(f"nested oracle capped at n <= {ORACLE_MAX_FEATURES}")
     n = table.n
     cache: dict[tuple[int, ...], np.ndarray] = {(): table.values}
 
@@ -373,7 +371,8 @@ def shapley_taylor_frozen(
     table: SetFunctionTable, members: Sequence[int], frozen: int
 ) -> float:
     """Order-(|S|-1) Shapley-Taylor score of S minus `frozen`, with `frozen`
-    held at its input value throughout."""
+    held at its input value throughout: `st-marginal`'s sum on the table
+    held there."""
     n = table.n
     if n < 2:
         raise ValueError("needs at least two features")
@@ -381,18 +380,7 @@ def shapley_taylor_frozen(
     bit_i = 1 << (frozen - 1)
     if not s_mask & bit_i:
         raise ValueError("frozen feature must belong to the coalition")
-    reduced = s_mask ^ bit_i
-    size = len(tuple(members))
-    complement = (1 << n) - 1 ^ s_mask
-    total = 0.0
-    t = complement
-    while True:
-        weight = 1.0 / binomial(n - 2, t.bit_count())
-        total += weight * discrete_derivative(table, reduced, t | bit_i)
-        if t == 0:
-            break
-        t = (t - 1) & complement
-    return total * (size - 1) / (n - 1)
+    return _shapley_taylor_entry(table, s_mask ^ bit_i, len(tuple(members)) - 1, bit_i)
 
 
 def permute_table(table: SetFunctionTable, permutation: Sequence[int]) -> SetFunctionTable:

@@ -8,6 +8,7 @@ import pytest
 from synergy import axioms, set_methods
 from synergy import expressions as ex
 from synergy.axioms import (
+    AXIOMS,
     SuiteConfig,
     _permute_trial,
     _pure_synergy_trial,
@@ -21,6 +22,7 @@ from synergy.axioms import (
     check_null_feature,
     check_symmetry,
     check_uniqueness_support,
+    expected_status,
     run_suite,
 )
 from synergy.core import Instance, InteractionReport
@@ -101,6 +103,29 @@ def test_interaction_distribution_matrix():
     assert check_interaction_distribution("ih-aug", 30, seed=7).status == "fail"
     na = check_interaction_distribution("shapley", 30, seed=7)
     assert na.status == "not-applicable" and na.ok
+
+
+# The expected status of every suite cell, one row per method, one column
+# per axiom in AXIOMS order.
+EXPECTED_MATRIX = {
+    "shapley": ["pass", "pass", "pass", "pass", "pass", "n/a", "n/a"],
+    "shapley-taylor": ["pass", "pass", "pass", "pass", "pass", "pass", "n/a"],
+    "rs": ["pass", "pass", "pass", "pass", "fail", "fail", "n/a"],
+    "rs-aug": ["pass", "pass", "pass", "pass", "pass", "fail", "n/a"],
+    "ig": ["pass", "pass", "pass", "pass", "pass", "n/a", "pass"],
+    "ih": ["pass", "pass", "pass", "pass", "fail", "fail", "pass"],
+    "ih-aug": ["pass", "pass", "pass", "pass", "pass", "fail", "pass"],
+    "sop": ["pass", "pass", "pass", "pass", "pass", "pass", "pass"],
+    "ig-quad": ["pass", "pass", "pass", "pass", "pass", "n/a", "n/a"],
+    "ih-quad": ["pass", "pass", "pass", "pass", "fail", "fail", "n/a"],
+}
+
+
+def test_expected_status_matrix_is_pinned():
+    assert {
+        m: [expected_status(mut, axiom) for axiom in AXIOMS] for m, mut in SUITE_METHODS.items()
+    } == EXPECTED_MATRIX
+    assert list(SUITE_METHODS) == list(EXPECTED_MATRIX)
 
 
 def test_continuity_against_quadrature_reference():

@@ -8,6 +8,7 @@ import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from synergy import cli, core
@@ -17,6 +18,7 @@ from synergy.cli import main
 from synergy.core import Instance
 from synergy.methods import REGISTRY
 from synergy.set_methods import build_table
+from tests.conftest import make_polynomial
 
 QUADRATIC = "2*x1 - 3*x2 + x1*x3 - 15"
 
@@ -519,6 +521,29 @@ def test_compare_rs_against_nested_oracle(tmp_path, capsys):
     assert json.loads(out)["max_abs_diff"] < 1e-9
 
 
+def test_nesting_oracles_take_every_order_up_to_six_features(tmp_path, capsys):
+    """rs-nested and sop-nested agree with rs and sop at every k <= n <= 6;
+    a seventh feature is a usage error."""
+    rng = np.random.default_rng(2407)
+    for n in range(1, 8):
+        table = tmp_path / f"t{n}.json"
+        table.write_text(json.dumps({"n": n, "values": rng.uniform(-1, 1, 1 << n).tolist()}))
+        poly = tmp_path / f"p{n}.json"
+        poly.write_text(json.dumps(make_polynomial(rng, n, degree=4).to_json_dict()))
+        x = ",".join(map(repr, rng.uniform(-1, 1, n).tolist()))
+        for k in (2,) if n == 7 else range(1, n + 1):
+            for argv in (
+                ("compare", "rs", "rs-nested", "--table", str(table)),
+                ("compare", "sop", "sop-nested", "--poly", str(poly), "--x", x),
+            ):
+                code, out, err = run_cli(capsys, *argv, "-k", str(k))
+                if n == 7:
+                    assert (code, out, err) == (2, "", "error: nested oracle capped at n <= 6\n")
+                else:
+                    assert code == 0
+                    assert json.loads(out)["max_abs_diff"] < 1e-9
+
+
 def test_compare_ig_exact_vs_quadrature(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -590,17 +615,23 @@ def test_check_bad_config_is_usage_error(tmp_path, capsys):
 def test_missing_source_is_usage_error(tmp_path, capsys):
     poly = tmp_path / "p.json"
     poly.write_text(json.dumps({"n": 2, "terms": [{"m": [1, 1], "c": 2.0}]}))
-    for argv in (
-        ("interact", "--method", "shapley"),
-        # a gradient engine on a polynomial needs the point x
-        ("compare", "ig", "ig-quad", "--poly", str(poly)),
-        ("compare", "ih", "ih2-closed", "--poly", str(poly), "-k", "2"),
-        ("compare", "sop", "sop-nested", "--poly", str(poly), "-k", "2"),
+    # argparse prints its usage text first, then the message on the last line
+    no_source = "synergy interact: error: one of the arguments --expr --poly --table is required"
+    no_x = "error: --x is required with --poly"
+    for argv, message in (
+        (("interact", "--method", "shapley"), no_source),
+        # every method on a polynomial needs the point x
+        (("interact", "--method", "ig", "--poly", str(poly)), no_x),
+        (("compare", "shapley", "rs", "--poly", str(poly)), no_x),
+        (("compare", "ig", "ig-quad", "--poly", str(poly)), no_x),
+        (("compare", "ih", "ih2-closed", "--poly", str(poly), "-k", "2"), no_x),
+        (("compare", "sop", "sop-nested", "--poly", str(poly), "-k", "2"), no_x),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert "is required" in err
+        assert err.splitlines()[-1] == message
+        assert message == no_source or err == message + "\n"
 
 
 # The whole message of each row of test_malformed_input_file_is_usage_error.

@@ -59,6 +59,10 @@ CASES = {
                                 "--output", "csv"],
     "compare-expr-shapley.json": ["compare", "shapley", "ig-quad", *EXPR],
     "compare-table-rs-k3.json": ["compare", "rs", "rs-nested", "--table", TABLE, "-k", "3"],
+    "compare-table-shapley-marginal.json": ["compare", "shapley", "shapley-marginal",
+                                            "--table", TABLE],
+    "compare-table-st-marginal-k2.json": ["compare", "shapley-taylor", "st-marginal",
+                                          "--table", TABLE, "-k", "2"],
     "compare-poly-ih-ih2-closed-k2.json": ["compare", "ih", "ih2-closed", "--poly", POLY,
                                            "--x", "1.5,0.25,-2", "-k", "2"],
     "compare-poly-sop-nested-k2.json": ["compare", "sop", "sop-nested", "--poly", POLY,

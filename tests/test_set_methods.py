@@ -335,11 +335,12 @@ def test_nested_oracle_outside_support_is_zero():
 
 
 def _retabulated_by_vectors(values, n, i):
-    """The retabulation as one whole-table update per coalition w without
-    feature i, w ascending (reference)."""
+    """The retabulation of each 2^n table along the first axis, as one
+    whole-table update per coalition w without feature i, w ascending
+    (reference)."""
     bit = 1 << (i - 1)
     masks = np.arange(1 << n)
-    out = np.zeros(1 << n)
+    out = np.zeros(values.shape)
     for w in range(1 << n):
         if w & bit:
             continue
@@ -350,20 +351,23 @@ def _retabulated_by_vectors(values, n, i):
 
 def _nested_by_vectors(table, k):
     """The nested construction with every sequence retabulated in full by
-    the loop above, prefixes shared (reference)."""
+    the loop above, all sequences of one length at a time (reference)."""
     n, full = table.n, (1 << table.n) - 1
-    cache = {(): table.values}
-
-    def retabulate(prefix):
-        if prefix not in cache:
-            cache[prefix] = _retabulated_by_vectors(retabulate(prefix[:-1]), n, prefix[-1])
-        return cache[prefix]
-
+    tables = {(): table.values}
+    prefixes = [()]
+    for _ in range(k):
+        stacked = np.stack([tables[prefix] for prefix in prefixes], axis=1)
+        for i in range(1, n + 1):
+            tables.update(
+                (prefix + (i,), column)
+                for prefix, column in zip(prefixes, _retabulated_by_vectors(stacked, n, i).T)
+            )
+        prefixes = [prefix + (i,) for prefix in prefixes for i in range(1, n + 1)]
     values = [float(table.values[0])]
     for members in enumerate_coalitions(n, k)[1:]:
         total = 0.0
         for sequence in enumerate_sequences(k, members):
-            total += retabulate(sequence)[full]
+            total += tables[sequence][full]
         values.append(total)
     return values
 
@@ -393,10 +397,62 @@ def test_retabulation_is_bit_identical_to_the_vector_loop():
                 assert at_full.view(np.int64) == expected[-1]
 
 
+def _shapley_by_marginal_loop(table):
+    """Shapley by one weighted marginal contribution per coalition w
+    without the feature, w ascending, summed from 0.0 (reference)."""
+    n, values = table.n, table.values
+    out = [float(values[0])]
+    for i in range(1, n + 1):
+        bit = 1 << (i - 1)
+        total = 0.0
+        for w in range(1 << n):
+            if not w & bit:
+                total += 1.0 / (n * binomial(n - 1, w.bit_count())) * (values[w | bit] - values[w])
+        out.append(float(total))
+    return out
+
+
+def test_marginal_shapley_is_bit_identical_to_the_marginal_loop():
+    rng = np.random.default_rng(1306)
+    for n in range(1, 11):
+        for table in (_signed_zero_table(rng, n), make_table(rng, n)):
+            got = shapley_from_marginals(table).values.tolist()
+            assert list(map(float.hex, got)) == list(map(float.hex, _shapley_by_marginal_loop(table)))
+
+
+def _frozen_by_complement_loop(table, members, frozen):
+    """The frozen-feature Shapley-Taylor score on the full table: the
+    derivative of S minus `frozen` on top of T plus `frozen`, for each T
+    outside S, T descending, weighted 1/C(n-2, |T|) (reference)."""
+    n = table.n
+    s_mask = sum(1 << (j - 1) for j in members)
+    bit = 1 << (frozen - 1)
+    complement = (1 << n) - 1 ^ s_mask
+    total = 0.0
+    t = complement
+    while True:
+        weight = 1.0 / binomial(n - 2, t.bit_count())
+        total += weight * discrete_derivative(table, s_mask ^ bit, t | bit)
+        if t == 0:
+            break
+        t = (t - 1) & complement
+    return total * (len(members) - 1) / (n - 1)
+
+
+def test_frozen_shapley_taylor_is_bit_identical_to_the_complement_loop():
+    rng = np.random.default_rng(1307)
+    for n in range(2, 7):
+        for table in (_signed_zero_table(rng, n), make_table(rng, n)):
+            for members in enumerate_coalitions(n, n)[n + 1:]:
+                for i in members:
+                    got = shapley_taylor_frozen(table, members, i)
+                    assert float(got).hex() == float(_frozen_by_complement_loop(table, members, i)).hex()
+
+
 def test_nested_oracle_is_bit_identical_to_full_retabulations():
     rng = np.random.default_rng(1302)
     for n in range(1, 7):
-        for k in range(1, min(n, 4) + 1):
+        for k in range(1, n + 1):
             table = _signed_zero_table(rng, n)
             got = recursive_shapley_nested(table, k).values.view(np.int64)
             assert np.array_equal(got, np.array(_nested_by_vectors(table, k)).view(np.int64))
