@@ -25,6 +25,7 @@ from .expressions import Expr
 from .grad_numeric import DEFAULT_CONFIG, QuadratureConfig
 from .methods import REGISTRY, SUITE_METHODS, Method
 from .polynomials import MultiIndex, SparsePolynomial, multi_indices
+from .seeding import generators
 from .set_methods import SetFunctionTable, mobius, permute_table, pure_synergy_table
 
 AXIOMS = (
@@ -145,10 +146,6 @@ class CheckResult:
 # Random instance generation (per-trial rng derived from the master seed)
 # ---------------------------------------------------------------------------
 
-def _rng(seed: int, counter: int) -> np.random.Generator:
-    return np.random.default_rng([seed, counter])
-
-
 def _pick_order(mut: Method, rng: np.random.Generator, n: int) -> int:
     if mut.order is not None:
         return mut.order
@@ -204,10 +201,10 @@ def _random_analytic(
     terms = []
     for _ in range(int(rng.integers(2, 5))):
         coefficient = ex.Const(float(rng.uniform(-1, 1)))
-        a = int(rng.choice(allowed))
-        b = int(rng.choice(allowed))
+        a = allowed[rng.integers(len(allowed))]
+        b = allowed[rng.integers(len(allowed))]
         if rng.uniform() < 0.5:
-            func = str(rng.choice(ex.FUNCTIONS))
+            func = ex.FUNCTIONS[rng.integers(len(ex.FUNCTIONS))]
             arg = ex.mul(ex.Const(float(rng.uniform(-1, 1))), ex.Var(a), ex.Var(b))
             terms.append(ex.mul(coefficient, ex.call(func, arg)))
         else:
@@ -222,7 +219,7 @@ def _random_analytic(
 
 
 def _signed_uniform(rng: np.random.Generator, low=0.25, high=1.0) -> float:
-    return float(rng.uniform(low, high) * rng.choice([-1.0, 1.0]))
+    return float(rng.uniform(low, high) * (-1.0, 1.0)[rng.integers(2)])
 
 
 # Feature counts [low, high) of a random trial, per method kind.
@@ -282,9 +279,7 @@ def _pure_synergy_trial(
         size = 1 if k == 1 else int(rng.integers(2, k + 1))
     else:
         size = int(rng.integers(1, n + 1))
-    members = tuple(
-        sorted(int(v) for v in rng.choice(range(1, n + 1), size=size, replace=False))
-    )
+    members = tuple(sorted((1 + rng.choice(n, size=size, replace=False)).tolist()))
     if mut.kind == "table":
         table = pure_synergy_table(n, members, _signed_uniform(rng))
         return Trial("table", k, table), members
@@ -442,7 +437,8 @@ def _trial_result(
 
     def scored():
         for start in range(0, trials, _BATCH_TRIALS):
-            drawn = [draw(_rng(seed, t)) for t in range(start, min(trials, start + _BATCH_TRIALS))]
+            stop = min(trials, start + _BATCH_TRIALS)
+            drawn = [draw(rng) for rng in generators(seed, start, stop)]
             reports = iter(_reports([request for needed, _ in drawn for request in needed]))
             for needed, score in drawn:
                 yield score(*(next(reports) for _ in needed))
@@ -519,7 +515,7 @@ def _null_feature(mut: Method, rng: np.random.Generator):
 
 def _symmetry(mut: Method, rng: np.random.Generator):
     trial, _ = _random_trial(mut, rng)
-    permutation = [int(v) for v in rng.permutation(range(1, trial.n + 1))]
+    permutation = (rng.permutation(trial.n) + 1).tolist()
 
     def score(base, image):
         base, image = base.entries, image.entries

@@ -315,12 +315,39 @@ def _apply(func: str, value):
     return _scalar_call(func, value)
 
 
-def _scaled(c, d):
-    return None if d is None else c * d
+def _confine(d, rows: int, columns: int | None = None):
+    """Set to exact zeros, in place, the rows of the derivative block `d`
+    outside the bitmask `rows`, and its columns outside `columns`."""
+    for axis, support in enumerate((rows, columns)):
+        if support is not None:
+            off = [r for r in range(d.shape[axis]) if not support >> r & 1]
+            d[(slice(None),) * axis + (off,)] = 0.0
 
 
-def _outer(a, b):
-    return None if a is None or b is None else a[:, None] * b[None]
+def _scaled(c, d, support: int, confine: bool):
+    """c·d for a derivative block d (m, …) or (m, m, …) that is zero outside
+    the rows (and columns) of the bitmask `support`. If `confine`, those stay
+    exact zeros where a non-finite c would make them 0·inf = nan."""
+    if d is None:
+        return None
+    out = c * d
+    if confine and support != (1 << len(d)) - 1 and not np.isfinite(c).all():
+        _confine(out, support, support if out.ndim == 3 else None)
+    return out
+
+
+def _outer(a, rows: int, b, columns: int, confine: bool):
+    """a ⊗ b for gradient blocks zero outside `rows` and `columns`. If
+    `confine`, the product is kept zero outside them whatever the other
+    factor holds."""
+    if a is None or b is None:
+        return None
+    out = a[:, None] * b[None]
+    if confine and (rows & columns) != (1 << len(a)) - 1 and not (
+        np.isfinite(a).all() and np.isfinite(b).all()
+    ):
+        _confine(out, rows, columns)
+    return out
 
 
 def _sum(*parts):
@@ -337,42 +364,64 @@ def jet(expr: Expr, y: Sequence, active: Sequence[int], order: int):
     gradient rows (m, …) and Hessian (m, m, …) in the m features `active`
     (1-based), each broadcasting against the value; components may be
     scalars or numpy arrays. A derivative is None where it is structurally
-    zero: at a node holding no active feature, or above `order`. Children
-    are walked in parsed order, folded into their parent one at a time."""
+    zero: at a node holding no active feature, or above `order`. Rows and
+    columns of features a node does not hold are exact zeros, even where a
+    factor is infinite. Children are walked in parsed order, folded into
+    their parent one at a time."""
+    value, gradient, hessian, _ = _jet(expr, y, active, order, False)
+    if not (gradient is None or np.isfinite(gradient).all()) or not (
+        hessian is None or np.isfinite(hessian).all()
+    ):
+        # a 0·inf may hide among them: walk again, confining every product;
+        # an all-finite walk has none, so it needs no second one
+        value, gradient, hessian, _ = _jet(expr, y, active, order, True)
+    return value, gradient, hessian
+
+
+def _jet(expr: Expr, y: Sequence, active: Sequence[int], order: int, confine: bool):
+    """`jet`, plus the bitmask of the rows of `active` the node holds;
+    `confine` as for `_scaled`."""
     if isinstance(expr, Const):
-        return expr.value, None, None
+        return expr.value, None, None, 0
     if isinstance(expr, Var):
         if expr.index > len(y):
             raise DimensionMismatchError(
                 f"expression uses x{expr.index} but point has {len(y)} components"
             )
-        unit = np.equal(active, expr.index)[:, None] * 1.0 if order and expr.index in active else None
-        return y[expr.index - 1], unit, None
+        if order and expr.index in active:
+            unit = np.equal(active, expr.index)[:, None] * 1.0
+            return y[expr.index - 1], unit, None, 1 << active.index(expr.index)
+        return y[expr.index - 1], None, None, 0
     if isinstance(expr, Neg):
-        v, g, h = jet(expr.arg, y, active, order)
-        return -v, _scaled(-1.0, g), _scaled(-1.0, h)
+        v, g, h, s = _jet(expr.arg, y, active, order, confine)
+        return -v, _scaled(-1.0, g, s, confine), _scaled(-1.0, h, s, confine), s
     if isinstance(expr, Add):
-        v, g, h = jet(expr.terms[0], y, active, order)
+        v, g, h, s = _jet(expr.terms[0], y, active, order, confine)
         for term in expr.terms[1:]:
-            tv, tg, th = jet(term, y, active, order)
+            tv, tg, th, ts = _jet(term, y, active, order, confine)
             if order:
-                g, h = _sum(g, tg), _sum(h, th)
+                g, h, s = _sum(g, tg), _sum(h, th), s | ts
             v = v + tv
-        return v, g, h
+        return v, g, h, s
     if isinstance(expr, Mul):
-        v, g, h = jet(expr.factors[0], y, active, order)
+        v, g, h, s = _jet(expr.factors[0], y, active, order, confine)
         for factor in expr.factors[1:]:
-            b, gb, hb = jet(factor, y, active, order)
+            b, gb, hb, sb = _jet(factor, y, active, order, confine)
             if order > 1:
-                h = _sum(_scaled(b, h), _outer(g, gb), _outer(gb, g), _scaled(v, hb))
+                h = _sum(
+                    _scaled(b, h, s, confine),
+                    _outer(g, s, gb, sb, confine),
+                    _outer(gb, sb, g, s, confine),
+                    _scaled(v, hb, sb, confine),
+                )
             if order:
-                g = _sum(_scaled(b, g), _scaled(v, gb))
+                g, s = _sum(_scaled(b, g, s, confine), _scaled(v, gb, sb, confine)), s | sb
             v = v * b
-        return v, g, h
-    v, g, h = jet(_children(expr)[0], y, active, order)
+        return v, g, h, s
+    v, g, h, s = _jet(_children(expr)[0], y, active, order, confine)
     if g is None:
         value = _apply(expr.func, v) if isinstance(expr, Call) else scalar_power(v, expr.exponent)
-        return value, None, None
+        return value, None, None, 0
     if isinstance(expr, Call):
         phi = _derivative_cycle(expr.func, v)
     else:
@@ -380,13 +429,15 @@ def jet(expr: Expr, y: Sequence, active: Sequence[int], order: int):
         phi = [math.perm(k, j) * scalar_power(v, k - j) for j in range(order + 1)]
     # the chain rule with f^(j) = phi[j % len(phi)]: f'·∇a and f'·Ha + f''·∇a∇aᵀ
     d1 = phi[1 % len(phi)]
-    h = _sum(_scaled(d1, h), _scaled(phi[2 % len(phi)], _outer(g, g))) if order > 1 else None
-    return phi[0], _scaled(d1, g), h
+    if order > 1:
+        curvature = _outer(g, s, g, s, confine)
+        h = _sum(_scaled(d1, h, s, confine), _scaled(phi[2 % len(phi)], curvature, s, confine))
+    return phi[0], _scaled(d1, g, s, confine), h, s
 
 
 def evaluate(expr: Expr, y: Sequence):
     """Evaluate at a point of scalars or numpy arrays: the order-0 `jet`."""
-    return jet(expr, y, (), 0)[0]
+    return _jet(expr, y, (), 0, False)[0]
 
 
 def _children(expr: Expr) -> tuple[Expr, ...]:

@@ -304,9 +304,26 @@ def _shapley_taylor_entry(table: SetFunctionTable, mask: int, k: int, held: int 
     return total * k / n
 
 
+# Terms the Shapley-Taylor averaging sum may add up in one call, each one
+# Python step of 300-480 ns on a 2-vCPU Xeon VM: a call at the cap takes
+# 0.6-1.0 s. The test suite's largest call (n = 10, k = 3) adds 1.2·10^5.
+MAX_AVERAGING_TERMS = 2 * 10**6
+
+
 def shapley_taylor_from_marginals(table: SetFunctionTable, k: int) -> InteractionReport:
-    """Shapley-Taylor via its discrete-derivative averaging formula."""
-    require_order(table.n, k)
+    """Shapley-Taylor via its discrete-derivative averaging formula.
+
+    It adds C(n, k)·2^n terms at order k (2^(n-k) derivatives of 2^k terms
+    per coalition) and C(n, j)·2^j below it, at each order j < k; more than
+    MAX_AVERAGING_TERMS are refused before the first."""
+    n = table.n
+    require_order(n, k)
+    terms = (binomial(n, k) << n) + sum(binomial(n, j) << j for j in range(k))
+    if terms > MAX_AVERAGING_TERMS:
+        raise CapExceededError(
+            f"Shapley-Taylor averaging sum of {terms} terms (n={n}, k={k}) exceeds the cap "
+            f"{MAX_AVERAGING_TERMS}"
+        )
     return _report(table, k, lambda members, mask: _shapley_taylor_entry(table, mask, k))
 
 

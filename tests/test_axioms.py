@@ -196,6 +196,51 @@ def test_suite_draws_and_witnesses_are_pinned():
         assert {key: cell[key] for key in expected} == expected
 
 
+CELLS = [check_completeness, check_linearity, check_null_feature, check_symmetry,
+         check_baseline_test, check_interaction_distribution]
+
+
+# one method per kind: table, polynomial and analytic
+DRAW_METHODS = ("shapley-taylor", "ih", "ih-quad")
+DRAWS = Path(__file__).parent / "data" / "golden" / "draws-seed2024.json"
+
+
+def _recorded_draws(monkeypatch):
+    """Per cell, `describe()` of every trial each draw requests, in request
+    order, for the first 20 trials of every (axiom, kind) cell and of
+    uniqueness support at seed 2024. The draws run through the harness's own
+    trial loop, so its generators are the ones pinned."""
+    cells = []
+    trial_result = axioms._trial_result
+
+    def recording(method_id, axiom, expected, trials, seed, tol, draw):
+        described = []
+        cells.append({"method": method_id, "axiom": axiom, "trials": described})
+
+        def logged(rng):
+            needed, score = draw(rng)
+            described.append([trial.describe() for _, trial in needed])
+            return needed, score
+
+        return trial_result(method_id, axiom, expected, trials, seed, tol, logged)
+
+    monkeypatch.setattr(axioms, "_trial_result", recording)
+    for check in CELLS:
+        for method in DRAW_METHODS:
+            check(method, 20, seed=2024)
+    check_uniqueness_support(20, seed=2024)
+    return json.loads(json.dumps(cells))
+
+
+def test_draws_are_pinned(monkeypatch):
+    """Every drawn bit of every kind of trial, analytic ones included, which
+    no check golden covers: n, k, table values, polynomial terms, expression
+    text and x, to the last bit (JSON floats round-trip exactly). The draws
+    are pure PCG64 arithmetic, so the file holds on every platform."""
+    recorded = [json.loads(line) for line in DRAWS.read_text().splitlines()]
+    assert _recorded_draws(monkeypatch) == recorded
+
+
 def _random_polynomial_one_draw_at_a_time(rng, n, degree=6, density=0.3, exclude=None):
     """One rng.uniform() per candidate multi-index and, after each hit, its
     coefficient: the stream `_random_polynomial` fetches in blocks (reference)."""
@@ -285,10 +330,6 @@ def test_trusted_trial_polynomials_equal_the_validated_construction():
     assert checked == 1200
 
 
-CELLS = [check_completeness, check_linearity, check_null_feature, check_symmetry,
-         check_baseline_test, check_interaction_distribution]
-
-
 @pytest.mark.parametrize("small", [False, True], ids=["one-batch", "small-batches"])
 @pytest.mark.parametrize(
     "method", ["shapley", "shapley-taylor", "rs", "rs-aug", "ig", "ih", "ih-aug", "sop"]
@@ -333,7 +374,8 @@ def test_a_method_without_a_rule_runs_once_per_report():
         assert result == check("shapley-taylor", 12, seed=9)
     calls.clear()
     check_completeness(spy, 5, seed=9)
-    drawn = [axioms._random_trial(spy, axioms._rng(9, t))[0].function for t in range(5)]
+    rngs = [np.random.default_rng([9, t]) for t in range(5)]
+    drawn = [axioms._random_trial(spy, rng)[0].function for rng in rngs]
     assert [table for table, _ in calls] == drawn
 
 

@@ -212,10 +212,14 @@ SUM_63 = "+".join(f"x{i}" for i in range(1, 64))
          "--x", ",".join(["1"] * 10), "--method", "ig"),
         ("interact", "--expr", "((" + "+".join(f"x{i}" for i in range(1, 9)) + "+1)^8)^2",
          "--x", ",".join(["1"] * 8), "--method", "ig"),
+        # C(16, 8)·2^16 = 8.4e8 averaging terms, minutes of Python steps
+        ("compare", "st-marginal", "shapley-taylor", "--expr", "x1*x2",
+         "--x", ",".join(["1"] * 16), "-k", "8"),
     ],
     ids=["degree-before-expansion", "degree-of-cancelling-powers", "quadrature-size",
          "quadrature-work", "coalitions-of-interact", "coalitions-of-decompose",
-         "pairs-of-squared-power-6", "pairs-of-squared-power-10", "pairs-of-squared-power-8"],
+         "pairs-of-squared-power-6", "pairs-of-squared-power-10", "pairs-of-squared-power-8",
+         "averaging-terms"],
 )
 def test_size_caps_apply_before_work_starts(argv):
     """Each cap rejects its input before expanding or allocating anything, in
@@ -234,6 +238,24 @@ def test_size_caps_apply_before_work_starts(argv):
     assert done.stdout == ""
     assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
     assert "exceeds" in done.stderr
+
+
+def test_start_up_leaves_numpy_random_unimported():
+    """Importing the CLI and building its parser loads no numpy.random: it
+    costs 11-16 ms, which every invocation would pay. The axiom harness
+    imports it on its first draw."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, synergy.cli; synergy.cli.build_parser(); "
+        "print('numpy' in sys.modules, 'numpy.random' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=20, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "False"]
 
 
 ONES_64, ONES_21 = ",".join(["1"] * 64), ",".join(["1"] * 21)

@@ -216,3 +216,23 @@ def test_overflowing_constant_names_the_non_finite_value(capsys, expr, message):
     code = main(["interact", "--expr", expr, "--x", "1", "--method", "ig"])
     assert code == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, integrand",
+    [
+        (("x1 + exp(-exp(x2))", "--x", "0.5,1000", "--method", "ig"), "dF/dx2"),
+        (("x1 + exp(-exp(x2))", "--x", "0.5,1000", "--method", "ih", "-k", "2"), "dF/dx2"),
+        (("x1*exp(-exp(x2))", "--x", "0.5,1000", "--method", "ig"), "dF/dx2"),
+        (("x1 + exp(-exp(x2))*x3", "--x", "0.5,1000,2", "--method", "ih", "-k", "2"),
+         "d2F/dx2dx3"),
+    ],
+    ids=["sum-ig", "sum-ih2", "product-ig", "sum-of-product-ih2"],
+)
+def test_non_finite_quadrature_names_the_feature_that_takes_it(capsys, argv, integrand):
+    """exp(-exp(x2)) is 0 and its x2-derivative 0·inf = nan along the path.
+    The rows and columns of x1, which the node does not hold, stay exact
+    zeros, so the error names an integrand in x2 and never one in x1 alone."""
+    code = main(["interact", "--expr", *argv])
+    assert code == 2
+    assert capsys.readouterr() == ("", f"error: non-finite sample in {integrand}\n")

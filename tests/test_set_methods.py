@@ -13,6 +13,7 @@ from synergy.core import Instance, masked_point
 from synergy.exceptions import CapExceededError
 from synergy.expressions import evaluate, parse
 from synergy.polynomials import SparsePolynomial
+from synergy import set_methods
 from synergy.set_methods import (
     SetFunctionTable,
     SynergyTable,
@@ -249,6 +250,22 @@ def test_rules_agree_with_marginal_formulas_at_n10(rng):
         a = shapley_taylor(table, k)
         b = shapley_taylor_from_marginals(table, k)
         assert a.max_abs_difference(b) < 1e-9
+
+
+def test_averaging_sum_cap_counts_every_term(rng, monkeypatch):
+    """The averaging sum's count: C(n, k)·2^n terms at order k plus
+    C(n, j)·2^j at each j < k. A call at the cap runs; one term less and
+    it is refused before any derivative is taken."""
+    table = make_table(rng, 6)
+    terms = (binomial(6, 3) << 6) + sum(binomial(6, j) << j for j in range(3))
+    assert terms == 1353
+    monkeypatch.setattr(set_methods, "MAX_AVERAGING_TERMS", terms)
+    report = shapley_taylor_from_marginals(table, 3)
+    assert report.max_abs_difference(shapley_taylor(table, 3)) < 1e-12
+    monkeypatch.setattr(set_methods, "MAX_AVERAGING_TERMS", terms - 1)
+    monkeypatch.setattr(set_methods, "discrete_derivative", None)
+    with pytest.raises(CapExceededError, match="averaging sum of 1353 terms .n=6, k=3. exceeds"):
+        shapley_taylor_from_marginals(table, 3)
 
 
 def test_shapley_taylor_distribution_on_pure_synergy():
