@@ -25,7 +25,6 @@ from .expressions import Expr
 from .grad_numeric import DEFAULT_CONFIG, QuadratureConfig
 from .methods import REGISTRY, SUITE_METHODS, Method
 from .polynomials import MultiIndex, SparsePolynomial, multi_indices
-from .seeding import generators
 from .set_methods import SetFunctionTable, mobius, permute_table, pure_synergy_table
 
 AXIOMS = (
@@ -434,6 +433,10 @@ def _trial_result(
     reports, in the order it named them, and gives the trial's residual and
     a witness thunk. The witness is the first trial with the largest
     residual, described only when the check fails."""
+
+    # imported with the first cell, not with the package: start-up compiles
+    # and runs only what building the parser needs
+    from .seeding import generators
 
     def scored():
         for start in range(0, trials, _BATCH_TRIALS):

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -324,28 +325,42 @@ def _confine(d, rows: int, columns: int | None = None):
             d[(slice(None),) * axis + (off,)] = 0.0
 
 
-def _scaled(c, d, support: int, confine: bool):
-    """c·d for a derivative block d (m, …) or (m, m, …) that is zero outside
-    the rows (and columns) of the bitmask `support`. If `confine`, those stay
-    exact zeros where a non-finite c would make them 0·inf = nan."""
-    if d is None:
-        return None
-    out = c * d
-    if confine and support != (1 << len(d)) - 1 and not np.isfinite(c).all():
-        _confine(out, support, support if out.ndim == 3 else None)
-    return out
+@lru_cache(maxsize=None)
+def _unit(m: int, row: int) -> np.ndarray:
+    """A variable's gradient rows (m, 1): 1 in row `row`, 0 elsewhere.
+    Shared by every walk, so read-only."""
+    unit = np.zeros((m, 1))
+    unit[row] = 1.0
+    unit.flags.writeable = False
+    return unit
 
 
-def _outer(a, rows: int, b, columns: int, confine: bool):
-    """a ⊗ b for gradient blocks zero outside `rows` and `columns`. If
-    `confine`, the product is kept zero outside them whatever the other
-    factor holds."""
+def _scaled(c, support: int, g, h):
+    """c·g and c·h for a node's gradient rows g (m, …) and Hessian h
+    (m, m, …), None where they are, zero outside the rows (and columns) of
+    the bitmask `support`; those stay exact zeros where a non-finite c would
+    make them 0·inf = nan."""
+    g = None if g is None else c * g
+    h = None if h is None else c * h
+    block = h if g is None else g
+    if block is not None and support != (1 << len(block)) - 1 and not (
+        math.isfinite(c) if isinstance(c, float) else np.isfinite(c).all()
+    ):
+        if g is not None:
+            _confine(g, support)
+        if h is not None:
+            _confine(h, support, support)
+    return g, h
+
+
+def _outer(a, rows: int, b, columns: int):
+    """a ⊗ b for gradient blocks zero outside `rows` and `columns`, kept zero
+    outside them where a non-finite entry of one factor meets a zero of the
+    other."""
     if a is None or b is None:
         return None
     out = a[:, None] * b[None]
-    if confine and (rows & columns) != (1 << len(a)) - 1 and not (
-        np.isfinite(a).all() and np.isfinite(b).all()
-    ):
+    if (rows & columns) != (1 << len(a)) - 1 and not np.isfinite(out).all():
         _confine(out, rows, columns)
     return out
 
@@ -362,25 +377,13 @@ def _sum(*parts):
 def jet(expr: Expr, y: Sequence, active: Sequence[int], order: int):
     """The value of `expr` at a point with, up to `order` (0, 1 or 2), its
     gradient rows (m, …) and Hessian (m, m, …) in the m features `active`
-    (1-based), each broadcasting against the value; components may be
-    scalars or numpy arrays. A derivative is None where it is structurally
-    zero: at a node holding no active feature, or above `order`. Rows and
-    columns of features a node does not hold are exact zeros, even where a
-    factor is infinite. Children are walked in parsed order, folded into
-    their parent one at a time."""
-    value, gradient, hessian, _ = _jet(expr, y, active, order, False)
-    if not (gradient is None or np.isfinite(gradient).all()) or not (
-        hessian is None or np.isfinite(hessian).all()
-    ):
-        # a 0·inf may hide among them: walk again, confining every product;
-        # an all-finite walk has none, so it needs no second one
-        value, gradient, hessian, _ = _jet(expr, y, active, order, True)
-    return value, gradient, hessian
-
-
-def _jet(expr: Expr, y: Sequence, active: Sequence[int], order: int, confine: bool):
-    """`jet`, plus the bitmask of the rows of `active` the node holds;
-    `confine` as for `_scaled`."""
+    (1-based), each broadcasting against the value, and the bitmask of the
+    rows of `active` the node holds; components may be scalars or numpy
+    arrays. A derivative is None where it is structurally zero: at a node
+    holding no active feature, or above `order`. Rows and columns of
+    features a node does not hold are exact zeros, even where a factor is
+    infinite. Children are walked in parsed order, folded into their parent
+    one at a time."""
     if isinstance(expr, Const):
         return expr.value, None, None, 0
     if isinstance(expr, Var):
@@ -389,36 +392,35 @@ def _jet(expr: Expr, y: Sequence, active: Sequence[int], order: int, confine: bo
                 f"expression uses x{expr.index} but point has {len(y)} components"
             )
         if order and expr.index in active:
-            unit = np.equal(active, expr.index)[:, None] * 1.0
-            return y[expr.index - 1], unit, None, 1 << active.index(expr.index)
+            row = active.index(expr.index)
+            return y[expr.index - 1], _unit(len(active), row), None, 1 << row
         return y[expr.index - 1], None, None, 0
     if isinstance(expr, Neg):
-        v, g, h, s = _jet(expr.arg, y, active, order, confine)
-        return -v, _scaled(-1.0, g, s, confine), _scaled(-1.0, h, s, confine), s
+        v, g, h, s = jet(expr.arg, y, active, order)
+        return -v, *_scaled(-1.0, s, g, h), s
     if isinstance(expr, Add):
-        v, g, h, s = _jet(expr.terms[0], y, active, order, confine)
+        v, g, h, s = jet(expr.terms[0], y, active, order)
         for term in expr.terms[1:]:
-            tv, tg, th, ts = _jet(term, y, active, order, confine)
+            tv, tg, th, ts = jet(term, y, active, order)
             if order:
                 g, h, s = _sum(g, tg), _sum(h, th), s | ts
             v = v + tv
         return v, g, h, s
     if isinstance(expr, Mul):
-        v, g, h, s = _jet(expr.factors[0], y, active, order, confine)
+        v, g, h, s = jet(expr.factors[0], y, active, order)
         for factor in expr.factors[1:]:
-            b, gb, hb, sb = _jet(factor, y, active, order, confine)
-            if order > 1:
-                h = _sum(
-                    _scaled(b, h, s, confine),
-                    _outer(g, s, gb, sb, confine),
-                    _outer(gb, sb, g, s, confine),
-                    _scaled(v, hb, sb, confine),
-                )
+            b, gb, hb, sb = jet(factor, y, active, order)
             if order:
-                g, s = _sum(_scaled(b, g, s, confine), _scaled(v, gb, sb, confine)), s | sb
+                bg, bh = _scaled(b, s, g, h)
+                vgb, vhb = _scaled(v, sb, gb, hb)
+                if order > 1:
+                    # g ⊗ gb and its transpose gb ⊗ g
+                    cross = _outer(g, s, gb, sb)
+                    h = _sum(bh, cross, None if cross is None else cross.swapaxes(0, 1), vhb)
+                g, s = _sum(bg, vgb), s | sb
             v = v * b
         return v, g, h, s
-    v, g, h, s = _jet(_children(expr)[0], y, active, order, confine)
+    v, g, h, s = jet(_children(expr)[0], y, active, order)
     if g is None:
         value = _apply(expr.func, v) if isinstance(expr, Call) else scalar_power(v, expr.exponent)
         return value, None, None, 0
@@ -428,16 +430,16 @@ def _jet(expr: Expr, y: Sequence, active: Sequence[int], order: int, confine: bo
         k = expr.exponent
         phi = [math.perm(k, j) * scalar_power(v, k - j) for j in range(order + 1)]
     # the chain rule with f^(j) = phi[j % len(phi)]: f'·∇a and f'·Ha + f''·∇a∇aᵀ
-    d1 = phi[1 % len(phi)]
+    d1g, d1h = _scaled(phi[1 % len(phi)], s, g, h)
     if order > 1:
-        curvature = _outer(g, s, g, s, confine)
-        h = _sum(_scaled(d1, h, s, confine), _scaled(phi[2 % len(phi)], curvature, s, confine))
-    return phi[0], _scaled(d1, g, s, confine), h, s
+        _, curvature = _scaled(phi[2 % len(phi)], s, None, _outer(g, s, g, s))
+        d1h = _sum(d1h, curvature)
+    return phi[0], d1g, d1h, s
 
 
 def evaluate(expr: Expr, y: Sequence):
     """Evaluate at a point of scalars or numpy arrays: the order-0 `jet`."""
-    return _jet(expr, y, (), 0, False)[0]
+    return jet(expr, y, (), 0)[0]
 
 
 def _children(expr: Expr) -> tuple[Expr, ...]:

@@ -195,22 +195,17 @@ def _path_jet(
     t, w = (_log_weight_rule if order > 1 else _unit_interval_rule)(config.nodes, config.panels)
     path = [b + t * (a - b) for a, b in zip(inst.x, inst.baseline)]
     with np.errstate(over="ignore", invalid="ignore"):
-        _, *derivatives = jet(expr, path, active, order)
+        _, *derivatives, _ = jet(expr, path, active, order)
     return t, w, *(
         np.broadcast_to(0.0 if d is None else d, (m,) * k + t.shape)
         for k, d in enumerate(derivatives, 1)
     )
 
 
-def _require_finite(blocks, integrands) -> None:
-    """Once one of the derivative `blocks` holds a non-finite sample, raise
-    naming the first of `integrands`, (name, samples) pairs in the order the
-    caller integrates them, that holds one."""
-    if all(np.isfinite(block).all() for block in blocks):
-        return
-    for what, values in integrands:
-        if not np.isfinite(values).all():
-            raise NonFiniteError(f"non-finite sample in {what}")
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise NonFiniteError(f"non-finite sample in {what}")
+    return values
 
 
 def ig_quadrature(
@@ -221,10 +216,9 @@ def ig_quadrature(
     deltas = [inst.x[i] - inst.baseline[i] for i in range(n)]
     active = [i for i in range(1, n + 1) if deltas[i - 1] != 0.0]
     _, w, gradient, _ = _path_jet(expr, inst, active, 1, config)
-    _require_finite((gradient,), ((f"dF/dx{i}", gradient[r]) for r, i in enumerate(active)))
     entries = {(): float(evaluate(expr, inst.baseline))}
     for r, i in enumerate(active):
-        entries[(i,)] = deltas[i - 1] * float(w @ gradient[r])
+        entries[(i,)] = deltas[i - 1] * float(w @ _finite(gradient[r], f"dF/dx{i}"))
     return report_from_values(n, 1, entries)
 
 
@@ -238,24 +232,14 @@ def ih2_quadrature(
     deltas = [inst.x[i] - inst.baseline[i] for i in range(n)]
     active = [i for i in range(1, n + 1) if deltas[i - 1] != 0.0]
     u, w, gradient, hessian = _path_jet(expr, inst, active, 2, config)
-    pairs = list(combinations(enumerate(active), 2))
-
-    def integrands():
-        for (r, i), (s, j) in pairs:
-            yield f"d2F/dx{i}dx{j}", hessian[r, s]
-        for r, i in enumerate(active):
-            yield f"dF/dx{i}", gradient[r]
-            yield f"d2F/dx{i}^2", hessian[r, r]
-
-    _require_finite((gradient, hessian), integrands())
     wu = w * u
     entries = {(): float(evaluate(expr, inst.baseline))}
-    for (r, i), (s, j) in pairs:
-        integral = float(wu @ hessian[r, s])
+    for (r, i), (s, j) in combinations(enumerate(active), 2):
+        integral = float(wu @ _finite(hessian[r, s], f"d2F/dx{i}dx{j}"))
         entries[(i, j)] = 2.0 * deltas[i - 1] * deltas[j - 1] * integral
     for r, i in enumerate(active):
-        gradient_part = float(w @ gradient[r])
-        curvature_part = float(wu @ hessian[r, r])
+        gradient_part = float(w @ _finite(gradient[r], f"dF/dx{i}"))
+        curvature_part = float(wu @ _finite(hessian[r, r], f"d2F/dx{i}^2"))
         entries[(i,)] = (
             deltas[i - 1] * gradient_part + deltas[i - 1] ** 2 * curvature_part
         )

@@ -243,19 +243,20 @@ def test_size_caps_apply_before_work_starts(argv):
 def test_start_up_leaves_numpy_random_unimported():
     """Importing the CLI and building its parser loads no numpy.random: it
     costs 11-16 ms, which every invocation would pay. The axiom harness
-    imports it on its first draw."""
+    imports it, and its own seeding module, on its first draw."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = (
         "import sys, synergy.cli; synergy.cli.build_parser(); "
-        "print('numpy' in sys.modules, 'numpy.random' in sys.modules)"
+        "print('numpy' in sys.modules, 'numpy.random' in sys.modules, "
+        "'synergy.seeding' in sys.modules)"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=20, env=env
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["True", "False"]
+    assert done.stdout.split() == ["True", "False", "False"]
 
 
 ONES_64, ONES_21 = ",".join(["1"] * 64), ",".join(["1"] * 21)
