@@ -8,23 +8,39 @@ documented failures, plus two kinds of cell that do not apply.
 
 All randomness derives from a master seed by counter, so every report is
 reproducible from (seed, config).
+
+The harness works on arrays: a polynomial trial holds its exponent rows and
+coefficients, and the batched kernels' value rows are scored as they come,
+in layout order, through cached index arrays. A report object comes only
+from a method without a shared-kernel rule, or raises the error of a row
+that is not finite.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import expressions as ex
 from . import grad_exact, set_methods
-from .core import Instance, InteractionReport, as_int, json_field
+from .core import (
+    Coalition,
+    Instance,
+    InteractionReport,
+    _lex_order,
+    as_int,
+    coalition_layout,
+    json_field,
+    sequential_sum,
+)
 from .exceptions import SynergyError
 from .expressions import Expr
 from .grad_numeric import DEFAULT_CONFIG, QuadratureConfig
 from .methods import REGISTRY, SUITE_METHODS, Method
-from .polynomials import MultiIndex, SparsePolynomial, multi_indices
+from .polynomials import SparsePolynomial, exponent_rows, multi_indices
 from .set_methods import SetFunctionTable, mobius, permute_table, pure_synergy_table
 
 AXIOMS = (
@@ -73,8 +89,8 @@ TOLERANCES: dict[str, dict[str, float]] = {
 @dataclass(frozen=True)
 class Trial:
     """One random instance. `function` is a SetFunctionTable (table kind), a
-    SparsePolynomial centred at 0 or an Expr with baseline 0, evaluated at
-    `x` (empty for a table)."""
+    SparsePolynomial centred at 0 (the harness draws it as term arrays) or
+    an Expr with baseline 0, evaluated at `x` (empty for a table)."""
 
     kind: str
     k: int
@@ -152,9 +168,14 @@ def _pick_order(mut: Method, rng: np.random.Generator, n: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _candidate_indices(n: int, degree: int, exclude: int | None) -> tuple[MultiIndex, ...]:
-    """The multi-indices a random polynomial may use, in draw order."""
-    return tuple(m for m in multi_indices(n, degree) if exclude is None or not m[exclude - 1])
+def _candidates(n: int, degree: int, exclude: int | None) -> np.ndarray:
+    """The exponent rows a random polynomial may use, in draw order
+    (lexicographic), as a read-only array."""
+    rows = exponent_rows(multi_indices(n, degree), n)
+    if exclude is not None:
+        rows = rows[rows[:, exclude - 1] == 0]
+    rows.setflags(write=False)
+    return rows
 
 
 def _random_polynomial(
@@ -171,26 +192,33 @@ def _random_polynomial(
     still certain to be consumed (one per undecided candidate, plus a pending
     coefficient), so it matches the one-draw-at-a-time loop and leaves the
     generator where that loop would: random() and uniform() take the same
-    64-bit draws and leave the buffered 32-bit half alone.
+    64-bit draws and leave the buffered 32-bit half alone. The hits are
+    kept as indices into the candidate rows, which are in lexicographic
+    order, so the terms are sorted.
     """
-    candidates = _candidate_indices(n, degree, exclude)
-    terms = {}
-    decided, hit = 0, None
-    while decided < len(candidates) or hit is not None:
-        for u in rng.random(len(candidates) - decided + (hit is not None)).tolist():
-            if hit is not None:
-                terms[hit] = -1.0 + 2.0 * u
-                hit = None
+    candidates = _candidates(n, degree, exclude)
+    hits, draws = [], []  # the candidates hit, and the u' of their coefficients
+    decided, pending = 0, False
+    while decided < len(candidates) or pending:
+        for u in rng.random(len(candidates) - decided + pending).tolist():
+            if pending:
+                draws.append(u)
+                pending = False
                 continue
             if u < density:
-                hit = candidates[decided]
+                hits.append(decided)
+                pending = True
             decided += 1
-    if not terms:
-        fallback = 1 if exclude != 1 else 2
-        unit = tuple(1 if i == fallback - 1 else 0 for i in range(n))
-        terms[unit] = float(rng.uniform(-1, 1))
-    # the candidates are in lexicographic order, so the terms are sorted
-    return SparsePolynomial._exact((0.0,) * n, {m: c for m, c in terms.items() if c != 0.0})
+    if hits:
+        rows, coefficients = candidates.take(hits, axis=0), -1.0 + 2.0 * np.array(draws)
+    else:  # x1, or x2 where feature 1 is the null feature
+        rows = np.zeros((1, n), np.int64)
+        rows[0, 0 if exclude != 1 else 1] = 1
+        coefficients = np.array([float(rng.uniform(-1, 1))])
+    if not coefficients.all():  # a draw of exactly 0.5
+        nonzero = coefficients != 0.0
+        rows, coefficients = rows[nonzero], coefficients[nonzero]
+    return SparsePolynomial._from_arrays((0.0,) * n, rows, coefficients)
 
 
 def _random_analytic(
@@ -254,8 +282,7 @@ def _random_trial(
     function = _random_function(mut.kind, rng, n, exclude=i)
     if mut.kind == "table":
         return Trial("table", k, function), i
-    x = tuple(float(v) for v in rng.uniform(-1, 1, size=n))
-    return Trial(mut.kind, k, function, x), i
+    return Trial(mut.kind, k, function, tuple(rng.uniform(-1, 1, size=n).tolist())), i
 
 
 def _pure_synergy_trial(
@@ -286,7 +313,9 @@ def _pure_synergy_trial(
     m = tuple(exponents.get(i, 0) for i in range(1, n + 1))
     x = tuple(_signed_uniform(rng) for _ in range(n))
     if mut.kind == "polynomial":
-        function = SparsePolynomial._exact((0.0,) * n, {m: _signed_uniform(rng)})
+        function = SparsePolynomial._from_arrays(
+            (0.0,) * n, np.array([m], np.int64), np.array([_signed_uniform(rng)])
+        )
     else:
         monomial = ex.mul(
             ex.Const(_signed_uniform(rng)),
@@ -304,21 +333,41 @@ def _combine(trial_a: Trial, trial_b: Trial, a: float, b: float) -> Trial:
     if trial_a.kind == "table":
         function = SetFunctionTable(trial_a.n, a * f.values + b * g.values)
     elif trial_a.kind == "polynomial":
-        function = f.scale(a) + g.scale(b)
+        function = _combined_polynomial(f, g, a, b)
     else:
         function = ex.add(ex.mul(ex.Const(a), f), ex.mul(ex.Const(b), g))
-    return replace(trial_a, function=function)
+    return Trial(trial_a.kind, trial_a.k, function, trial_a.x)
+
+
+def _sorted_terms(rows: np.ndarray) -> np.ndarray:
+    """The stable order that sorts exponent rows lexicographically."""
+    return np.lexsort(rows.T[::-1])
+
+
+def _combined_polynomial(
+    f: SparsePolynomial, g: SparsePolynomial, a: float, b: float
+) -> SparsePolynomial:
+    """f.scale(a) + g.scale(b), bit for bit, by merging the sorted term
+    arrays: a shared exponent vector's coefficient is (a*c_f) + (b*c_g), as
+    term_sum adds them from 0.0, and zeros are dropped after the sum (a
+    product that scale would drop is a zero that adds nothing)."""
+    rows = np.concatenate([f.exponent_array, g.exponent_array])
+    coefficients = np.concatenate([a * f.coefficients, b * g.coefficients])
+    order = _sorted_terms(rows)  # f's term first where both hold a vector
+    rows, coefficients = rows[order], coefficients[order]
+    shared = np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1))
+    coefficients[shared] += coefficients[shared + 1]
+    keep = coefficients != 0.0
+    keep[shared + 1] = False
+    return SparsePolynomial._from_arrays(f.center, rows[keep], coefficients[keep])
 
 
 def _permute_trial(trial: Trial, permutation: Sequence[int]) -> Trial:
+    """The trial with feature i relabelled permutation[i-1]."""
     if trial.kind == "table":
-        return replace(trial, function=permute_table(trial.function, permutation))
-
-    def image(values):
-        out = [0] * trial.n
-        for i, v in enumerate(values):
-            out[permutation[i] - 1] = v
-        return tuple(out)
+        return Trial("table", trial.k, permute_table(trial.function, permutation))
+    source = np.argsort(permutation)  # position j of an image takes position source[j]
+    x = tuple(trial.x[i] for i in source.tolist())
 
     def relabel(e: Expr) -> Expr:
         if isinstance(e, ex.Var):
@@ -337,12 +386,12 @@ def _permute_trial(trial: Trial, permutation: Sequence[int]) -> Trial:
 
     if trial.kind == "polynomial":
         poly = trial.function
-        function = SparsePolynomial._exact(
-            poly.center, {image(m): c for m, c in poly.terms.items()}, ordered=False
-        )
+        rows = poly.exponent_array[:, source]
+        order = _sorted_terms(rows)
+        function = SparsePolynomial._from_arrays(poly.center, rows[order], poly.coefficients[order])
     else:
         function = relabel(trial.function)
-    return replace(trial, function=function, x=image(trial.x))
+    return Trial(trial.kind, trial.k, function, x)
 
 
 # ---------------------------------------------------------------------------
@@ -366,19 +415,24 @@ def _report(mut: Method, trial: Trial) -> InteractionReport:
     return mut.run(trial.function, inst, SUITE_QUAD_CONFIG)
 
 
-def _reports(requests: Sequence[tuple[Method, Trial]]) -> list[InteractionReport]:
-    """The report of each (method, trial) request, in order.
+def _rows(requests: Sequence[tuple[Method, Trial]]) -> list[np.ndarray]:
+    """The report values of each (method, trial) request, in layout order,
+    in request order.
 
     Requests whose method carries a shared-kernel rule are grouped by (kind,
     rule, n, k), and each group runs as one kernel call: tables stacked as
-    rows, polynomials laid end to end. Every other request runs its
-    method's `run` on its own, in request order. The reports are built in
-    request order, so the first one whose values are not finite raises."""
+    rows, polynomials laid end to end. Their rows are used as the kernel
+    gives them, with no report object. Every other request runs its
+    method's `run` on its own, in request order. The rows are taken in
+    request order too, and a batched row that is not finite goes through
+    the report constructor there, so the first such request raises the
+    report's NonFiniteError."""
     groups: dict[tuple, list[int]] = {}
     for i, (mut, trial) in enumerate(requests):
         if mut.rule is not None:
             groups.setdefault((mut.kind, mut.rule, trial.n, trial.k), []).append(i)
-    rows = {}
+    rows: list = [None] * len(requests)
+    nonfinite = {}
     for (kind, rule, n, k), members in groups.items():
         trials = [requests[i][1] for i in members]
         if kind == "table":
@@ -387,11 +441,28 @@ def _reports(requests: Sequence[tuple[Method, Trial]]) -> list[InteractionReport
         else:
             polys, points = [trial.function for trial in trials], [trial.x for trial in trials]
             values = grad_exact._array_termwise(polys, points, k, rule)
-        rows.update(zip(members, values))
-    return [
-        InteractionReport(trial.n, trial.k, rows[i]) if i in rows else _report(mut, trial)
-        for i, (mut, trial) in enumerate(requests)
-    ]
+        for i, row in zip(members, values):
+            rows[i] = row
+        for j in np.flatnonzero(~np.isfinite(values).all(axis=1)).tolist():
+            nonfinite[members[j]] = values[j]
+    for i, (mut, trial) in enumerate(requests):
+        if i in nonfinite:
+            InteractionReport(trial.n, trial.k, nonfinite[i])  # raises its NonFiniteError
+        if rows[i] is None:
+            rows[i] = _unbatched_row(mut, trial)
+    return rows
+
+
+def _unbatched_row(mut: Method, trial: Trial) -> np.ndarray:
+    """The values of `mut.run`'s report on a trial, which must cover the
+    trial's P_k."""
+    report = _report(mut, trial)
+    if (report.n, report.order) != (trial.n, trial.k):
+        raise SynergyError(
+            f"method {mut.id!r} gave a report of P_{report.order} over n={report.n} "
+            f"for a trial of P_{trial.k} over n={trial.n}"
+        )
+    return report.values
 
 
 def _peak(scored) -> tuple[float, object]:
@@ -403,8 +474,59 @@ def _peak(scored) -> tuple[float, object]:
     return worst, where
 
 
-def _gap(u: float, v: float) -> float:
-    return abs(u - v) / max(1.0, abs(u), abs(v))
+def _largest_gap(u: np.ndarray, v: np.ndarray) -> float:
+    """The largest |u - v| / max(1, |u|, |v|) over two value rows."""
+    gaps = np.abs(u - v) / np.maximum(np.maximum(np.abs(u), np.abs(v)), 1.0)
+    return max(gaps.tolist())
+
+
+def _peak_slot(row: np.ndarray, slots: np.ndarray) -> tuple[float, int | None]:
+    """_peak of the |values| of a row at some slots, keyed by slot: the slots
+    are visited in the order given, layout order, so a tie names the first."""
+    return _peak(zip(np.abs(row[slots]).tolist(), slots.tolist()))
+
+
+def _index(slots: Iterable[int]) -> np.ndarray:
+    """Slots as a read-only index array."""
+    array = np.fromiter(slots, np.intp)
+    array.setflags(write=False)
+    return array
+
+
+# Per-(n, k) index arrays over the layout of P_k, each read-only and in
+# layout order (see core.coalition_layout).
+
+@lru_cache(maxsize=256)
+def _slots_holding(n: int, k: int, feature: int) -> np.ndarray:
+    """The slots of the coalitions that hold `feature`."""
+    return _index(s for s, c in enumerate(coalition_layout(n, k)[0]) if feature in c)
+
+
+@lru_cache(maxsize=64)
+def _member_bits(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per slot, its coalition's features as a row of n bits, feature i in
+    column i-1; and per subset encoding of at most k features, its slot."""
+    _, masks = coalition_layout(n, k)
+    bits = (masks[:, None] >> np.arange(n)) & 1
+    slots = np.zeros(1 << n, np.intp)
+    slots[masks] = np.arange(len(masks))
+    return bits, slots
+
+
+def _image_slots(n: int, k: int, permutation: Sequence[int]) -> np.ndarray:
+    """Per slot, the slot of its coalition's image, feature i sent to
+    permutation[i-1]."""
+    bits, slots = _member_bits(n, k)
+    return slots[bits @ (1 << (np.array(permutation) - 1))]
+
+
+@lru_cache(maxsize=1024)
+def _proper_subset_slots(n: int, k: int, members: Coalition) -> np.ndarray:
+    """The slots of the proper subsets of `members` below size k."""
+    within = set(members)
+    return _index(
+        s for s, c in enumerate(coalition_layout(n, k)[0]) if len(c) < k and set(c) < within
+    )
 
 
 def _not_applicable(mut: Method, axiom: str) -> CheckResult:
@@ -418,6 +540,25 @@ def _not_applicable(mut: Method, axiom: str) -> CheckResult:
     )
 
 
+def _validated(trials, seed, tolerances: Mapping[str, object]) -> tuple[int | None, int | None]:
+    """The one check of the harness's arguments, shared by every `check_*`
+    and `SuiteConfig`: trials and seed as ints, once they and the named
+    tolerances pass; None is an argument not given. A SynergyError names the
+    first that is not an integer >= 1 (trials), an integer >= 0 (seed) or a
+    finite number >= 0 (each tolerance)."""
+    counts = []
+    for name, value, low in (("trials", trials, 1), ("seed", seed, 0)):
+        integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        if value is not None and not (integral and value >= low):
+            raise SynergyError(f"{name} must be an integer >= {low}, got {value!r}")
+        counts.append(None if value is None else int(value))
+    for name, tol in tolerances.items():
+        real = isinstance(tol, (int, float)) and not isinstance(tol, bool)
+        if not (real and 0 <= tol < np.inf):
+            raise SynergyError(f"{name} must be a finite number >= 0, got {tol!r}")
+    return counts[0], counts[1]
+
+
 # Trials a cell draws, and runs the kernels of, at a time: memory stays
 # bounded however many trials a cell runs.
 _BATCH_TRIALS = 128
@@ -428,10 +569,10 @@ def _trial_result(
 ) -> CheckResult:
     """The trial loop, in two phases per batch of trials. First
     `draw(rng)` draws each seeded trial and names the (method, trial)
-    requests whose reports it needs, with a scorer; then every request of
-    the batch runs (see `_reports`), and each scorer takes its trial's
-    reports, in the order it named them, and gives the trial's residual and
-    a witness thunk. The witness is the first trial with the largest
+    requests whose value rows it needs, with a scorer; then every request
+    of the batch runs (see `_rows`), and each scorer takes its trial's
+    rows, in the order it named them, and gives the trial's residual and a
+    witness thunk. The witness is the first trial with the largest
     residual, described only when the check fails."""
 
     # imported with the first cell, not with the package: start-up compiles
@@ -442,9 +583,9 @@ def _trial_result(
         for start in range(0, trials, _BATCH_TRIALS):
             stop = min(trials, start + _BATCH_TRIALS)
             drawn = [draw(rng) for rng in generators(seed, start, stop)]
-            reports = iter(_reports([request for needed, _ in drawn for request in needed]))
+            rows = iter(_rows([request for needed, _ in drawn for request in needed]))
             for needed, score in drawn:
-                yield score(*(next(reports) for _ in needed))
+                yield score(*(next(rows) for _ in needed))
 
     worst, witness = _peak(scored())
     status = "pass" if worst <= tol else "fail"
@@ -461,6 +602,7 @@ def _trial_result(
 
 def _run_trials(mut, axiom: str, trials: int, seed: int, tol: float | None, draw) -> CheckResult:
     """One method x axiom cell: `draw(mut, rng)` per trial at the axiom's tolerance, or n/a."""
+    trials, seed = _validated(trials, seed, {} if tol is None else {"tol": tol})
     mut = _resolve(mut)
     expected = expected_status(mut, axiom)
     if expected == "n/a":
@@ -479,9 +621,12 @@ def _run_trials(mut, axiom: str, trials: int, seed: int, tol: float | None, draw
 def _completeness(mut: Method, rng: np.random.Generator):
     trial, _ = _random_trial(mut, rng)
     target = trial.difference()
+    lex = _lex_order(trial.n, trial.k)[1:]
 
-    def score(report):
-        residual = abs(report.total() - target) / max(1.0, abs(target))
+    def score(row):
+        # the nonempty coalitions in lexicographic order, as report.total() sums them
+        total = sequential_sum(row[lex])
+        residual = abs(total - target) / max(1.0, abs(target))
         return residual, lambda: trial.describe() | {"target": target}
 
     return ((mut, trial),), score
@@ -489,15 +634,11 @@ def _completeness(mut: Method, rng: np.random.Generator):
 
 def _linearity(mut: Method, rng: np.random.Generator):
     trial, _ = _random_trial(mut, rng)
-    other = replace(trial, function=_random_function(trial.kind, rng, trial.n))
+    other = Trial(trial.kind, trial.k, _random_function(trial.kind, rng, trial.n), trial.x)
     a, b = float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))
 
     def score(combined, left, right):
-        left, right = left.entries, right.entries
-        residual = max(
-            (_gap(value, a * left[c] + b * right[c]) for c, value in combined.entries.items()),
-            default=0.0,
-        )
+        residual = _largest_gap(combined, a * left + b * right)
         return residual, lambda: trial.describe() | {"a": a, "b": b}
 
     return ((mut, _combine(trial, other, a, b)), (mut, trial), (mut, other)), score
@@ -506,11 +647,11 @@ def _linearity(mut: Method, rng: np.random.Generator):
 def _null_feature(mut: Method, rng: np.random.Generator):
     trial, i = _random_trial(mut, rng, null_feature=True)
 
-    def score(report):
-        residual, coalition = _peak((abs(v), c) for c, v in report.entries.items() if i in c)
+    def score(row):
+        residual, slot = _peak_slot(row, _slots_holding(trial.n, trial.k, i))
         return residual, lambda: trial.describe() | {
             "null_feature": i,
-            "coalition": list(coalition),
+            "coalition": list(coalition_layout(trial.n, trial.k)[0][slot]),
         }
 
     return ((mut, trial),), score
@@ -521,14 +662,7 @@ def _symmetry(mut: Method, rng: np.random.Generator):
     permutation = (rng.permutation(trial.n) + 1).tolist()
 
     def score(base, image):
-        base, image = base.entries, image.entries
-        residual = max(
-            (
-                _gap(value, image[tuple(sorted(permutation[i - 1] for i in c))])
-                for c, value in base.items()
-            ),
-            default=0.0,
-        )
+        residual = _largest_gap(base, image[_image_slots(trial.n, trial.k, permutation)])
         return residual, lambda: trial.describe() | {"permutation": permutation}
 
     return ((mut, trial), (mut, _permute_trial(trial, permutation))), score
@@ -539,19 +673,13 @@ def _pure_synergy(within_order: bool):
 
     def draw(mut: Method, rng: np.random.Generator):
         trial, members = _pure_synergy_trial(mut, rng, within_order)
-        member_set = set(members)
 
-        def score(report):
-            entries = report.entries
-            residual, coalition = _peak(
-                (abs(v), c)
-                for c, v in entries.items()
-                if set(c) < member_set and len(c) < trial.k
-            )
+        def score(row):
+            residual, slot = _peak_slot(row, _proper_subset_slots(trial.n, trial.k, members))
             return residual, lambda: trial.describe() | {
                 "synergy": list(members),
-                "coalition": list(coalition),
-                "value": entries[coalition],
+                "coalition": list(coalition_layout(trial.n, trial.k)[0][slot]),
+                "value": float(row[slot]),
             }
 
         return ((mut, trial),), score
@@ -609,6 +737,7 @@ def check_continuity(
     back to the Cauchy criterion on successive truncations, which the result
     records openly.
     """
+    _validated(None, None, {} if tol is None else {"tol": tol})
     mut = _resolve(mut)
     if expected_status(mut, "continuity") == "n/a":
         return _not_applicable(mut, "continuity")
@@ -663,6 +792,7 @@ def check_uniqueness_support(
     the synergy table: assert shapley-taylor(k=n), the Möbius transform, and
     augmented recursive Shapley (k=n) agree entrywise."""
 
+    trials, seed = _validated(trials, seed, {"tol": tol})
     full_order = (REGISTRY["shapley-taylor"], REGISTRY["rs-aug"])
 
     def draw(rng: np.random.Generator):
@@ -670,12 +800,9 @@ def check_uniqueness_support(
         trial = Trial("table", n, SetFunctionTable(n, rng.uniform(-1, 1, size=1 << n)))
 
         def score(st, rsa):
-            synergies = mobius(trial.function)
-            rsa = rsa.entries
-            residual, coalition = _peak(
-                (max(abs(v - synergies.at(c)), abs(rsa[c] - synergies.at(c))), c)
-                for c, v in st.entries.items()
-            )
+            synergies = mobius(trial.function).values[coalition_layout(n, n)[1]]
+            residuals = np.maximum(np.abs(st - synergies), np.abs(rsa - synergies))
+            residual, coalition = _peak(zip(residuals.tolist(), coalition_layout(n, n)[0]))
             return residual, lambda: {
                 "n": n,
                 "values": trial.function.values.tolist(),
@@ -705,16 +832,10 @@ class SuiteConfig:
     tolerance_overrides: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise SynergyError(f"trials must be >= 1, got {self.trials}")
-        if self.seed < 0:
-            raise SynergyError(f"seed must be >= 0, got {self.seed}")
-        for key, tol in self.tolerance_overrides.items():
-            real = isinstance(tol, (int, float)) and not isinstance(tol, bool)
-            if not (real and 0 <= tol < np.inf):
-                raise SynergyError(
-                    f"tolerance_overrides[{key!r}] must be a finite number >= 0, got {tol!r}"
-                )
+        overrides = self.tolerance_overrides.items()
+        _validated(
+            self.trials, self.seed, {f"tolerance_overrides[{key!r}]": tol for key, tol in overrides}
+        )
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "SuiteConfig":

@@ -346,11 +346,13 @@ class SparsePolynomial:
     - a caller's mapping, through this constructor: checked term by term,
       which names the first offending term; stored as the `terms` dict;
     - a polynomial file, through `from_json_dict`: checked in one array pass
-      (`_valid_terms`) and stored as its two read-only arrays,
-      `exponent_array` and `coefficients`, which build `terms` on first read;
-      a file the pass does not take is read term by term into a mapping;
+      (`_valid_terms`) and stored through `_from_arrays`; a file the pass
+      does not take is read term by term into a mapping;
     - terms the program builds, valid by construction, through `_exact`,
-      which checks only what float arithmetic can break.
+      which checks only what float arithmetic can break, or, as exponent
+      rows and coefficients already in canonical order, through
+      `_from_arrays`, which stores the two arrays read-only as
+      `exponent_array` and `coefficients` and builds `terms` on first read.
 
     A polynomial stored as `terms` builds its arrays from them on first read."""
 
@@ -399,7 +401,7 @@ class SparsePolynomial:
     def _exact(
         cls, center: Point, terms: dict[MultiIndex, float], ordered: bool = True
     ) -> "SparsePolynomial":
-        """The one trusted constructor, for terms the program builds valid by
+        """The trusted constructor for term maps the program builds valid by
         construction: distinct exponent vectors of ints, of the center's
         length, within the degree cap, and no zero coefficient. Only what
         float arithmetic can break is checked, and the terms are sorted
@@ -418,6 +420,22 @@ class SparsePolynomial:
         poly = object.__new__(cls)
         object.__setattr__(poly, "center", center)
         object.__setattr__(poly, "terms", terms)
+        return poly
+
+    @classmethod
+    def _from_arrays(
+        cls, center: Point, exponents: np.ndarray, coefficients: np.ndarray
+    ) -> "SparsePolynomial":
+        """The trusted constructor for terms held as arrays: int64 exponent
+        rows of the center's length, distinct, within the degree cap and in
+        canonical order, and their finite, nonzero float64 coefficients. Only
+        the center is checked; both arrays are stored as given, made
+        read-only, and `terms` is built from them on first read."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "center", _finite(center))
+        exponents.setflags(write=False)
+        coefficients.setflags(write=False)
+        poly.__dict__["exponent_array"], poly.__dict__["coefficients"] = exponents, coefficients
         return poly
 
     @property
@@ -529,10 +547,7 @@ class SparsePolynomial:
         except (KeyError, TypeError):  # an item without "m" or "c", or not an object
             valid = None
         if valid is not None:
-            poly = object.__new__(cls)
-            object.__setattr__(poly, "center", _finite(center))
-            poly.__dict__["exponent_array"], poly.__dict__["coefficients"] = valid
-            return poly
+            return cls._from_arrays(center, *valid)
         # a term the one pass does not take: read term by term, which names
         # the first offending field or repeated vector
         terms = {}

@@ -1,15 +1,18 @@
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from synergy import axioms, set_methods
+from synergy import axioms, grad_exact, set_methods
 from synergy import expressions as ex
 from synergy.axioms import (
     AXIOMS,
+    CheckResult,
     SuiteConfig,
+    Trial,
     _permute_trial,
     _pure_synergy_trial,
     _random_polynomial,
@@ -25,10 +28,12 @@ from synergy.axioms import (
     expected_status,
     run_suite,
 )
+from synergy.combinatorics import coalition_count
 from synergy.core import Instance, InteractionReport
-from synergy.exceptions import NonFiniteError
-from synergy.methods import SUITE_METHODS, Method
+from synergy.exceptions import NonFiniteError, SynergyError
+from synergy.methods import REGISTRY, SUITE_METHODS, Method
 from synergy.polynomials import SparsePolynomial, multi_indices
+from synergy.set_methods import SetFunctionTable, mobius, permute_table, pure_synergy_table
 
 
 def _scaled_shapley(table, k, factor=0.9):
@@ -260,14 +265,16 @@ def _random_polynomial_one_draw_at_a_time(rng, n, degree=6, density=0.3, exclude
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("density", [0.3, 0.02])
 def test_random_polynomial_replays_the_one_draw_stream(n, density):
-    """Same terms, in the same order, and the same generator afterwards: a
-    buffered 32-bit half left by an earlier integers() call survives, and the
-    integers, uniform and permutation draws that follow are unchanged. The
-    low density reaches the no-term fallback."""
+    """Same terms, in the same order, and the same generator afterwards, for
+    the array draw and its term-map reference alike: a buffered 32-bit half
+    left by an earlier integers() call survives, and the integers, uniform
+    and permutation draws that follow are unchanged. The low density
+    reaches the no-term fallback."""
     for seed in range(20):
         for exclude in (None, *range(1, n + 1)):
             runs = []
-            for draw in (_random_polynomial_one_draw_at_a_time, _random_polynomial):
+            for draw in (_random_polynomial_one_draw_at_a_time, _random_polynomial,
+                         _dict_random_polynomial):
                 rng = np.random.default_rng([seed, n])
                 rng.integers(1, n + 1)
                 assert rng.bit_generator.state["has_uint32"] == 1
@@ -279,7 +286,7 @@ def test_random_polynomial_replays_the_one_draw_stream(n, density):
                     rng.permutation(n).tolist(),
                 )
                 runs.append((list(p.terms.items()), after))
-            assert runs[0] == runs[1]
+            assert runs[0] == runs[1] == runs[2]
 
 
 class _OneDraw:
@@ -306,9 +313,10 @@ def test_random_polynomial_drops_a_zero_coefficient(density):
 
 def test_trusted_trial_polynomials_equal_the_validated_construction():
     """The harness builds its polynomial trials (random, low-density
-    fallback, permuted, pure-synergy) through the trusted
-    `SparsePolynomial._exact`; each holds the terms, in the order and to the
-    bit, that the validating constructor makes of the same mapping."""
+    fallback, permuted, combined, pure-synergy) as term arrays through the
+    trusted `SparsePolynomial._from_arrays`; each holds read-only int64 rows
+    and float64 coefficients, and the terms, in the order and to the bit,
+    that the validating constructor makes of the same mapping."""
     checked = 0
     for seed in range(300):
         rng = np.random.default_rng([seed, 20])
@@ -317,9 +325,17 @@ def test_trusted_trial_polynomials_equal_the_validated_construction():
         permutation = [int(v) for v in rng.permutation(range(1, trial.n + 1))]
         pure, _ = _pure_synergy_trial(method, rng, within_order=seed % 3 == 0)
         sparse = _random_polynomial(rng, int(rng.integers(2, 5)), density=0.02)
+        other = _random_polynomial(rng, trial.n)
+        combined = axioms._combine(trial, replace(trial, function=other), -1.5, 0.25).function
         for poly in (
-            trial.function, _permute_trial(trial, permutation).function, pure.function, sparse
+            trial.function, _permute_trial(trial, permutation).function, pure.function, sparse,
+            combined,
         ):
+            assert poly.stored_terms is None
+            rows, coefficients = poly.exponent_array, poly.coefficients
+            assert rows.dtype == np.int64 and rows.shape == (len(coefficients), poly.n)
+            assert coefficients.dtype == np.float64
+            assert not rows.flags.writeable and not coefficients.flags.writeable
             built = SparsePolynomial(poly.center, dict(poly.terms))
             assert poly.center == built.center
             assert list(poly.terms) == list(built.terms)
@@ -327,7 +343,7 @@ def test_trusted_trial_polynomials_equal_the_validated_construction():
                 c.hex() for c in built.terms.values()
             ]
             checked += 1
-    assert checked == 1200
+    assert checked == 1500
 
 
 @pytest.mark.parametrize("small", [False, True], ids=["one-batch", "small-batches"])
@@ -421,3 +437,465 @@ def test_suite_config_json_roundtrip():
     assert config.methods == ("shapley", "ig")
     result = run_suite(config)
     assert result.ok
+
+
+# ---------------------------------------------------------------------------
+# Reference harness: the checks trial by trial on term maps and report
+# entries, as the harness ran them before its trials and scores moved to
+# arrays. Table and polynomial kinds, the ones whose methods carry a rule.
+# ---------------------------------------------------------------------------
+
+def _dict_random_polynomial(rng, n, degree=6, density=0.3, exclude=None):
+    """`_random_polynomial` on term maps: the same blocks of the one-draw
+    stream, each hit's multi-index and coefficient kept in a dict."""
+    candidates = [m for m in multi_indices(n, degree) if exclude is None or not m[exclude - 1]]
+    terms = {}
+    decided, hit = 0, None
+    while decided < len(candidates) or hit is not None:
+        for u in rng.random(len(candidates) - decided + (hit is not None)).tolist():
+            if hit is not None:
+                terms[hit] = -1.0 + 2.0 * u
+                hit = None
+                continue
+            if u < density:
+                hit = candidates[decided]
+            decided += 1
+    if not terms:
+        fallback = 1 if exclude != 1 else 2
+        unit = tuple(1 if i == fallback - 1 else 0 for i in range(n))
+        terms[unit] = float(rng.uniform(-1, 1))
+    return SparsePolynomial((0.0,) * n, terms)
+
+
+def _reference_function(kind, rng, n, exclude=None):
+    if kind == "polynomial":
+        return _dict_random_polynomial(rng, n, exclude=exclude)
+    values = rng.uniform(-1, 1, size=1 << n)
+    if exclude is not None:
+        pairs = values.reshape(-1, 2, 1 << (exclude - 1))
+        pairs[:, 1] = pairs[:, 0]
+    return SetFunctionTable(n, values)
+
+
+def _reference_trial(mut, rng, null_feature=False):
+    n = int(rng.integers(*axioms._TRIAL_SIZES[mut.kind]))
+    k = axioms._pick_order(mut, rng, n)
+    i = int(rng.integers(1, n + 1)) if null_feature else None
+    function = _reference_function(mut.kind, rng, n, exclude=i)
+    if mut.kind == "table":
+        return Trial("table", k, function), i
+    return Trial(mut.kind, k, function, tuple(float(v) for v in rng.uniform(-1, 1, size=n))), i
+
+
+def _reference_pure_synergy_trial(mut, rng, within_order):
+    n = int(rng.integers(4, 6)) if mut.kind == "table" else int(rng.integers(3, 6))
+    k = axioms._pick_order(mut, rng, n)
+    if within_order:
+        size = 1 if k == 1 else int(rng.integers(2, k + 1))
+    else:
+        size = int(rng.integers(1, n + 1))
+    members = tuple(sorted((1 + rng.choice(n, size=size, replace=False)).tolist()))
+    if mut.kind == "table":
+        table = pure_synergy_table(n, members, axioms._signed_uniform(rng))
+        return Trial("table", k, table), members
+    exponents = {i: int(rng.integers(1, 4)) for i in members}
+    m = tuple(exponents.get(i, 0) for i in range(1, n + 1))
+    x = tuple(axioms._signed_uniform(rng) for _ in range(n))
+    poly = SparsePolynomial((0.0,) * n, {m: axioms._signed_uniform(rng)})
+    return Trial("polynomial", k, poly, x), members
+
+
+def _reference_combine(trial_a, trial_b, a, b):
+    f, g = trial_a.function, trial_b.function
+    if trial_a.kind == "table":
+        return replace(trial_a, function=SetFunctionTable(trial_a.n, a * f.values + b * g.values))
+    return replace(trial_a, function=f.scale(a) + g.scale(b))
+
+
+def _reference_permute_trial(trial, permutation):
+    if trial.kind == "table":
+        return replace(trial, function=permute_table(trial.function, permutation))
+
+    def image(values):
+        out = [0] * trial.n
+        for i, v in enumerate(values):
+            out[permutation[i] - 1] = v
+        return tuple(out)
+
+    poly = trial.function
+    function = SparsePolynomial(poly.center, {image(m): c for m, c in poly.terms.items()})
+    return replace(trial, function=function, x=image(trial.x))
+
+
+def _gap(u, v):
+    return abs(u - v) / max(1.0, abs(u), abs(v))
+
+
+def _reference_report(mut, trial):
+    if trial.kind == "table":
+        return mut.run(trial.function, trial.k)
+    return mut.run(trial.function, trial.x, trial.k)
+
+
+def _reference_completeness(mut, rng):
+    trial, _ = _reference_trial(mut, rng)
+    target = trial.difference()
+
+    def score(report):
+        residual = abs(report.total() - target) / max(1.0, abs(target))
+        return residual, lambda: trial.describe() | {"target": target}
+
+    return ((mut, trial),), score
+
+
+def _reference_linearity(mut, rng):
+    trial, _ = _reference_trial(mut, rng)
+    other = replace(trial, function=_reference_function(trial.kind, rng, trial.n))
+    a, b = float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))
+
+    def score(combined, left, right):
+        left, right = left.entries, right.entries
+        residual = max(
+            _gap(value, a * left[c] + b * right[c])
+            for c, value in combined.entries.items()
+        )
+        return residual, lambda: trial.describe() | {"a": a, "b": b}
+
+    return ((mut, _reference_combine(trial, other, a, b)), (mut, trial), (mut, other)), score
+
+
+def _reference_null_feature(mut, rng):
+    trial, i = _reference_trial(mut, rng, null_feature=True)
+
+    def score(report):
+        residual, coalition = axioms._peak(
+            (abs(v), c) for c, v in report.entries.items() if i in c
+        )
+        return residual, lambda: trial.describe() | {
+            "null_feature": i,
+            "coalition": list(coalition),
+        }
+
+    return ((mut, trial),), score
+
+
+def _reference_symmetry(mut, rng):
+    trial, _ = _reference_trial(mut, rng)
+    permutation = (rng.permutation(trial.n) + 1).tolist()
+
+    def score(base, image):
+        base, image = base.entries, image.entries
+        residual = max(
+            _gap(value, image[tuple(sorted(permutation[i - 1] for i in c))])
+            for c, value in base.items()
+        )
+        return residual, lambda: trial.describe() | {"permutation": permutation}
+
+    return ((mut, trial), (mut, _reference_permute_trial(trial, permutation))), score
+
+
+def _reference_pure_synergy(within_order):
+    def draw(mut, rng):
+        trial, members = _reference_pure_synergy_trial(mut, rng, within_order)
+
+        def score(report):
+            entries = report.entries
+            residual, coalition = axioms._peak(
+                (abs(v), c)
+                for c, v in entries.items()
+                if set(c) < set(members) and len(c) < trial.k
+            )
+            return residual, lambda: trial.describe() | {
+                "synergy": list(members),
+                "coalition": list(coalition),
+                "value": entries[coalition],
+            }
+
+        return ((mut, trial),), score
+
+    return draw
+
+
+def _reference_uniqueness(rng):
+    n = int(rng.integers(2, 6))
+    trial = Trial("table", n, SetFunctionTable(n, rng.uniform(-1, 1, size=1 << n)))
+
+    def score(st, rsa):
+        synergies = mobius(trial.function)
+        rsa = rsa.entries
+        residual, coalition = axioms._peak(
+            (max(abs(v - synergies.at(c)), abs(rsa[c] - synergies.at(c))), c)
+            for c, v in st.entries.items()
+        )
+        return residual, lambda: {
+            "n": n,
+            "values": trial.function.values.tolist(),
+            "coalition": list(coalition),
+        }
+
+    return tuple((REGISTRY[m], trial) for m in ("shapley-taylor", "rs-aug")), score
+
+
+REFERENCE_DRAWS = {
+    "completeness": _reference_completeness,
+    "linearity": _reference_linearity,
+    "null-feature": _reference_null_feature,
+    "symmetry": _reference_symmetry,
+    "baseline-test": _reference_pure_synergy(True),
+    "interaction-distribution": _reference_pure_synergy(False),
+}
+CHECKS_BY_AXIOM = dict(zip(REFERENCE_DRAWS, CELLS))
+
+
+def _scored(residual, witness):
+    """A trial's residual and, where it is above 0, its described witness."""
+    return residual, witness() if residual > 0 else None
+
+
+def _reference_check(mut, axiom, trials, seed, draw):
+    """The result of a cell at tolerance 0, every witness described, and
+    each trial's score, from its own generator default_rng([seed, t])."""
+    worst, witness, scores = 0.0, None, []
+    for t in range(trials):
+        needed, score = draw(np.random.default_rng([seed, t]))
+        residual, described = score(*(_reference_report(mut, trial) for mut, trial in needed))
+        scores.append(_scored(residual, described))
+        if residual > worst:
+            worst, witness = residual, described
+    result = CheckResult(
+        method=mut.id if mut else "(all-full-order)",
+        axiom=axiom,
+        status="pass" if worst <= 0.0 else "fail",
+        expected=expected_status(mut, axiom) if mut else "pass",
+        max_residual=worst,
+        trials=trials,
+        witness=witness() if worst > 0.0 else None,
+    )
+    return json.dumps([result.to_json_dict(), scores])
+
+
+def _harness_check(monkeypatch, run):
+    """`run()`'s result as a JSON dict, and each trial's score as the
+    harness's own trial loop gives it."""
+    scores = []
+    trial_result = axioms._trial_result
+
+    def recording(*args):
+        *head, draw = args
+
+        def logged(rng):
+            needed, score = draw(rng)
+
+            def scored(*rows):
+                residual, witness = score(*rows)
+                scores.append(_scored(residual, witness))
+                return residual, witness
+
+            return needed, scored
+
+        return trial_result(*head, logged)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(axioms, "_trial_result", recording)
+        result = run()
+    return json.dumps([result.to_json_dict(), scores])
+
+
+REFERENCE_TRIALS = 200
+
+
+@pytest.mark.parametrize(
+    "method", ["shapley", "shapley-taylor", "rs", "rs-aug", "ig", "ih", "ih-aug", "sop"]
+)
+def test_cells_equal_the_reference_harness_trial_by_trial(monkeypatch, method):
+    """Every scored axiom of every ruled method, 200 trials each (200
+    generator seeds per cell), at tolerance 0 so that every witness is
+    described: the result and each trial's residual and witness equal the
+    reference's to the bit, whether a batch holds 128 trials or 7."""
+    mut = SUITE_METHODS[method]
+    for cell, (axiom, draw) in enumerate(REFERENCE_DRAWS.items()):
+        if expected_status(mut, axiom) == "n/a":
+            continue
+        seed = 1000 * cell + 17
+        expected = _reference_check(
+            mut, axiom, REFERENCE_TRIALS, seed, lambda rng: draw(mut, rng)
+        )
+        for batch in (128, 7):
+            monkeypatch.setattr(axioms, "_BATCH_TRIALS", batch)
+            got = _harness_check(
+                monkeypatch,
+                lambda: CHECKS_BY_AXIOM[axiom](method, REFERENCE_TRIALS, seed=seed, tol=0.0),
+            )
+            assert got == expected, (axiom, batch)
+
+
+def test_uniqueness_support_equals_the_reference_harness(monkeypatch):
+    expected = _reference_check(
+        None, "uniqueness-support", REFERENCE_TRIALS, 5, _reference_uniqueness
+    )
+    for batch in (128, 7):
+        monkeypatch.setattr(axioms, "_BATCH_TRIALS", batch)
+        got = _harness_check(
+            monkeypatch, lambda: check_uniqueness_support(REFERENCE_TRIALS, seed=5, tol=0.0)
+        )
+        assert got == expected
+
+
+FLAT = Method(
+    "flat", "table", None, lambda table, k: InteractionReport(
+        table.n, k, np.ones(coalition_count(table.n, k))
+    )
+)
+
+
+@pytest.mark.parametrize("check", [check_null_feature, check_baseline_test,
+                                   check_interaction_distribution])
+def test_a_tie_names_the_first_trial_and_the_first_coalition_in_layout_order(check):
+    """A report that scores every coalition 1.0 ties every candidate
+    coalition of every trial: the witness is trial 0 and, of its
+    coalitions, the first in layout order (size, then lexicographic), as
+    the reference harness names it."""
+    got = check(FLAT, 6, seed=4, tol=0.0)
+    axiom = got.axiom
+    expected = _reference_check(FLAT, axiom, 6, 4, lambda rng: REFERENCE_DRAWS[axiom](FLAT, rng))
+    assert json.dumps(got.to_json_dict()) == json.dumps(json.loads(expected)[0])
+    (_, trial), = REFERENCE_DRAWS[axiom](FLAT, np.random.default_rng([4, 0]))[0]
+    assert got.max_residual == 1.0
+    assert got.witness["values"] == trial.function.values.tolist()
+    if axiom == "null-feature":
+        assert got.witness["coalition"] == [got.witness["null_feature"]]
+    else:  # the empty coalition is a proper subset of every synergy
+        assert got.witness["coalition"] == [] and got.witness["value"] == 1.0
+
+
+def test_a_uniqueness_tie_names_the_first_trial_and_the_empty_coalition(monkeypatch):
+    """Against an all-zero synergy table, full-order reports that score every
+    coalition 1.0 tie everywhere: the witness is trial 0's table and the
+    empty coalition, the first in layout order."""
+    monkeypatch.setitem(axioms.REGISTRY, "shapley-taylor", FLAT)
+    monkeypatch.setitem(axioms.REGISTRY, "rs-aug", FLAT)
+    monkeypatch.setattr(axioms, "mobius", lambda table: set_methods.SynergyTable(
+        table.n, np.zeros(1 << table.n)
+    ))
+    result = check_uniqueness_support(5, seed=2, tol=0.0)
+    (_, trial), _ = _reference_uniqueness(np.random.default_rng([2, 0]))[0]
+    assert result.max_residual == 1.0
+    assert result.witness == {
+        "n": trial.n, "values": trial.function.values.tolist(), "coalition": []
+    }
+
+
+def test_the_first_non_finite_row_in_draw_order_raises(monkeypatch):
+    """A batched row that is not finite raises the error its report would,
+    naming its first non-finite coalition, and the request that raises is
+    the first such one in draw order, not in kernel-call order. At seed 0
+    the shapley completeness trials have n = 5, 4, 5: the n = 5 group runs
+    first, yet the n = 4 row of trial 1 comes before trial 2's."""
+    mut = SUITE_METHODS["shapley"]
+    assert [
+        _reference_trial(mut, np.random.default_rng([0, t]))[0].n for t in range(3)
+    ] == [5, 4, 5]
+    kernel = set_methods._superset_rule
+    planted = {5: [(1, 2)], 4: [(0, 1)]}  # n -> (row of its group, slot): trials 2 and 1
+
+    def leaky(values, n, k, rule):
+        out = kernel(values, n, k, rule)
+        for row, slot in planted.get(n, ()):
+            out[row, slot] = np.inf
+        return out
+
+    monkeypatch.setattr(set_methods, "_superset_rule", leaky)
+    with pytest.raises(NonFiniteError) as raised:
+        check_completeness(mut, 3, seed=0)
+    assert str(raised.value) == "non-finite value for coalition (1,)"
+    planted.clear()
+    planted[5] = [(1, 1), (0, 3)]  # one group: trial 0's row raises, not trial 2's
+    with pytest.raises(NonFiniteError) as raised:
+        check_completeness(mut, 3, seed=0)
+    assert str(raised.value) == "non-finite value for coalition (3,)"
+
+
+def test_a_non_finite_polynomial_row_names_its_coalition(monkeypatch):
+    kernel = grad_exact._array_termwise
+
+    def leaky(polys, points, k, rule):
+        out = kernel(polys, points, k, rule)
+        out[-1, 2] = -np.inf
+        out[-1, 1] = np.nan
+        return out
+
+    monkeypatch.setattr(grad_exact, "_array_termwise", leaky)
+    with pytest.raises(NonFiniteError, match=r"^non-finite value for coalition \(1,\)$"):
+        check_linearity("ih", 4, seed=3)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: check_completeness("shapley", -5, seed=1), "trials must be an integer >= 1, got -5"),
+        (lambda: check_linearity("ih", 0), "trials must be an integer >= 1, got 0"),
+        (lambda: check_uniqueness_support(0), "trials must be an integer >= 1, got 0"),
+        (lambda: check_symmetry("rs", 2.5), "trials must be an integer >= 1, got 2.5"),
+        (lambda: check_null_feature("sop", True), "trials must be an integer >= 1, got True"),
+        (lambda: check_completeness("shapley", 5, seed=-1), "seed must be an integer >= 0, got -1"),
+        (lambda: check_baseline_test("ih", 5, seed=1.0), "seed must be an integer >= 0, got 1.0"),
+        (lambda: check_completeness("shapley", 5, tol=math.nan), "tol must be a finite number >= 0, got nan"),
+        (lambda: check_interaction_distribution("sop", 5, tol=-1e-9),
+         "tol must be a finite number >= 0, got -1e-09"),
+        (lambda: check_uniqueness_support(5, tol=math.inf), "tol must be a finite number >= 0, got inf"),
+        (lambda: check_continuity("ig", ex.parse("x1", 1), Instance((1.0,), (0.0,)), tol="0"),
+         "tol must be a finite number >= 0, got '0'"),
+        (lambda: SuiteConfig(trials=0), "trials must be an integer >= 1, got 0"),
+        (lambda: SuiteConfig(seed=-3), "seed must be an integer >= 0, got -3"),
+        (lambda: SuiteConfig(trials=2.5), "trials must be an integer >= 1, got 2.5"),
+        (lambda: SuiteConfig(tolerance_overrides={"symmetry": math.nan}),
+         "tolerance_overrides['symmetry'] must be a finite number >= 0, got nan"),
+    ],
+    ids=["negative-trials", "zero-trials", "uniqueness-zero-trials", "fractional-trials",
+         "boolean-trials", "negative-seed", "float-seed", "nan-tol", "negative-tol",
+         "uniqueness-infinite-tol", "continuity-string-tol", "config-zero-trials",
+         "config-negative-seed", "config-fractional-trials", "config-nan-override"],
+)
+def test_check_arguments_are_refused_by_one_validator(call, message):
+    """Each library check and the suite config refuse trials below 1, a
+    negative seed, a tolerance that is not a finite number >= 0, and counts
+    that are not integers, with a SynergyError naming the argument."""
+    with pytest.raises(SynergyError) as raised:
+        call()
+    assert str(raised.value) == message
+
+
+def test_integral_numpy_counts_are_taken_as_ints():
+    result = check_completeness("shapley", np.int64(3), seed=np.uint8(1))
+    assert result.trials == 3 and type(result.trials) is int
+    assert result == check_completeness("shapley", 3, seed=1)
+
+
+def test_a_report_of_another_order_than_its_trial_is_refused():
+    """Scores index a trial's rows by its P_k, so a method whose `run`
+    returns a report of another order is named, not misread."""
+    first_order = Method("first-order", "table", None, lambda table, k: set_methods.shapley(table))
+    with pytest.raises(SynergyError, match=r"^method 'first-order' gave a report of P_1 over "
+                                           r"n=\d for a trial of P_[23] over n=\d$"):
+        check_completeness(first_order, 5, seed=1)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(1.0, -2.0), (0.0, 0.75), (-0.5, 0.0), (1e-300, 1e-300), (-1.25, 0.5)],
+    ids=["cancel", "a-zero", "b-zero", "underflow", "plain"],
+)
+def test_combined_polynomial_is_scale_plus_add_to_the_bit(a, b):
+    """The array merge of a*F + b*G holds the terms of F.scale(a) +
+    G.scale(b), in order and to the bit: shared vectors that cancel
+    exactly, a factor of zero, and products that underflow are dropped as
+    scale and term_sum drop them."""
+    f = SparsePolynomial((0.0, 0.0), {(0, 1): 0.5, (1, 0): 1e-20, (1, 1): -0.75, (2, 0): 0.3})
+    g = SparsePolynomial((0.0, 0.0), {(0, 0): 2.0, (0, 1): 0.25, (1, 1): 0.1, (3, 0): -1e-20})
+    combined = axioms._combine(
+        Trial("polynomial", 2, f, (0.5, -0.5)), Trial("polynomial", 2, g, (0.5, -0.5)), a, b
+    ).function
+    expected = f.scale(a) + g.scale(b)
+    assert [(m, c.hex()) for m, c in combined.terms.items()] == [
+        (m, c.hex()) for m, c in expected.terms.items()
+    ]

@@ -88,6 +88,10 @@ CASES = {
     "check-seed2024-trials50.csv": [*EXACT_CHECK, "--output", "csv"],
     # the JSON form also pins each failing cell's witness: its trial and coalition
     "check-seed2024-trials50.json": [*EXACT_CHECK, "--output", "json"],
+    # the whole default matrix: the quadrature cells, continuity and
+    # uniqueness support too, so its Gauss-rule bits are this platform's
+    "check-seed2024-trials50-all.json": ["check", "--seed", "2024", "--trials", "50",
+                                         "--output", "json"],
 }
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from synergy.axioms import _BATCH_TRIALS, check_completeness
+from synergy.exceptions import SynergyError
 from synergy.seeding import generators
 
 
@@ -24,4 +25,7 @@ def test_negative_seed_is_refused_as_default_rng_refuses_it():
     with pytest.raises(ValueError):
         np.random.default_rng([-1, 0])
     with pytest.raises(ValueError, match="non-negative seed, got -1"):
+        next(generators(-1, 0, 1))
+    # the library checks refuse it before seeding, as they refuse other bad arguments
+    with pytest.raises(SynergyError, match="seed must be an integer >= 0, got -1"):
         check_completeness("shapley", 5, seed=-1)
