@@ -40,7 +40,7 @@ from .exceptions import SynergyError
 from .expressions import Expr
 from .grad_numeric import DEFAULT_CONFIG, QuadratureConfig
 from .methods import REGISTRY, SUITE_METHODS, Method
-from .polynomials import SparsePolynomial, exponent_rows, multi_indices
+from .polynomials import SparsePolynomial, canonical_order, exponent_rows, multi_indices
 from .set_methods import SetFunctionTable, mobius, permute_table, pure_synergy_table
 
 AXIOMS = (
@@ -333,33 +333,10 @@ def _combine(trial_a: Trial, trial_b: Trial, a: float, b: float) -> Trial:
     if trial_a.kind == "table":
         function = SetFunctionTable(trial_a.n, a * f.values + b * g.values)
     elif trial_a.kind == "polynomial":
-        function = _combined_polynomial(f, g, a, b)
+        function = f.scale(a) + g.scale(b)
     else:
         function = ex.add(ex.mul(ex.Const(a), f), ex.mul(ex.Const(b), g))
     return Trial(trial_a.kind, trial_a.k, function, trial_a.x)
-
-
-def _sorted_terms(rows: np.ndarray) -> np.ndarray:
-    """The stable order that sorts exponent rows lexicographically."""
-    return np.lexsort(rows.T[::-1])
-
-
-def _combined_polynomial(
-    f: SparsePolynomial, g: SparsePolynomial, a: float, b: float
-) -> SparsePolynomial:
-    """f.scale(a) + g.scale(b), bit for bit, by merging the sorted term
-    arrays: a shared exponent vector's coefficient is (a*c_f) + (b*c_g), as
-    term_sum adds them from 0.0, and zeros are dropped after the sum (a
-    product that scale would drop is a zero that adds nothing)."""
-    rows = np.concatenate([f.exponent_array, g.exponent_array])
-    coefficients = np.concatenate([a * f.coefficients, b * g.coefficients])
-    order = _sorted_terms(rows)  # f's term first where both hold a vector
-    rows, coefficients = rows[order], coefficients[order]
-    shared = np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1))
-    coefficients[shared] += coefficients[shared + 1]
-    keep = coefficients != 0.0
-    keep[shared + 1] = False
-    return SparsePolynomial._from_arrays(f.center, rows[keep], coefficients[keep])
 
 
 def _permute_trial(trial: Trial, permutation: Sequence[int]) -> Trial:
@@ -387,7 +364,7 @@ def _permute_trial(trial: Trial, permutation: Sequence[int]) -> Trial:
     if trial.kind == "polynomial":
         poly = trial.function
         rows = poly.exponent_array[:, source]
-        order = _sorted_terms(rows)
+        order = canonical_order(rows)
         function = SparsePolynomial._from_arrays(poly.center, rows[order], poly.coefficients[order])
     else:
         function = relabel(trial.function)

@@ -624,7 +624,7 @@ def to_polynomial(expr: Expr, center: Point) -> SparsePolynomial | None:
     """
     if not is_polynomial(expr):
         return None
-    return SparsePolynomial._exact(center, _series(expr, center, None), ordered=False)
+    return SparsePolynomial._exact(center, _series(expr, center, None))
 
 
 def taylor(expr: Expr, center: Point, order: int) -> SparsePolynomial:
@@ -648,7 +648,7 @@ def taylor(expr: Expr, center: Point, order: int) -> SparsePolynomial:
         raise CapExceededError(
             f"taylor of transcendental expressions capped at {TAYLOR_MAX_FEATURES} features"
         )
-    return SparsePolynomial._exact(center, _series(expr, center, order), ordered=False)
+    return SparsePolynomial._exact(center, _series(expr, center, order))
 
 
 def from_polynomial(p: SparsePolynomial) -> Expr:

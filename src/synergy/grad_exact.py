@@ -10,7 +10,7 @@ the report name a non-finite coalition.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -69,20 +69,13 @@ def _termwise(p: SparsePolynomial, x: Sequence[float], k: int, rule: str) -> Int
 
 def _stacked(polys: Sequence[SparsePolynomial]) -> tuple[np.ndarray, np.ndarray]:
     """The exponent rows and coefficients of the polynomials' terms, end to
-    end in polynomial order. Polynomials that all hold their term dicts are
-    read from those in one pass, without building their arrays; otherwise
-    each one's arrays are read."""
-    stored = [p.stored_terms for p in polys]
-    if None in stored:  # a loaded polynomial holds its arrays only
-        if len(polys) == 1:
-            return polys[0].exponent_array, polys[0].coefficients
-        return (
-            np.concatenate([p.exponent_array for p in polys]),
-            np.concatenate([p.coefficients for p in polys]),
-        )
-    count = sum(map(len, stored))
-    exponents = polynomials.exponent_rows(list(chain.from_iterable(stored)), polys[0].n)
-    return exponents, np.fromiter(chain.from_iterable(t.values() for t in stored), float, count)
+    end in polynomial order."""
+    if len(polys) == 1:
+        return polys[0].exponent_array, polys[0].coefficients
+    return (
+        np.concatenate([p.exponent_array for p in polys]),
+        np.concatenate([p.coefficients for p in polys]),
+    )
 
 
 def _term_values(
@@ -249,9 +242,12 @@ def ig_polynomial(p: SparsePolynomial, i: int) -> SparsePolynomial:
     """Integrated-gradients attribution to feature i as a polynomial in y."""
     if not 1 <= i <= p.n:
         raise ValueError(f"feature index {i} outside 1..{p.n}")
-    terms = ((m, c * m[i - 1] / sum(m)) for m, c in p.terms.items() if m[i - 1] > 0)
-    # a share can underflow to zero
-    return SparsePolynomial._exact(p.center, {m: c for m, c in terms if c != 0.0})
+    held = p.exponent_array[:, i - 1] > 0
+    rows = p.exponent_array[held]
+    with np.errstate(over="ignore"):  # an overflow is the validating constructor's error
+        shares = p.coefficients[held] * rows[:, i - 1] / rows.sum(axis=1)
+    keep = shares != 0.0  # a share can underflow to zero
+    return p._derived(rows[keep], shares[keep])
 
 
 def sum_of_powers_nested(

@@ -3,7 +3,9 @@
 A polynomial is a finite map from exponent vectors m to coefficients c,
 representing F(y) = sum_m c_m * prod_i (y_i - center_i)^m_i, with the
 convention that a zero exponent contributes the factor 1 even at the center.
-Zero coefficients are never stored; the terms are kept sorted by exponent vector.
+It is stored as its terms' arrays: the exponent vectors as int64 rows and the
+coefficients as float64, in canonical order (ascending exponent vectors).
+Zero coefficients are never stored.
 """
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
+from types import MappingProxyType
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -51,8 +54,23 @@ def exponent_rows(vectors: Sequence[Sequence], n: int) -> np.ndarray:
     return flat.reshape(len(vectors), n)
 
 
-# Term-map arithmetic (exponent vector -> coefficient), for the series walker,
-# the polynomial operators and the gradient kernels.
+def canonical_order(rows: np.ndarray) -> np.ndarray:
+    """The stable order that sorts exponent rows lexicographically, the
+    canonical term order: of two equal rows, the first stays first."""
+    if not rows.shape[1]:  # rows of no features are all equal
+        return np.arange(len(rows))
+    return np.lexsort(rows.T[::-1])
+
+
+def _sorted_arrays(terms: Mapping[MultiIndex, float], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exponent rows and coefficients of a term map of distinct
+    length-n vectors, in canonical order."""
+    rows = exponent_rows(list(terms), n)
+    order = canonical_order(rows)
+    return rows[order], np.fromiter(terms.values(), float, len(terms))[order]
+
+
+# Term-map arithmetic (exponent vector -> coefficient), for the series walker.
 
 def _require_degree(degree: int) -> None:
     """The degree cap, on a term or on a product before it is expanded."""
@@ -338,31 +356,34 @@ def _finite(center: Point) -> Point:
     return center
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SparsePolynomial:
-    """Each source of terms has one way in, and every way stores the same
-    terms in the same canonical order:
+    """A polynomial is its center and two read-only arrays in canonical
+    order: the exponent vectors as the rows of an int64 array
+    (`exponent_array`) and their nonzero float64 `coefficients`. `terms` is
+    a read-only map view of the arrays, built on first read.
+
+    Each source of terms has one way in, and every way ends in the arrays:
 
     - a caller's mapping, through this constructor: checked term by term,
-      which names the first offending term; stored as the `terms` dict;
+      which names the first offending term;
     - a polynomial file, through `from_json_dict`: checked in one array pass
-      (`_valid_terms`) and stored through `_from_arrays`; a file the pass
-      does not take is read term by term into a mapping;
-    - terms the program builds, valid by construction, through `_exact`,
-      which checks only what float arithmetic can break, or, as exponent
-      rows and coefficients already in canonical order, through
-      `_from_arrays`, which stores the two arrays read-only as
-      `exponent_array` and `coefficients` and builds `terms` on first read.
-
-    A polynomial stored as `terms` builds its arrays from them on first read."""
+      (`_valid_terms`), or, where the pass does not take it, read term by
+      term into a mapping for this constructor;
+    - a term map the program builds valid by construction, through
+      `_exact`, which checks only what float arithmetic can break;
+    - term arrays already in canonical order, through `_from_arrays`, which
+      checks only the center. The operators' arrays take `_derived`'s
+      float checks first."""
 
     center: Point
-    terms: Mapping[MultiIndex, float]
+    exponent_array: np.ndarray
+    coefficients: np.ndarray
 
-    def __post_init__(self) -> None:
-        n = len(_finite(self.center))
+    def __init__(self, center: Point, terms: Mapping[MultiIndex, float]) -> None:
+        n = len(_finite(center))
         checked = {}
-        for m, c in self.terms.items():
+        for m, c in terms.items():
             try:
                 key = tuple(map(_exponent, m))
             except TypeError as err:
@@ -383,44 +404,16 @@ class SparsePolynomial:
             if key in checked:
                 raise SynergyError(f"polynomial repeats the exponent vector {key}")
             checked[key] = value
-        clean = {m: checked[m] for m in sorted(checked) if checked[m] != 0.0}
+        clean = {m: c for m, c in checked.items() if c != 0.0}
         if len(clean) > MAX_TERMS:
             raise CapExceededError(f"{len(clean)} terms exceed cap {MAX_TERMS}")
-        object.__setattr__(self, "terms", clean)
+        self._hold(center, *_sorted_arrays(clean, n))
 
-    def __getattr__(self, name: str):
-        # only reached when `name` is not stored: `terms` of a polynomial
-        # stored as its arrays is built here once
-        if name != "terms" or "coefficients" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        terms = _term_dict(self.exponent_array, self.coefficients)
-        self.__dict__["terms"] = terms
-        return terms
-
-    @classmethod
-    def _exact(
-        cls, center: Point, terms: dict[MultiIndex, float], ordered: bool = True
-    ) -> "SparsePolynomial":
-        """The trusted constructor for term maps the program builds valid by
-        construction: distinct exponent vectors of ints, of the center's
-        length, within the degree cap, and no zero coefficient. Only what
-        float arithmetic can break is checked, and the terms are sorted
-        unless `ordered`. On a non-float or non-finite coefficient, a
-        non-finite center or more than MAX_TERMS terms, the validating
-        constructor takes the terms as given and raises its error."""
-        values = terms.values()
-        if (
-            len(terms) > MAX_TERMS
-            or not set(map(type, values)) <= {float}
-            or not all(map(math.isfinite, chain(center, values)))
-        ):
-            return cls(center, terms)
-        if not ordered:
-            terms = {m: terms[m] for m in sorted(terms)}
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "center", center)
-        object.__setattr__(poly, "terms", terms)
-        return poly
+    def _hold(self, center: Point, exponents: np.ndarray, coefficients: np.ndarray) -> None:
+        """Store the center and the two arrays, made read-only."""
+        exponents.setflags(write=False)
+        coefficients.setflags(write=False)
+        self.__dict__.update(center=center, exponent_array=exponents, coefficients=coefficients)
 
     @classmethod
     def _from_arrays(
@@ -429,50 +422,74 @@ class SparsePolynomial:
         """The trusted constructor for terms held as arrays: int64 exponent
         rows of the center's length, distinct, within the degree cap and in
         canonical order, and their finite, nonzero float64 coefficients. Only
-        the center is checked; both arrays are stored as given, made
-        read-only, and `terms` is built from them on first read."""
+        the center is checked; both arrays are stored as given."""
         poly = object.__new__(cls)
-        object.__setattr__(poly, "center", _finite(center))
-        exponents.setflags(write=False)
-        coefficients.setflags(write=False)
-        poly.__dict__["exponent_array"], poly.__dict__["coefficients"] = exponents, coefficients
+        poly._hold(_finite(center), exponents, coefficients)
         return poly
+
+    @classmethod
+    def _exact(cls, center: Point, terms: dict[MultiIndex, float]) -> "SparsePolynomial":
+        """The trusted constructor for term maps the program builds valid by
+        construction: distinct exponent vectors of ints, of the center's
+        length, within the degree cap, and no zero coefficient. Only what
+        float arithmetic can break is checked, and the terms are put in
+        canonical order. On a non-float or non-finite coefficient or more
+        than MAX_TERMS terms, the validating constructor takes the terms as
+        given and raises its error."""
+        values = terms.values()
+        if (
+            len(terms) > MAX_TERMS
+            or not set(map(type, values)) <= {float}
+            or not all(map(math.isfinite, values))
+        ):
+            return cls(center, terms)
+        return cls._from_arrays(center, *_sorted_arrays(terms, len(center)))
+
+    def _derived(self, exponents: np.ndarray, coefficients: np.ndarray) -> "SparsePolynomial":
+        """The polynomial at this center of exponent rows in canonical order
+        and the nonzero coefficients float arithmetic made of valid ones:
+        stored as given while those are finite and at most MAX_TERMS, else
+        the validating constructor's error on the same terms."""
+        if len(coefficients) > MAX_TERMS or not np.isfinite(coefficients).all():
+            return SparsePolynomial(self.center, _term_dict(exponents, coefficients))
+        return SparsePolynomial._from_arrays(self.center, exponents, coefficients)
+
+    def _take(self, index) -> "SparsePolynomial":
+        """The polynomial of the terms at `index`, in term order."""
+        return SparsePolynomial._from_arrays(
+            self.center, self.exponent_array[index], self.coefficients[index]
+        )
+
+    @cached_property
+    def terms(self) -> Mapping[MultiIndex, float]:
+        """The terms as a read-only map from exponent vector to coefficient,
+        in canonical order."""
+        return MappingProxyType(_term_dict(self.exponent_array, self.coefficients))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SparsePolynomial):
+            return NotImplemented
+        return (
+            self.center == other.center
+            and np.array_equal(self.exponent_array, other.exponent_array)
+            and np.array_equal(self.coefficients, other.coefficients)
+        )
 
     @property
     def n(self) -> int:
         return len(self.center)
 
     @property
-    def stored_terms(self) -> Mapping[MultiIndex, float] | None:
-        """The `terms` dict if the polynomial holds one, else None: a loaded
-        polynomial holds its arrays only until `terms` is first read."""
-        return self.__dict__.get("terms")
-
-    @property
     def term_count(self) -> int:
-        """len(terms), read from the form the polynomial is stored in."""
-        terms = self.stored_terms
-        return len(self.coefficients if terms is None else terms)
-
-    @cached_property
-    def exponent_array(self) -> np.ndarray:
-        """The exponent vectors, in term order, as the rows of a read-only int64 array."""
-        rows = exponent_rows(list(self.terms), self.n)
-        rows.setflags(write=False)
-        return rows
-
-    @cached_property
-    def coefficients(self) -> np.ndarray:
-        """The coefficients, in term order, as a read-only float64 array."""
-        values = np.fromiter(self.terms.values(), float, len(self.terms))
-        values.setflags(write=False)
-        return values
+        return len(self.coefficients)
 
     def degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
+        return int(self.exponent_array.sum(axis=1).max(initial=0))
 
     def constant_term(self) -> float:
-        return self.terms.get((0,) * self.n, 0.0)
+        # the zero vector sorts first
+        rows = self.exponent_array
+        return float(self.coefficients[0]) if len(rows) and not rows[0].any() else 0.0
 
     def evaluate(self, y: Sequence[float]) -> float:
         if len(y) != self.n:
@@ -483,7 +500,7 @@ class SparsePolynomial:
         # out-of-place products and sums: on broadcast column arrays (see
         # set_methods.build_table) the result's shape grows term by term
         total = 0.0
-        for m, value in self.terms.items():
+        for m, value in zip(self.exponent_array.tolist(), self.coefficients.tolist()):
             for i, e in enumerate(m):
                 if e:
                     value = value * scalar_power(shifted[i], e)
@@ -491,44 +508,54 @@ class SparsePolynomial:
         return total
 
     def __add__(self, other: "SparsePolynomial") -> "SparsePolynomial":
+        """The sorted merge of both term arrays: a vector of both gets
+        (its coefficient here) + (its coefficient in `other`), as term_sum
+        adds them from 0.0, and zeros are dropped after the sum."""
         if self.center != other.center:
             raise ValueError("cannot add polynomials with different centers")
-        merged = term_sum((self.terms.items(), other.terms.items()))
-        # new keys from `other` go last, so the sum is sorted only without them
-        ordered = other.terms.keys() <= self.terms.keys()
-        return SparsePolynomial._exact(self.center, merged, ordered)
+        rows = np.concatenate([self.exponent_array, other.exponent_array])
+        values = np.concatenate([self.coefficients, other.coefficients])
+        order = canonical_order(rows)  # this term first where both hold a vector
+        rows, values = rows[order], values[order]
+        shared = np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1))
+        with np.errstate(over="ignore"):  # an overflow is the validating constructor's error
+            values[shared] += values[shared + 1]
+        keep = values != 0.0
+        keep[shared + 1] = False
+        return self._derived(rows[keep], values[keep])
 
     def __sub__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         return self + other.scale(-1.0)
 
     def scale(self, factor: float) -> "SparsePolynomial":
-        factor = float(factor)
-        scaled = ((m, c * factor) for m, c in self.terms.items())
-        return SparsePolynomial._exact(self.center, {m: c for m, c in scaled if c != 0.0})
+        with np.errstate(over="ignore"):  # an overflow is the validating constructor's error
+            values = self.coefficients * float(factor)
+        if values.all():  # no product underflowed: the rows are shared as they are
+            return self._derived(self.exponent_array, values)
+        keep = values != 0.0
+        return self._derived(self.exponent_array[keep], values[keep])
 
     def truncate(self, max_degree: int) -> "SparsePolynomial":
         """Drop every term of total degree above max_degree."""
         if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
-        return SparsePolynomial._exact(
-            self.center, {m: c for m, c in self.terms.items() if sum(m) <= max_degree}
-        )
+        return self._take(self.exponent_array.sum(axis=1) <= max_degree)
 
     def synergy_split(self) -> dict[Coalition, "SparsePolynomial"]:
         """Group terms by support: each piece is a pure interaction of its coalition."""
-        pieces: dict[Coalition, dict[MultiIndex, float]] = {}
-        for m, c in self.terms.items():
-            pieces.setdefault(support(m), {})[m] = c
-        return {
-            coalition: SparsePolynomial._exact(self.center, terms)
-            for coalition, terms in pieces.items()
-        }
+        pieces: dict[Coalition, list[int]] = {}
+        for t, m in enumerate(self.exponent_array.tolist()):
+            pieces.setdefault(support(m), []).append(t)
+        return {coalition: self._take(terms) for coalition, terms in pieces.items()}
 
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
             "center": list(self.center),
-            "terms": [{"m": list(m), "c": c} for m, c in self.terms.items()],
+            "terms": [
+                {"m": m, "c": c}
+                for m, c in zip(self.exponent_array.tolist(), self.coefficients.tolist())
+            ],
         }
 
     @classmethod

@@ -417,8 +417,6 @@ def permute_table(table: SetFunctionTable, permutation: Sequence[int]) -> SetFun
 
 def pure_synergy_table(n: int, members: Sequence[int], value: float) -> SetFunctionTable:
     """Table of the pure interaction that is `value` when all of `members`
-    are present and 0 otherwise (as a synergy decomposition)."""
+    are present and 0.0 otherwise: the Möbius inverse of that one synergy."""
     mask = coalition_mask(members, n)
-    synergies = np.zeros(1 << n)
-    synergies[mask] = value
-    return mobius_inverse(SynergyTable(n, synergies))
+    return SetFunctionTable(n, np.where(np.arange(1 << n) & mask == mask, value, 0.0))

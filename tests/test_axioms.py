@@ -32,7 +32,7 @@ from synergy.combinatorics import coalition_count
 from synergy.core import Instance, InteractionReport
 from synergy.exceptions import NonFiniteError, SynergyError
 from synergy.methods import REGISTRY, SUITE_METHODS, Method
-from synergy.polynomials import SparsePolynomial, multi_indices
+from synergy.polynomials import SparsePolynomial, multi_indices, term_sum
 from synergy.set_methods import SetFunctionTable, mobius, permute_table, pure_synergy_table
 
 
@@ -313,10 +313,10 @@ def test_random_polynomial_drops_a_zero_coefficient(density):
 
 def test_trusted_trial_polynomials_equal_the_validated_construction():
     """The harness builds its polynomial trials (random, low-density
-    fallback, permuted, combined, pure-synergy) as term arrays through the
-    trusted `SparsePolynomial._from_arrays`; each holds read-only int64 rows
-    and float64 coefficients, and the terms, in the order and to the bit,
-    that the validating constructor makes of the same mapping."""
+    fallback, permuted, combined, pure-synergy) as term arrays, without a
+    term dict; each holds read-only int64 rows and float64 coefficients,
+    and the terms, in the order and to the bit, that the validating
+    constructor makes of the same mapping."""
     checked = 0
     for seed in range(300):
         rng = np.random.default_rng([seed, 20])
@@ -331,7 +331,7 @@ def test_trusted_trial_polynomials_equal_the_validated_construction():
             trial.function, _permute_trial(trial, permutation).function, pure.function, sparse,
             combined,
         ):
-            assert poly.stored_terms is None
+            assert "terms" not in poly.__dict__
             rows, coefficients = poly.exponent_array, poly.coefficients
             assert rows.dtype == np.int64 and rows.shape == (len(coefficients), poly.n)
             assert coefficients.dtype == np.float64
@@ -344,6 +344,22 @@ def test_trusted_trial_polynomials_equal_the_validated_construction():
             ]
             checked += 1
     assert checked == 1500
+
+
+def test_drawing_and_scoring_trials_builds_no_term_dict():
+    """Completeness, linearity and symmetry batches of every polynomial
+    method, drawn, run and scored as a cell runs them, read each trial's
+    term arrays only: no trial polynomial builds its term dict."""
+    for method in ("ig", "ih", "ih-aug", "sop"):
+        mut = SUITE_METHODS[method]
+        for draw in (axioms._completeness, axioms._linearity, axioms._symmetry):
+            drawn = [draw(mut, np.random.default_rng([seed, 28])) for seed in range(40)]
+            requests = [request for needed, _ in drawn for request in needed]
+            rows = iter(axioms._rows(requests))
+            for needed, score in drawn:
+                score(*(next(rows) for _ in needed))
+            for _, trial in requests:
+                assert "terms" not in trial.function.__dict__
 
 
 @pytest.mark.parametrize("small", [False, True], ids=["one-batch", "small-batches"])
@@ -886,16 +902,22 @@ def test_a_report_of_another_order_than_its_trial_is_refused():
     ids=["cancel", "a-zero", "b-zero", "underflow", "plain"],
 )
 def test_combined_polynomial_is_scale_plus_add_to_the_bit(a, b):
-    """The array merge of a*F + b*G holds the terms of F.scale(a) +
-    G.scale(b), in order and to the bit: shared vectors that cancel
-    exactly, a factor of zero, and products that underflow are dropped as
-    scale and term_sum drop them."""
+    """A combination a*F + b*G of polynomial trials, F.scale(a) + G.scale(b)
+    on the term arrays, holds the terms of the term-map reference, in order
+    and to the bit: each scaled map with its zero products dropped, the two
+    summed from 0.0 by term_sum, zeros dropped after the sum. So shared
+    vectors that cancel exactly, a factor of zero, and products that
+    underflow are dropped as the maps drop them."""
     f = SparsePolynomial((0.0, 0.0), {(0, 1): 0.5, (1, 0): 1e-20, (1, 1): -0.75, (2, 0): 0.3})
     g = SparsePolynomial((0.0, 0.0), {(0, 0): 2.0, (0, 1): 0.25, (1, 1): 0.1, (3, 0): -1e-20})
     combined = axioms._combine(
         Trial("polynomial", 2, f, (0.5, -0.5)), Trial("polynomial", 2, g, (0.5, -0.5)), a, b
     ).function
-    expected = f.scale(a) + g.scale(b)
+    scaled = [
+        [(m, c * factor) for m, c in poly.terms.items() if c * factor != 0.0]
+        for poly, factor in ((f, a), (g, b))
+    ]
+    expected = SparsePolynomial(f.center, term_sum(scaled))
     assert [(m, c.hex()) for m, c in combined.terms.items()] == [
         (m, c.hex()) for m, c in expected.terms.items()
     ]

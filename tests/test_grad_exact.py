@@ -806,8 +806,8 @@ def test_powers_beyond_the_float_range_are_signed_infinities():
 
 def test_kernels_read_the_form_a_polynomial_is_stored_in():
     """On a loaded polynomial the array kernels read its arrays and never
-    build its term dict; on a polynomial stored as its dict the termwise
-    rules read the dict and never build its arrays."""
+    build its term dict, and give the bits they give on the validated
+    construction of the same terms."""
     rng = np.random.default_rng(8)
     vectors = [m for m in polynomials.multi_indices(4, 7) if any(m)][:300]
     payload = {"n": 4, "center": [0.5, -0.25, 0.0, 1.0],
@@ -832,7 +832,3 @@ def test_kernels_read_the_form_a_polynomial_is_stored_in():
         integrated_hessian_pairwise(built, x),
     )):
         assert _bits(report.values) == _bits(again.values)
-    small = built.truncate(2)  # stored as its dict
-    for rule in ("ih", "ih-aug", "sop"):
-        _termwise(small, x, 2, rule)
-    assert "exponent_array" not in small.__dict__ and "coefficients" not in small.__dict__

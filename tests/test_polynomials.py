@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from synergy import expressions as ex
 from synergy.core import Instance, as_int, as_real, json_field
 from synergy.exceptions import (
     CapExceededError,
@@ -444,46 +445,64 @@ def test_per_term_path_stores_terms_in_ascending_exponent_order():
 
 @pytest.mark.parametrize("coefficient", [1.25, True], ids=["one-pass", "term-by-term"])
 def test_loader_and_filters_store_what_the_validated_construction_stores(coefficient):
-    """from_json_dict, truncate and synergy_split skip the second validation;
-    each gives the terms, in the order, that the constructor gives."""
+    """from_json_dict, to_polynomial, taylor, truncate and synergy_split skip
+    the second validation; each stores the terms and arrays, in the order,
+    that the constructor stores."""
     terms = _descending_terms(3, 5, seed=2)
     terms[next(iter(terms))] = coefficient  # a boolean sends the file term by term
     center = (0.25, -0.5, 1.0)
     payload = {"n": 3, "center": list(center),
                "terms": [{"m": list(m), "c": c} for m, c in terms.items()]}
-
-    def validated(keep):
-        return SparsePolynomial(center, {m: c for m, c in terms.items() if keep(m)})
-
-    def stored(poly):
-        return poly.center, list(poly.terms.items())
-
     poly = SparsePolynomial.from_json_dict(payload)
-    assert stored(poly) == stored(validated(lambda m: True))
     assert list(poly.terms) == sorted(terms)
-    for degree in range(6):
-        cut = poly.truncate(degree)
-        assert stored(cut) == stored(validated(lambda m: sum(m) <= degree))
-    pieces = poly.synergy_split()
-    assert len(pieces) == 2**3
-    for coalition, piece in pieces.items():
-        assert stored(piece) == stored(validated(lambda m: support(m) == coalition))
+    assert len(poly.synergy_split()) == 2**3
+    sources = [
+        (poly, terms),
+        (ex.to_polynomial(ex.parse("(x1 - 2*x2 + x3)^3 + x1*x3 - 0.5", 3), center), None),
+        (ex.taylor(ex.parse("sin(x1 + x2) * exp(x3) + x2^2", 3), center, 5), None),
+    ]
+    for poly, terms in sources:
+        terms = dict(poly.terms) if terms is None else terms
+
+        def validated(keep):
+            return SparsePolynomial(center, {m: c for m, c in terms.items() if keep(m)})
+
+        assert _stored(poly) == _stored(validated(lambda m: True))
+        for degree in range(6):
+            cut = poly.truncate(degree)
+            assert _stored(cut) == _stored(validated(lambda m: sum(m) <= degree))
+        pieces = poly.synergy_split()
+        assert list(pieces) == list(dict.fromkeys(map(support, poly.terms)))
+        for coalition, piece in pieces.items():
+            assert _stored(piece) == _stored(validated(lambda m: support(m) == coalition))
 
 
 def _stored(poly):
-    return poly.center, list(poly.terms.items()), [c.hex() for c in poly.terms.values()]
+    """Everything a polynomial holds: its center, its terms in order with
+    their bits, and the bytes, dtype, shape and read-only flag of both
+    arrays."""
+    arrays = [
+        (a.tobytes(), a.dtype, a.shape, a.flags.writeable)
+        for a in (poly.exponent_array, poly.coefficients)
+    ]
+    return poly.center, list(poly.terms.items()), [c.hex() for c in poly.terms.values()], arrays
 
 
 def test_arithmetic_stores_what_the_validated_construction_stores():
     """scale, + and the test-side partial skip the second validation; each
-    gives the terms, in the order, that the constructor gives: underflow and
-    cancellation dropped, new keys from the right operand sorted in."""
+    stores the terms and arrays, in the order, that the constructor stores:
+    underflow and cancellation dropped, new keys from the right operand
+    sorted in. The operands include to_polynomial and taylor outputs."""
     center = (0.25, -0.5, 1.0)
     p = SparsePolynomial(center, _descending_terms(3, 4, seed=3))
     sparse = SparsePolynomial(center, {m: c for m, c in _descending_terms(3, 5, seed=4).items()
                                        if sum(m) % 2})
     tiny = SparsePolynomial(center, {(0, 0, 0): 1e-300, (1, 0, 0): 1.0, (0, 2, 1): 3e-310})
-    for poly in (p, sparse, tiny):
+    expanded = ex.to_polynomial(ex.parse("(x1 - 2*x2 + x3)^3 + x1*x3 - 0.5", 3), center)
+    series = ex.taylor(ex.parse("cos(x1 * x2) + exp(x3 - x1)", 3), center, 4)
+    for poly in (expanded, series):
+        assert _stored(poly) == _stored(SparsePolynomial(center, dict(poly.terms)))
+    for poly in (p, sparse, tiny, expanded, series):
         for factor in (-1.0, 0.0, 2.5, 1e-30, np.float64(0.3), 3):
             scaled = {m: c * factor for m, c in poly.terms.items()}
             assert _stored(poly.scale(factor)) == _stored(SparsePolynomial(center, scaled))
@@ -494,7 +513,8 @@ def test_arithmetic_stores_what_the_validated_construction_stores():
                     key = m[: i - 1] + (m[i - 1] - 1,) + m[i:]
                     derivative[key] = derivative.get(key, 0.0) + c * m[i - 1]
             assert _stored(_partial(poly, i)) == _stored(SparsePolynomial(center, derivative))
-    for left, right in ((p, sparse), (sparse, p), (p, p.scale(-1.0)), (tiny, p), (p, p)):
+    for left, right in ((p, sparse), (sparse, p), (p, p.scale(-1.0)), (tiny, p), (p, p),
+                        (expanded, series), (series, p), (expanded, expanded.scale(-1.0))):
         merged = dict(left.terms)
         for m, c in right.terms.items():
             merged[m] = merged.get(m, 0.0) + c

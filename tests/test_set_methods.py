@@ -539,10 +539,23 @@ def test_frozen_shapley_taylor_matches_frozen_shapley_for_pairs(rng):
 
 
 def test_pure_synergy_table_structure():
+    """The table is `value` on the supersets of `members` and 0.0 elsewhere:
+    to the bit, the Möbius inverse of the one synergy, for every member set
+    up to six features."""
     table = pure_synergy_table(3, (1, 3), 2.0)
     for mask in range(8):
         expected = 2.0 if (mask & 0b101) == 0b101 else 0.0
         assert table.values[mask] == expected
+    for n in range(1, 7):
+        for mask in range(1 << n):
+            members = [i + 1 for i in range(n) if mask >> i & 1]
+            for value in (0.37, -0.81, 1e-300, -5e-324):
+                synergies = np.zeros(1 << n)
+                synergies[mask] = value
+                reference = mobius_inverse(SynergyTable(n, synergies))
+                assert pure_synergy_table(n, members, value).values.tobytes() == (
+                    reference.values.tobytes()
+                )
 
 
 @pytest.mark.parametrize("n", range(1, 7))
