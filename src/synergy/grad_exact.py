@@ -67,17 +67,6 @@ def _termwise(p: SparsePolynomial, x: Sequence[float], k: int, rule: str) -> Int
     return InteractionReport(p.n, k, _array_termwise([p], [x], k, rule)[0])
 
 
-def _stacked(polys: Sequence[SparsePolynomial]) -> tuple[np.ndarray, np.ndarray]:
-    """The exponent rows and coefficients of the polynomials' terms, end to
-    end in polynomial order."""
-    if len(polys) == 1:
-        return polys[0].exponent_array, polys[0].coefficients
-    return (
-        np.concatenate([p.exponent_array for p in polys]),
-        np.concatenate([p.coefficients for p in polys]),
-    )
-
-
 def _term_values(
     exponents: np.ndarray, coefficients: np.ndarray, owner: np.ndarray, shifted: list
 ) -> np.ndarray:
@@ -164,7 +153,11 @@ def _array_termwise(
         if len(x) != n:
             raise DimensionMismatchError(f"point has {len(x)} components, expected {n}")
     shifted = [[x[i] - p.center[i] for i in range(n)] for p, x in zip(polys, points)]
-    exponents, coefficients = _stacked(polys)
+    if len(polys) == 1:  # the terms of all the polynomials end to end, one without a copy
+        exponents, coefficients = polys[0].exponent_array, polys[0].coefficients
+    else:
+        exponents = np.concatenate([p.exponent_array for p in polys])
+        coefficients = np.concatenate([p.coefficients for p in polys])
     owner = np.repeat(np.arange(len(polys)), [p.term_count for p in polys])
     groups = _support_groups(exponents, k, rule)
     count = coalition_count(n, k)
@@ -244,10 +237,7 @@ def ig_polynomial(p: SparsePolynomial, i: int) -> SparsePolynomial:
         raise ValueError(f"feature index {i} outside 1..{p.n}")
     held = p.exponent_array[:, i - 1] > 0
     rows = p.exponent_array[held]
-    with np.errstate(over="ignore"):  # an overflow is the validating constructor's error
-        shares = p.coefficients[held] * rows[:, i - 1] / rows.sum(axis=1)
-    keep = shares != 0.0  # a share can underflow to zero
-    return p._derived(rows[keep], shares[keep])
+    return p._derived(lambda: (rows, p.coefficients[held] * rows[:, i - 1] / rows.sum(axis=1)))
 
 
 def sum_of_powers_nested(

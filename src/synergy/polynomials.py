@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
 from types import MappingProxyType
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -67,7 +67,7 @@ def _sorted_arrays(terms: Mapping[MultiIndex, float], n: int) -> tuple[np.ndarra
     length-n vectors, in canonical order."""
     rows = exponent_rows(list(terms), n)
     order = canonical_order(rows)
-    return rows[order], np.fromiter(terms.values(), float, len(terms))[order]
+    return rows.take(order, axis=0), np.fromiter(terms.values(), float, len(terms))[order]
 
 
 # Term-map arithmetic (exponent vector -> coefficient), for the series walker.
@@ -290,7 +290,7 @@ def _valid_terms(
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """The nonzero terms of a polynomial file's parallel exponent vectors and
     coefficients, checked in one array pass: their exponent rows (int64) and
-    coefficients (float64), read-only, in canonical order. Exponent codes
+    coefficients (float64), in canonical order. Exponent codes
     (see code_weights) give the order and find repeated vectors.
 
     None when the pass does not take the input, which the loader then reads
@@ -334,8 +334,6 @@ def _valid_terms(
     if not values.all():  # a zero coefficient, -0.0 too
         nonzero = values != 0.0
         rows, values = rows[nonzero], values[nonzero]
-    rows.setflags(write=False)
-    values.setflags(write=False)
     return rows, values
 
 
@@ -373,8 +371,9 @@ class SparsePolynomial:
     - a term map the program builds valid by construction, through
       `_exact`, which checks only what float arithmetic can break;
     - term arrays already in canonical order, through `_from_arrays`, which
-      checks only the center. The operators' arrays take `_derived`'s
-      float checks first."""
+      checks only the center;
+    - the operators' float arithmetic on the arrays, through `_derived`:
+      zeros dropped, an overflow the validating constructor's error."""
 
     center: Point
     exponent_array: np.ndarray
@@ -409,11 +408,16 @@ class SparsePolynomial:
             raise CapExceededError(f"{len(clean)} terms exceed cap {MAX_TERMS}")
         self._hold(center, *_sorted_arrays(clean, n))
 
-    def _hold(self, center: Point, exponents: np.ndarray, coefficients: np.ndarray) -> None:
+    def _hold(self, center: Point, rows: np.ndarray, values: np.ndarray) -> "SparsePolynomial":
         """Store the center and the two arrays, made read-only."""
-        exponents.setflags(write=False)
-        coefficients.setflags(write=False)
-        self.__dict__.update(center=center, exponent_array=exponents, coefficients=coefficients)
+        rows.setflags(write=False)
+        values.setflags(write=False)
+        self.__dict__.update(center=center, exponent_array=rows, coefficients=values)
+        return self
+
+    def __reduce__(self):
+        """A copy or an unpickled polynomial is built anew from its arrays."""
+        return SparsePolynomial._from_arrays, (self.center, self.exponent_array, self.coefficients)
 
     @classmethod
     def _from_arrays(
@@ -423,9 +427,7 @@ class SparsePolynomial:
         rows of the center's length, distinct, within the degree cap and in
         canonical order, and their finite, nonzero float64 coefficients. Only
         the center is checked; both arrays are stored as given."""
-        poly = object.__new__(cls)
-        poly._hold(_finite(center), exponents, coefficients)
-        return poly
+        return object.__new__(cls)._hold(_finite(center), exponents, coefficients)
 
     @classmethod
     def _exact(cls, center: Point, terms: dict[MultiIndex, float]) -> "SparsePolynomial":
@@ -445,20 +447,29 @@ class SparsePolynomial:
             return cls(center, terms)
         return cls._from_arrays(center, *_sorted_arrays(terms, len(center)))
 
-    def _derived(self, exponents: np.ndarray, coefficients: np.ndarray) -> "SparsePolynomial":
-        """The polynomial at this center of exponent rows in canonical order
-        and the nonzero coefficients float arithmetic made of valid ones:
-        stored as given while those are finite and at most MAX_TERMS, else
-        the validating constructor's error on the same terms."""
-        if len(coefficients) > MAX_TERMS or not np.isfinite(coefficients).all():
+    def _derived(self, arithmetic: Callable[[], tuple]) -> "SparsePolynomial":
+        """The polynomial at this center of the exponent rows, in canonical
+        order, and coefficients `arithmetic` makes of valid terms, zeros
+        dropped. It runs with overflow raised, the one way finite operands
+        give a non-finite value; on one, or on more than MAX_TERMS terms, the
+        validating constructor raises its error on the same terms."""
+        try:
+            with np.errstate(over="raise"):
+                exponents, coefficients = arithmetic()
+            overflowed = False
+        except FloatingPointError:
+            with np.errstate(over="ignore"):
+                exponents, coefficients = arithmetic()
+            overflowed = True
+        keep = coefficients != 0.0
+        exponents, coefficients = exponents.compress(keep, axis=0), coefficients[keep]
+        if overflowed or len(coefficients) > MAX_TERMS:
             return SparsePolynomial(self.center, _term_dict(exponents, coefficients))
         return SparsePolynomial._from_arrays(self.center, exponents, coefficients)
 
     def _take(self, index) -> "SparsePolynomial":
         """The polynomial of the terms at `index`, in term order."""
-        return SparsePolynomial._from_arrays(
-            self.center, self.exponent_array[index], self.coefficients[index]
-        )
+        return self._from_arrays(self.center, self.exponent_array[index], self.coefficients[index])
 
     @cached_property
     def terms(self) -> Mapping[MultiIndex, float]:
@@ -487,8 +498,7 @@ class SparsePolynomial:
         return int(self.exponent_array.sum(axis=1).max(initial=0))
 
     def constant_term(self) -> float:
-        # the zero vector sorts first
-        rows = self.exponent_array
+        rows = self.exponent_array  # the zero vector sorts first
         return float(self.coefficients[0]) if len(rows) and not rows[0].any() else 0.0
 
     def evaluate(self, y: Sequence[float]) -> float:
@@ -513,27 +523,27 @@ class SparsePolynomial:
         adds them from 0.0, and zeros are dropped after the sum."""
         if self.center != other.center:
             raise ValueError("cannot add polynomials with different centers")
-        rows = np.concatenate([self.exponent_array, other.exponent_array])
-        values = np.concatenate([self.coefficients, other.coefficients])
-        order = canonical_order(rows)  # this term first where both hold a vector
-        rows, values = rows[order], values[order]
-        shared = np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1))
-        with np.errstate(over="ignore"):  # an overflow is the validating constructor's error
+
+        def merged() -> tuple[np.ndarray, np.ndarray]:
+            rows = np.concatenate([self.exponent_array, other.exponent_array])
+            values = np.concatenate([self.coefficients, other.coefficients])
+            order = canonical_order(rows)  # this term first where both hold a vector
+            rows, values = rows.take(order, axis=0), values.take(order)
+            shared = (rows[1:] == rows[:-1]).all(axis=1).nonzero()[0]
             values[shared] += values[shared + 1]
-        keep = values != 0.0
-        keep[shared + 1] = False
-        return self._derived(rows[keep], values[keep])
+            values[shared + 1] = 0.0  # the second row of a vector goes with the zeros
+            return rows, values
+
+        return self._derived(merged)
 
     def __sub__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         return self + other.scale(-1.0)
 
     def scale(self, factor: float) -> "SparsePolynomial":
-        with np.errstate(over="ignore"):  # an overflow is the validating constructor's error
-            values = self.coefficients * float(factor)
-        if values.all():  # no product underflowed: the rows are shared as they are
-            return self._derived(self.exponent_array, values)
-        keep = values != 0.0
-        return self._derived(self.exponent_array[keep], values[keep])
+        factor = float(factor)
+        if not math.isfinite(factor):  # the validating constructor's error on the products
+            return SparsePolynomial(self.center, {m: c * factor for m, c in self.terms.items()})
+        return self._derived(lambda: (self.exponent_array, self.coefficients * factor))
 
     def truncate(self, max_degree: int) -> "SparsePolynomial":
         """Drop every term of total degree above max_degree."""

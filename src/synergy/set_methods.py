@@ -417,6 +417,7 @@ def permute_table(table: SetFunctionTable, permutation: Sequence[int]) -> SetFun
 
 def pure_synergy_table(n: int, members: Sequence[int], value: float) -> SetFunctionTable:
     """Table of the pure interaction that is `value` when all of `members`
-    are present and 0.0 otherwise: the Möbius inverse of that one synergy."""
+    are present and 0.0 otherwise: the bits of the Möbius inverse of that one
+    synergy, but for -0.0, which its sums make +0.0 off the empty coalition."""
     mask = coalition_mask(members, n)
     return SetFunctionTable(n, np.where(np.arange(1 << n) & mask == mask, value, 0.0))

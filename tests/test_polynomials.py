@@ -1,5 +1,7 @@
+import copy
 import math
 import numbers
+import pickle
 
 import numpy as np
 import pytest
@@ -527,6 +529,7 @@ def test_arithmetic_overflow_raises_the_validated_construction_error():
     for overflowing, unchecked in (
         (lambda: p.scale(1e10), {m: c * 1e10 for m, c in p.terms.items()}),
         (lambda: p.scale(float("nan")), {m: c * float("nan") for m, c in p.terms.items()}),
+        (lambda: p.scale(-float("inf")), {m: c * -float("inf") for m, c in p.terms.items()}),
         (lambda: p + p.scale(1.7976931348623157e8),
          {m: c + c * 1.7976931348623157e8 for m, c in p.terms.items()}),
     ):
@@ -629,6 +632,8 @@ def test_a_loaded_polynomial_builds_its_terms_on_first_read():
     assert "terms" not in poly.__dict__
     terms = poly.terms
     assert terms == {(0, 1): 1.5, (1, 1): 4.0} and poly.terms is terms
+    for copied in (pickle.loads(pickle.dumps(poly)), copy.deepcopy(poly)):
+        assert _stored(copied) == _stored(poly)
     with pytest.raises(ValueError):
         poly.coefficients[0] = 2.0
     with pytest.raises(AttributeError, match="no attribute 'term'"):

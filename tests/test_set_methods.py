@@ -541,7 +541,8 @@ def test_frozen_shapley_taylor_matches_frozen_shapley_for_pairs(rng):
 def test_pure_synergy_table_structure():
     """The table is `value` on the supersets of `members` and 0.0 elsewhere:
     to the bit, the Möbius inverse of the one synergy, for every member set
-    up to six features."""
+    up to six features; a value of -0.0 keeps its sign on the supersets,
+    where the inverse's sums give +0.0 on all but the empty coalition."""
     table = pure_synergy_table(3, (1, 3), 2.0)
     for mask in range(8):
         expected = 2.0 if (mask & 0b101) == 0b101 else 0.0
@@ -556,6 +557,13 @@ def test_pure_synergy_table_structure():
                 assert pure_synergy_table(n, members, value).values.tobytes() == (
                     reference.values.tobytes()
                 )
+            table = pure_synergy_table(n, members, -0.0).values
+            synergies = np.zeros(1 << n)
+            synergies[mask] = -0.0
+            reference = mobius_inverse(SynergyTable(n, synergies)).values
+            assert np.array_equal(table, reference)
+            assert np.signbit(table).tolist() == ((np.arange(1 << n) & mask) == mask).tolist()
+            assert np.signbit(reference).tolist() == [mask == 0] + [False] * ((1 << n) - 1)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
