@@ -26,7 +26,7 @@ from .core import (
     validate_instance,
 )
 from .exceptions import SynergyError
-from .grad_numeric import QuadratureConfig
+from .grad_numeric import DEFAULT_CONFIG, QuadratureConfig
 from .methods import REGISTRY, Method
 from .polynomials import SparsePolynomial
 
@@ -89,11 +89,7 @@ def _load_source(args, needs_x: bool = True) -> tuple[FunctionSource, Instance |
         return FunctionSource("table", quadrature, table=table), None
     if args.poly is not None:
         poly = SparsePolynomial.from_json_dict(_load_json(args.poly))
-        if args.x is None:
-            if needs_x:
-                raise UsageError("--x is required with --poly")
-            return FunctionSource("poly", quadrature, poly=poly), None
-        x = _parse_point(args.x, "--x")
+        x = None if args.x is None else _parse_point(args.x, "--x")
         baseline = (
             _parse_point(args.baseline, "--baseline") if args.baseline else poly.center
         )
@@ -101,6 +97,10 @@ def _load_source(args, needs_x: bool = True) -> tuple[FunctionSource, Instance |
             raise UsageError(
                 "--baseline must equal the polynomial's center (recentering is not provided)"
             )
+        if x is None:
+            if needs_x:
+                raise UsageError("--x is required with --poly")
+            return FunctionSource("poly", quadrature, poly=poly), None
         inst = Instance(x=x, baseline=baseline)
         validate_instance(inst)
         return FunctionSource("poly", quadrature, poly=poly), inst
@@ -197,7 +197,8 @@ def cmd_decompose(args) -> int:
             lines = ["coalition;m;c"]
             for coalition, piece in sorted(pieces.items()):
                 label = format_coalition(coalition)
-                lines += (f"{label};{','.join(map(str, m))};{c!r}" for m, c in piece.terms.items())
+                terms = zip(piece.exponent_array.tolist(), piece.coefficients.tolist())
+                lines += (f"{label};{','.join(map(str, m))};{c!r}" for m, c in terms)
             _emit("\n".join(lines))
             return 0
         payload = {
@@ -279,10 +280,10 @@ def _add_source_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--baseline", help="baseline point (default: zeros / the polynomial center)")
     parser.add_argument("--let", action="append", metavar="NAME=VALUE",
                         help="bind a named constant (repeatable)")
-    parser.add_argument("--quad-nodes", type=int, default=64,
-                        help="Gauss-Legendre nodes per panel (default 64)")
-    parser.add_argument("--quad-panels", type=int, default=4,
-                        help="composite quadrature panels (default 4)")
+    parser.add_argument("--quad-nodes", type=int, default=DEFAULT_CONFIG.nodes,
+                        help="Gauss-Legendre nodes per panel (default %(default)s)")
+    parser.add_argument("--quad-panels", type=int, default=DEFAULT_CONFIG.panels,
+                        help="composite quadrature panels (default %(default)s)")
 
 
 def _add_output_flag(parser: argparse.ArgumentParser) -> None:
@@ -371,7 +372,7 @@ def main(argv=None) -> int:
         # only repeat it
         with np.errstate(over="ignore", invalid="ignore"):
             return args.handler(args)
-    except (SynergyError, ValueError, OSError, json.JSONDecodeError) as err:
+    except (SynergyError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except OverflowError as err:

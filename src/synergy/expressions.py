@@ -654,7 +654,7 @@ def taylor(expr: Expr, center: Point, order: int) -> SparsePolynomial:
 def from_polynomial(p: SparsePolynomial) -> Expr:
     """Expression tree evaluating identically to the polynomial."""
     terms = []
-    for m, c in p.terms.items():
+    for m, c in zip(p.exponent_array.tolist(), p.coefficients.tolist()):
         factors: list[Expr] = [Const(c)]
         for i, e in enumerate(m):
             if e:

@@ -67,27 +67,35 @@ def _termwise(p: SparsePolynomial, x: Sequence[float], k: int, rule: str) -> Int
     return InteractionReport(p.n, k, _array_termwise([p], [x], k, rule)[0])
 
 
+def _power_table(bases: Sequence[float], at: np.ndarray, width: int) -> np.ndarray:
+    """A (len(bases), width) table, flattened: bases[j] ** e by
+    `scalar_power` at each flat position j * width + e in `at` with e > 0,
+    and an exact 1.0 everywhere else, so at exponent 0."""
+    taken = np.zeros(len(bases) * width, dtype=bool)
+    taken[at] = True
+    taken[::width] = False  # exponent 0
+    table = np.ones(len(taken))
+    # one Python power at a time: numpy's array power rounds some of them
+    # differently from the scalar reductions
+    for position in np.flatnonzero(taken).tolist():
+        j, e = divmod(position, width)
+        table[position] = scalar_power(bases[j], e)
+    return table
+
+
 def _term_values(
     exponents: np.ndarray, coefficients: np.ndarray, owner: np.ndarray, shifted: list
 ) -> np.ndarray:
     """Each term's c * (x - center)^m, where row `owner[t]` of `shifted`
     holds x - center of term t's polynomial: per feature, one power table
     per polynomial of the exponents its terms take there, multiplied into
-    the coefficients feature by feature, an exact 1.0 where a term's
-    exponent is 0."""
+    the coefficients feature by feature."""
     values = np.array(coefficients)
     width = int(exponents.max(initial=0)) + 1
     rows = owner * width  # where each term's polynomial starts in a table
     for f in np.flatnonzero(exponents.any(axis=0)).tolist():
         at = rows + exponents[:, f]
-        taken = np.zeros(len(shifted) * width, dtype=bool)
-        taken[at] = True
-        taken[::width] = False  # exponent 0
-        table = np.ones(len(taken))
-        for position in np.flatnonzero(taken).tolist():
-            j, e = divmod(position, width)
-            table[position] = scalar_power(shifted[j][f], e)
-        values *= table[at]
+        values *= _power_table([row[f] for row in shifted], at, width)[at]
     return values
 
 
@@ -252,31 +260,25 @@ def sum_of_powers_nested(
     require_order(p.n, k)
     if p.n > ORACLE_MAX_FEATURES:
         raise CapExceededError(f"nested oracle capped at n <= {ORACLE_MAX_FEATURES}")
-    entries = {(): p.constant_term()}
+    values = [p.constant_term()]
     if k == 1:
-        for i in range(1, p.n + 1):
-            entries[(i,)] = ig_polynomial(p, i).evaluate(x)
-        return InteractionReport.from_entries(p.n, k, entries)
+        values += (ig_polynomial(p, i).evaluate(x) for i in range(1, p.n + 1))
+        return InteractionReport(p.n, k, values)
     inst = Instance(x=tuple(float(v) for v in x), baseline=p.center)
     pieces = p.synergy_split()
     tables = {}
     for members in coalition_layout(p.n, k)[0][1:]:
         if len(members) < k:
             piece = pieces.get(members)
-            entries[members] = piece.evaluate(x) if piece is not None else 0.0
+            values.append(piece.evaluate(x) if piece is not None else 0.0)
             continue
         total = 0.0
         for i in members:
             if i not in tables:
                 tables[i] = build_table(inst, ig_polynomial(p, i).evaluate)
             total += shapley_taylor_frozen(tables[i], members, i)
-        entries[members] = total
-    return InteractionReport.from_entries(p.n, k, entries)
-
-
-# Blocks of the pairwise oracle hold at most this many (term, coalition)
-# parts, or one term, which bounds its memory on any polynomial.
-_PAIRWISE_BLOCK_PARTS = 1 << 12
+        values.append(total)
+    return InteractionReport(p.n, k, values)
 
 
 def integrated_hessian_pairwise(p: SparsePolynomial, x: Sequence[float]) -> InteractionReport:
@@ -302,30 +304,13 @@ def integrated_hessian_pairwise(p: SparsePolynomial, x: Sequence[float]) -> Inte
     ends = np.cumsum(sizes * (sizes + 1) // 2)  # parts up to each term
     # Python float arithmetic overflows to inf and nan without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for start, stop in _blocks(ends, _PAIRWISE_BLOCK_PARTS):
+        for start, stop in _blocks(ends, polynomials.ARRAY_BLOCK):
             slots, parts = _pairwise_parts(
                 exponents[start:stop], coefficients[start:stop], shifted
             )
             # unbuffered: each slot adds its parts one at a time, in order
             np.add.at(values, slots, parts)
     return InteractionReport(n, 2, values)
-
-
-def _powers(u: float, columns: Sequence[np.ndarray], top: int, square: bool) -> np.ndarray:
-    """u ** e by Python's power, as the scalar reduction takes it (the
-    signed infinity beyond the float range), at each e > 0 in `columns` (and
-    at 2 if `square`), in an array indexed by exponent 0..top; 1.0 at every
-    exponent not taken, which is never read but as the exact factor of
-    exponent 0."""
-    taken = np.zeros(top + 1, dtype=bool)
-    for column in columns:
-        taken[column] = True
-    if square:
-        taken[2] = True
-    table = np.ones(top + 1)
-    for e in np.flatnonzero(taken[1:]).tolist():
-        table[e + 1] = scalar_power(u, e + 1)
-    return table
 
 
 def _pairwise_parts(
@@ -358,8 +343,8 @@ def _pairwise_parts(
             column[row] - (i == f),
             column[twice_row] - 2 * (i2 == f),
         )
-        has_square = bool((i2 == f).any())
-        powers = _powers(shifted[f], reduced, max(int(column.max()), 2), has_square)
+        width = max(int(column.max()), 2) + 1
+        powers = _power_table([shifted[f]], np.concatenate([*reduced, [2]]), width)
         pair_r *= powers[reduced[0]]
         single_r *= powers[reduced[1]]
         twice_r *= powers[reduced[2]]

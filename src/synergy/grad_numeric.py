@@ -178,11 +178,13 @@ def _log_weight_rule(nodes: int, panels: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(points), np.concatenate(weights)
 
 
-def _path_jet(
-    expr: Expr, inst: Instance, active: list[int], order: int, config: QuadratureConfig
-):
-    """The rule t, w of ig (order 1) or ih2 (order 2), then F's gradient (m, t.size) and
-    Hessian (m, m, t.size) in `active` along b + t(x - b), once the work cap allows."""
+def _path_jet(expr: Expr, inst: Instance, order: int, config: QuadratureConfig):
+    """Each feature's x - b and the features off their baseline, 1-based
+    and ascending; then the rule t, w of ig (order 1) or ih2 (order 2) and
+    F's gradient (m, t.size) and Hessian (m, m, t.size) in those m features
+    along b + t(x - b), once the work cap allows."""
+    deltas = [a - b for a, b in zip(inst.x, inst.baseline)]
+    active = [i for i, delta in enumerate(deltas, 1) if delta != 0.0]
     m, samples = len(active), config.nodes * config.panels
     rows = 1 + m + (m * m if order > 1 else 0)
     nodes = tree_size(expr, {})
@@ -193,10 +195,10 @@ def _path_jet(
             f"samples) exceeds the cap {MAX_QUADRATURE_WORK:.4g}"
         )
     t, w = (_log_weight_rule if order > 1 else _unit_interval_rule)(config.nodes, config.panels)
-    path = [b + t * (a - b) for a, b in zip(inst.x, inst.baseline)]
+    path = [b + t * delta for b, delta in zip(inst.baseline, deltas)]
     with np.errstate(over="ignore", invalid="ignore"):
         _, *derivatives, _ = jet(expr, path, active, order)
-    return t, w, *(
+    return deltas, active, t, w, *(
         np.broadcast_to(0.0 if d is None else d, (m,) * k + t.shape)
         for k, d in enumerate(derivatives, 1)
     )
@@ -212,14 +214,11 @@ def ig_quadrature(
     expr: Expr, inst: Instance, config: QuadratureConfig = DEFAULT_CONFIG
 ) -> InteractionReport:
     """Integrated gradients via quadrature of the path derivative per feature."""
-    n = inst.n
-    deltas = [inst.x[i] - inst.baseline[i] for i in range(n)]
-    active = [i for i in range(1, n + 1) if deltas[i - 1] != 0.0]
-    _, w, gradient, _ = _path_jet(expr, inst, active, 1, config)
+    deltas, active, _, w, gradient, _ = _path_jet(expr, inst, 1, config)
     entries = {(): float(evaluate(expr, inst.baseline))}
     for r, i in enumerate(active):
         entries[(i,)] = deltas[i - 1] * float(w @ _finite(gradient[r], f"dF/dx{i}"))
-    return report_from_values(n, 1, entries)
+    return report_from_values(inst.n, 1, entries)
 
 
 def ih2_quadrature(
@@ -228,10 +227,7 @@ def ih2_quadrature(
     """Order-2 integrated-Hessian interactions; the main effect sums its two
     integrals. The double path integrals over s, t are taken as 1-D
     integrals in u = st with the weight -ln u (`_log_weight_rule`)."""
-    n = inst.n
-    deltas = [inst.x[i] - inst.baseline[i] for i in range(n)]
-    active = [i for i in range(1, n + 1) if deltas[i - 1] != 0.0]
-    u, w, gradient, hessian = _path_jet(expr, inst, active, 2, config)
+    deltas, active, u, w, gradient, hessian = _path_jet(expr, inst, 2, config)
     wu = w * u
     entries = {(): float(evaluate(expr, inst.baseline))}
     for (r, i), (s, j) in combinations(enumerate(active), 2):
@@ -243,4 +239,4 @@ def ih2_quadrature(
         entries[(i,)] = (
             deltas[i - 1] * gradient_part + deltas[i - 1] ** 2 * curvature_part
         )
-    return report_from_values(n, 2, entries)
+    return report_from_values(inst.n, 2, entries)

@@ -542,7 +542,8 @@ class SparsePolynomial:
     def scale(self, factor: float) -> "SparsePolynomial":
         factor = float(factor)
         if not math.isfinite(factor):  # the validating constructor's error on the products
-            return SparsePolynomial(self.center, {m: c * factor for m, c in self.terms.items()})
+            products = _term_dict(self.exponent_array, self.coefficients * factor)
+            return SparsePolynomial(self.center, products)
         return self._derived(lambda: (self.exponent_array, self.coefficients * factor))
 
     def truncate(self, max_degree: int) -> "SparsePolynomial":

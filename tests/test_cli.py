@@ -813,9 +813,15 @@ def test_poly_baseline_must_match_center(tmp_path, capsys):
     poly = {"n": 1, "center": [0.5], "terms": [{"m": [2], "c": 1.0}]}
     path = tmp_path / "p.json"
     path.write_text(json.dumps(poly))
-    code, _, err = run_cli(
-        capsys,
-        "interact", "--poly", str(path), "--x", "1", "--baseline", "0", "--method", "ig",
-    )
+    for argv in (
+        ("interact", "--poly", str(path), "--x", "1", "--baseline", "0", "--method", "ig"),
+        ("decompose", "--poly", str(path), "--baseline", "0"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "center" in err
+    code, _, err = run_cli(capsys, "decompose", "--poly", str(path), "--baseline", "abc")
     assert code == 2
-    assert "center" in err
+    assert "--baseline must be comma-separated reals" in err
+    code, _, _ = run_cli(capsys, "decompose", "--poly", str(path), "--baseline", "0.5")
+    assert code == 0

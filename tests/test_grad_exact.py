@@ -575,15 +575,16 @@ def test_pairwise_oracle_is_bit_identical_to_the_term_loop():
 
 
 def test_pairwise_oracle_blocks_sum_in_term_order(monkeypatch):
-    """Blocks of one term each carry every coalition's sum across blocks
-    bit for bit."""
-    monkeypatch.setattr(grad_exact, "_PAIRWISE_BLOCK_PARTS", 1)
-    rng = np.random.default_rng(1304)
-    for p, x in _pairwise_corpus(rng):
-        if len(p.terms) > 60:
-            continue
-        got = integrated_hessian_pairwise(p, x)
-        assert _bits(got.values) == _bits(_pairwise_by_terms(p, x))
+    """Blocks of one term each, or of a few terms, carry every coalition's
+    sum across blocks bit for bit."""
+    for block in (1, 16):
+        monkeypatch.setattr(polynomials, "ARRAY_BLOCK", block)
+        rng = np.random.default_rng(1304)
+        for p, x in _pairwise_corpus(rng):
+            if len(p.terms) > 60:
+                continue
+            got = integrated_hessian_pairwise(p, x)
+            assert _bits(got.values) == _bits(_pairwise_by_terms(p, x))
 
 
 def _sum_of_powers_nested_per_member(p, x, k):
@@ -799,9 +800,12 @@ def test_a_batch_checks_each_point_against_its_polynomial():
 
 
 def test_powers_beyond_the_float_range_are_signed_infinities():
-    table = grad_exact._powers(-1e3, (np.array([0, 3, 127, 128, 3]),), 128, False)
+    table = grad_exact._power_table([-1e3], np.array([0, 3, 127, 128, 3]), 129)
     assert table[[0, 3, 127, 128]].tolist() == [1.0, -1e9, -np.inf, np.inf]
     assert table[[1, 2, 4]].tolist() == [1.0, 1.0, 1.0]  # not taken
+    # rows of two bases, width 5: each takes only its own positions
+    table = grad_exact._power_table([2.0, -1e3], np.array([3, 5, 7, 8, 3]), 5)
+    assert table.tolist() == [1.0, 1.0, 1.0, 8.0, 1.0, 1.0, 1.0, 1e6, -1e9, 1.0]
 
 
 def test_kernels_read_the_form_a_polynomial_is_stored_in():

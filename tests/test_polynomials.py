@@ -629,6 +629,9 @@ def test_a_loaded_polynomial_builds_its_terms_on_first_read():
     assert poly.term_count == 2
     assert poly.exponent_array.tolist() == [[0, 1], [1, 1]]
     assert poly.coefficients.tolist() == [1.5, 4.0]
+    ex.from_polynomial(poly)
+    with pytest.raises(NonFiniteError, match=r"coefficient for \(0, 1\)"):
+        poly.scale(math.inf)
     assert "terms" not in poly.__dict__
     terms = poly.terms
     assert terms == {(0, 1): 1.5, (1, 1): 4.0} and poly.terms is terms
