@@ -6,14 +6,12 @@ from .core import (
     Instance,
     InteractionReport,
     masked_point,
-    validate_instance,
 )
 from .exceptions import (
     CapExceededError,
     DimensionMismatchError,
     InvalidCoalitionError,
     NonFiniteError,
-    OutOfBoxError,
     ParseError,
     SynergyError,
 )
@@ -57,7 +55,6 @@ __all__ = [
     "DimensionMismatchError",
     "InvalidCoalitionError",
     "NonFiniteError",
-    "OutOfBoxError",
     "ParseError",
     "augmented_integrated_hessian",
     "augmented_recursive_shapley",
@@ -84,5 +81,4 @@ __all__ = [
     "taylor",
     "to_polynomial",
     "to_text",
-    "validate_instance",
 ]

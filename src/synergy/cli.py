@@ -23,7 +23,6 @@ from .core import (
     comparison_to_csv,
     comparison_to_json,
     format_coalition,
-    validate_instance,
 )
 from .exceptions import SynergyError
 from .grad_numeric import DEFAULT_CONFIG, QuadratureConfig
@@ -102,7 +101,6 @@ def _load_source(args, needs_x: bool = True) -> tuple[FunctionSource, Instance |
                 raise UsageError("--x is required with --poly")
             return FunctionSource("poly", quadrature, poly=poly), None
         inst = Instance(x=x, baseline=baseline)
-        validate_instance(inst)
         return FunctionSource("poly", quadrature, poly=poly), inst
     if args.x is None:
         raise UsageError("--x is required with --expr")
@@ -112,7 +110,6 @@ def _load_source(args, needs_x: bool = True) -> tuple[FunctionSource, Instance |
         _parse_point(args.baseline, "--baseline") if args.baseline else (0.0,) * n
     )
     inst = Instance(x=x, baseline=baseline)
-    validate_instance(inst)
     expr = ex.parse(args.expr, n, lets)
     return FunctionSource("expr", quadrature, expr=expr), inst
 

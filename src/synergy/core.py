@@ -28,7 +28,6 @@ from .exceptions import (
     DimensionMismatchError,
     InvalidCoalitionError,
     NonFiniteError,
-    OutOfBoxError,
     SynergyError,
 )
 
@@ -110,50 +109,31 @@ def json_field(
 
 @dataclass(frozen=True)
 class Instance:
-    """An input point, its baseline, and an optional bounding box.
-
-    The box is a pair (lower, upper) of corner points; omit it for an
-    unbounded domain.
-    """
+    """An input point and its baseline, checked on construction: 1..63
+    features, as many baseline coordinates as input ones, every coordinate
+    finite."""
 
     x: Point
     baseline: Point
-    box: tuple[Point, Point] | None = None
+
+    def __post_init__(self) -> None:
+        n = self.n
+        if n < 1:
+            raise DimensionMismatchError("instance needs at least one feature")
+        if n > MAX_FEATURES:
+            raise DimensionMismatchError(f"n={n} exceeds the {MAX_FEATURES}-feature cap")
+        if len(self.baseline) != n:
+            raise DimensionMismatchError(
+                f"x has {n} features but baseline has {len(self.baseline)}"
+            )
+        for label, point in (("x", self.x), ("baseline", self.baseline)):
+            for i, value in enumerate(point):
+                if not math.isfinite(value):
+                    raise NonFiniteError(f"{label}[{i + 1}]={value} is not finite")
 
     @property
     def n(self) -> int:
         return len(self.x)
-
-
-def validate_instance(inst: Instance) -> None:
-    """Raise unless dimensions agree, every coordinate is finite and both
-    points sit inside the box."""
-    n = len(inst.x)
-    if n < 1:
-        raise DimensionMismatchError("instance needs at least one feature")
-    if n > MAX_FEATURES:
-        raise DimensionMismatchError(f"n={n} exceeds the {MAX_FEATURES}-feature cap")
-    if len(inst.baseline) != n:
-        raise DimensionMismatchError(
-            f"x has {n} features but baseline has {len(inst.baseline)}"
-        )
-    points = [("x", inst.x), ("baseline", inst.baseline)]
-    if inst.box is not None:
-        lower, upper = inst.box
-        if len(lower) != n or len(upper) != n:
-            raise DimensionMismatchError("box corners must match the feature count")
-        points += [("box lower", lower), ("box upper", upper)]
-    for label, point in points:
-        for i, value in enumerate(point):
-            if not math.isfinite(value):
-                raise NonFiniteError(f"{label}[{i + 1}]={value} is not finite")
-    if inst.box is not None:
-        for label, point in (("x", inst.x), ("baseline", inst.baseline)):
-            for i, value in enumerate(point):
-                if not lower[i] <= value <= upper[i]:
-                    raise OutOfBoxError(
-                        f"{label}[{i + 1}]={value} outside [{lower[i]}, {upper[i]}]"
-                    )
 
 
 def coalition_mask(members: Iterable[int], n: int) -> int:
@@ -350,25 +330,6 @@ class InteractionReport:
         _, masks = coalition_layout(n, order)
         return cls(n, order, values[masks])
 
-    @classmethod
-    def from_entries(
-        cls, n: int, order: int, entries: Mapping[Coalition, float]
-    ) -> "InteractionReport":
-        """The report taking entries[S] for each coalition S; the keys must be
-        exactly the coalitions of P_order."""
-        expected, _ = coalition_layout(n, order)
-        try:
-            values = [entries[c] for c in expected]
-        except KeyError:
-            values = None
-        if values is None or len(values) != len(entries):
-            keys = set(entries)
-            raise InvalidCoalitionError(
-                f"report keys must cover P_{order} exactly (missing="
-                f"{sorted(set(expected) - keys)[:3]}, extra={sorted(keys - set(expected))[:3]})"
-            )
-        return cls(n, order, values)
-
     @cached_property
     def _entry_map(self) -> dict[Coalition, float]:
         coalitions, _ = coalition_layout(self.n, self.order)
@@ -388,7 +349,8 @@ class InteractionReport:
         )
 
     def value(self, members: Iterable[int]) -> float:
-        return self.entries[tuple(sorted(members))]
+        """The score of one coalition, read from its layout slot."""
+        return float(self.values[coalition_slot(self.n, self.order, tuple(sorted(members)))])
 
     def total(self) -> float:
         """Sum over all nonempty coalitions (the completeness quantity), in

@@ -9,10 +9,6 @@ class DimensionMismatchError(SynergyError):
     """Vectors that must share a dimension do not."""
 
 
-class OutOfBoxError(SynergyError):
-    """A point falls outside the problem's hyper-rectangle."""
-
-
 class InvalidCoalitionError(SynergyError):
     """A coalition references feature indices outside 1..n."""
 

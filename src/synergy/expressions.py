@@ -582,6 +582,10 @@ def _series(e: Expr, center: Point, order: int | None) -> dict[MultiIndex, float
     if isinstance(e, Const):
         return {zero: e.value} if e.value != 0.0 else {}
     if isinstance(e, Var):
+        if e.index > n:
+            raise DimensionMismatchError(
+                f"expression uses x{e.index} but center has {n} components"
+            )
         out = {}
         if order is None or order >= 1:
             out[tuple(1 if j == e.index - 1 else 0 for j in range(n))] = 1.0

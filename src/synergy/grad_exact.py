@@ -158,8 +158,7 @@ def _array_termwise(
     n = polys[0].n
     require_order(n, k)
     for x in points:
-        if len(x) != n:
-            raise DimensionMismatchError(f"point has {len(x)} components, expected {n}")
+        _check_point(x, n)
     shifted = [[x[i] - p.center[i] for i in range(n)] for p, x in zip(polys, points)]
     if len(polys) == 1:  # the terms of all the polynomials end to end, one without a copy
         exponents, coefficients = polys[0].exponent_array, polys[0].coefficients
@@ -197,6 +196,12 @@ def _array_termwise(
             # unbuffered: each slot adds its parts one at a time, in order
             np.add.at(values, slots, parts)
     return values.reshape(len(polys), count)
+
+
+def _check_point(x: Sequence[float], n: int) -> None:
+    """Raise unless the point has one component per feature."""
+    if len(x) != n:
+        raise DimensionMismatchError(f"point has {len(x)} components, expected {n}")
 
 
 def _blocks(ends: np.ndarray, limit: int) -> Iterator[tuple[int, int]]:
@@ -292,6 +297,7 @@ def integrated_hessian_pairwise(p: SparsePolynomial, x: Sequence[float]) -> Inte
     (the second part 0.0 when m_i < 2), each product left to right. Each
     coalition sums its parts from 0.0 in term order."""
     n = p.n
+    _check_point(x, n)
     values = np.zeros(coalition_count(n, 2))
     shifted = [x[i] - p.center[i] for i in range(n)]
     exponents = p.exponent_array

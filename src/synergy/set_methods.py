@@ -49,6 +49,8 @@ class _LatticeTable:
     _label = "table"  # names the table in the length error
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise DimensionMismatchError(f"{self._label} needs n >= 0, got n={self.n}")
         array = np.array(self.values, dtype=float)
         array.setflags(write=False)
         if array.shape != (1 << self.n,):
@@ -272,14 +274,23 @@ def _marginal_terms(n: int, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return w | bit, w, weights[_sizes(n)[w]]
 
 
+def _marginal_sums(
+    values: np.ndarray, hi: np.ndarray, lo: np.ndarray, weights: np.ndarray
+) -> np.ndarray | float:
+    """Shapley marginal sums on a table's 2^n values, given `_marginal_terms`
+    or a plan built from them: weights * (values[hi] - values[lo]) summed
+    from 0.0 down the rows, coalitions w ascending, one at a time. Vector
+    terms give a float, columns one sum per column."""
+    return sequential_sum(weights * (values[hi] - values[lo]))
+
+
 def shapley_from_marginals(table: SetFunctionTable) -> InteractionReport:
     """Shapley via the classical average-of-marginal-contributions formula:
     the input-point entry of the nested oracle's marginal sum per feature."""
     n, values = table.n, table.values
-    shares = [float(values[0])]
-    for i in range(1, n + 1):
-        hi, lo, weights = _marginal_terms(n, i)
-        shares.append(float(sequential_sum(weights * (values[hi] - values[lo]))[0]))
+    shares = [float(values[0])] + [
+        float(_marginal_sums(values, *_marginal_terms(n, i))[0]) for i in range(1, n + 1)
+    ]
     return InteractionReport(n, 1, shares)
 
 
@@ -345,14 +356,7 @@ def _shapley_retabulated(values: np.ndarray, n: int, i: int) -> np.ndarray:
 
     Each entry is the sum from 0.0 of the weighted marginal contributions of
     feature i, coalitions w ascending, added one at a time."""
-    hi, lo, weights = _retabulation_plan(n, i)
-    return sequential_sum(weights * (values[hi] - values[lo]))
-
-
-def _shapley_retabulated_at_full(values: np.ndarray, n: int, i: int) -> float:
-    """The input-point entry of `_shapley_retabulated`, by the same sum."""
-    hi, lo, weights = _retabulation_plan(n, i)
-    return float(sequential_sum(weights[:, 0] * (values[hi[:, -1]] - values[lo[:, -1]])))
+    return _marginal_sums(values, *_retabulation_plan(n, i))
 
 
 def recursive_shapley_nested(table: SetFunctionTable, k: int) -> InteractionReport:
@@ -378,7 +382,9 @@ def recursive_shapley_nested(table: SetFunctionTable, k: int) -> InteractionRepo
         total = 0.0
         # every covering sequence has length k, so none is a prefix of another
         for sequence in enumerate_sequences(k, members):
-            total += _shapley_retabulated_at_full(retabulate(sequence[:-1]), n, sequence[-1])
+            # the input-point entry of the last retabulation, from the plan's last column
+            hi, lo, weights = _retabulation_plan(n, sequence[-1])
+            total += _marginal_sums(retabulate(sequence[:-1]), hi[:, -1], lo[:, -1], weights[:, 0])
         return total
 
     return _report(table, k, fill)

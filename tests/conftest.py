@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from synergy import expressions as ex
-from synergy.core import InteractionReport
+from synergy.combinatorics import coalition_count
+from synergy.core import report_from_values
 from synergy.grad_numeric import DEFAULT_CONFIG
 from synergy.polynomials import SparsePolynomial, multi_indices
 from synergy.set_methods import SetFunctionTable
@@ -40,13 +41,19 @@ def coalition_members(mask):
 
 def report_from_json_dict(payload):
     """The report a report's JSON payload describes (its n is its number of
-    singletons)."""
+    singletons); its rows must cover P_order exactly, each once."""
     entries = {
         tuple(int(i) for i in item["coalition"]): float(item["value"])
         for item in payload["entries"]
     }
     n = sum(1 for c in entries if len(c) == 1)
-    return InteractionReport.from_entries(n, int(payload["order"]), entries)
+    order = int(payload["order"])
+    if len(payload["entries"]) != len(entries) or len(entries) != coalition_count(n, order):
+        raise ValueError(
+            f"{len(payload['entries'])} rows do not cover the "
+            f"{coalition_count(n, order)} coalitions of P_{order} over n={n} once each"
+        )
+    return report_from_values(n, order, entries)
 
 
 def make_table(rng, n):
@@ -108,7 +115,7 @@ def ih2_tensor_grid(expr, inst, config=DEFAULT_CONFIG):
         gradient = integral(firsts[i], 1.0)
         curvature = integral(ex.partial(firsts[i], i), st)
         entries[(i,)] = deltas[i - 1] * gradient + deltas[i - 1] ** 2 * curvature
-    return InteractionReport.from_entries(inst.n, 2, entries)
+    return report_from_values(inst.n, 2, entries)
 
 
 def shapley_with_frozen(table, j, frozen):

@@ -29,7 +29,7 @@ from synergy.axioms import (
     run_suite,
 )
 from synergy.combinatorics import coalition_count
-from synergy.core import Instance, InteractionReport
+from synergy.core import Instance, InteractionReport, report_from_values
 from synergy.exceptions import NonFiniteError, SynergyError
 from synergy.methods import REGISTRY, SUITE_METHODS, Method
 from synergy.polynomials import SparsePolynomial, multi_indices, term_sum
@@ -40,7 +40,7 @@ def _scaled_shapley(table, k, factor=0.9):
     report = set_methods.shapley(table)
     entries = {c: factor * v for c, v in report.entries.items()}
     entries[()] = report.entries[()]
-    return InteractionReport.from_entries(report.n, 1, entries)
+    return report_from_values(report.n, 1, entries)
 
 
 BROKEN_COMPLETENESS = Method("broken", "table", 1, _scaled_shapley)
@@ -50,7 +50,7 @@ def _leaky_shapley(table, k):
     report = set_methods.shapley(table)
     entries = dict(report.entries)
     entries[(1,)] = entries[(1,)] + 0.05
-    return InteractionReport.from_entries(report.n, 1, entries)
+    return report_from_values(report.n, 1, entries)
 
 
 BROKEN_NULL = Method("leaky", "table", 1, _leaky_shapley)

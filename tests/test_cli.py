@@ -700,6 +700,7 @@ MALFORMED_INPUT_ERRORS = {
         "suite config field 'tolerance_overrides': expected a JSON object, got list",
     "poly-center-length": "center length does not match n",
     "table-nan-value": "table contains a non-finite value",
+    "table-negative-n": "table needs n >= 0, got n=-1",
 }
 
 
@@ -754,6 +755,7 @@ MALFORMED_INPUT_ERRORS = {
         ),
         ("--poly", {"n": 2, "center": [0.0], "terms": []}, "center"),
         ("--table", {"n": 1, "values": [float("nan"), 1.0]}, "non-finite"),
+        ("--table", {"n": -1, "values": []}, "n=-1"),
     ],
     ids=["table-without-n", "term-without-c", "table-list", "poly-list", "config-list",
          "config-methods-string", "config-tolerance-string", "config-tolerance-bool",
@@ -766,7 +768,7 @@ MALFORMED_INPUT_ERRORS = {
          "term-boolean-exponent-string-c", "term-infinite-exponent",
          "term-overflowing-exponent", "config-tolerance-overrides-string",
          "config-tolerance-overrides-list", "config-tolerance-overrides-pairs",
-         "poly-center-length", "table-nan-value"],
+         "poly-center-length", "table-nan-value", "table-negative-n"],
 )
 def test_malformed_input_file_is_usage_error(tmp_path, capsys, request, flag, payload, field):
     path = tmp_path / "input.json"

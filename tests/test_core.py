@@ -19,14 +19,12 @@ from synergy.core import (
     masked_point,
     report_from_values,
     sequential_sum,
-    validate_instance,
 )
 from synergy.set_methods import SynergyTable
 from synergy.exceptions import (
     DimensionMismatchError,
     InvalidCoalitionError,
     NonFiniteError,
-    OutOfBoxError,
 )
 from tests.conftest import coalition_members, report_from_json_dict
 
@@ -69,23 +67,26 @@ def test_masked_point_idempotent():
 
 
 @pytest.mark.parametrize(
-    "x, baseline, box, error",
+    "x, baseline, error, message",
     [
-        ((2.0,), (0.0,), ((0.0,), (1.0,)), OutOfBoxError),
-        ((0.5, 0.5), (0.0,), None, DimensionMismatchError),
-        ((float("nan"), 1.0), (0.0, 0.0), None, NonFiniteError),
-        ((1.0,), (float("inf"),), None, NonFiniteError),
-        ((0.5,), (0.0,), ((float("-inf"),), (1.0,)), NonFiniteError),
-        ((0.5,), (0.0,), ((0.0,), (float("nan"),)), NonFiniteError),
+        ((0.5, 0.5), (0.0,), DimensionMismatchError, "x has 2 features but baseline has 1"),
+        ((float("nan"), 1.0), (0.0, 0.0), NonFiniteError, r"x\[1\]=nan is not finite"),
+        ((1.0,), (float("inf"),), NonFiniteError, r"baseline\[1\]=inf is not finite"),
+        ((), (), DimensionMismatchError, "instance needs at least one feature"),
+        ((0.0,) * 64, (0.0,) * 64, DimensionMismatchError, "n=64 exceeds the 63-feature cap"),
     ],
+    ids=["length-mismatch", "nan-x", "infinite-baseline", "no-features", "above-cap"],
 )
-def test_validate_instance_rejects(x, baseline, box, error):
-    with pytest.raises(error):
-        validate_instance(Instance(x=x, baseline=baseline, box=box))
+def test_instance_rejects_bad_points(x, baseline, error, message):
+    with pytest.raises(error, match=message):
+        Instance(x=x, baseline=baseline)
 
 
 def test_validate_instance_accepts():
-    validate_instance(Instance(x=(0.5,), baseline=(0.0,), box=((0.0,), (1.0,))))
+    """An instance of finite points of one length, up to the cap, checks
+    itself on construction and passes."""
+    inst = Instance(x=(0.5,) * 63, baseline=(0.0,) * 63)
+    assert inst.n == 63
 
 
 def test_coalition_mask_roundtrip():
@@ -94,20 +95,25 @@ def test_coalition_mask_roundtrip():
 
 
 def test_report_requires_full_coverage():
-    with pytest.raises(InvalidCoalitionError, match=r"missing=\[\(2,\)\], extra=\[\]"):
-        InteractionReport.from_entries(2, 1, {(): 0.0, (1,): 1.0})
-    with pytest.raises(InvalidCoalitionError, match=r"missing=\[\], extra=\[\(1, 2\)\]"):
-        InteractionReport.from_entries(2, 1, {(): 0.0, (1,): 1.0, (2,): 0.5, (1, 2): 2.0})
     with pytest.raises(InvalidCoalitionError, match=r"coalition \(3,\) outside P_1 over 1..2"):
         report_from_values(2, 1, {(3,): 1.0})
     with pytest.raises(InvalidCoalitionError, match="holds 3 values"):
         InteractionReport(2, 1, [0.0, 1.0])
 
 
+def test_report_value_reads_the_layout_slot():
+    report = report_from_values(4, 2, {(1, 3): 1.5, (2,): -3.0, (): 7.0})
+    assert [report.value(c) for c in ((3, 1), (2,), (), (2, 4))] == [1.5, -3.0, 7.0, 0.0]
+    for coalition in ((5,), (2, 2), (1, 2, 3), (0,)):
+        with pytest.raises(InvalidCoalitionError, match="outside P_2 over 1..4"):
+            report.value(coalition)
+    assert "_entry_map" not in report.__dict__
+
+
 def test_report_rejects_non_finite():
     for value in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(NonFiniteError, match=r"non-finite value for coalition \(1,\)"):
-            InteractionReport.from_entries(1, 1, {(): 0.0, (1,): value})
+            report_from_values(1, 1, {(1,): value})
         with pytest.raises(NonFiniteError, match=r"non-finite value for coalition \(1, 2\)"):
             report_from_values(2, 2, {(2, 1): value})
         with pytest.raises(NonFiniteError, match=r"non-finite value for coalition \(\)"):

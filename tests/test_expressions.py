@@ -9,7 +9,7 @@ import pytest
 
 from synergy import expressions as ex
 from synergy import polynomials
-from synergy.exceptions import CapExceededError, NonFiniteError, ParseError
+from synergy.exceptions import CapExceededError, DimensionMismatchError, NonFiniteError, ParseError
 from synergy.polynomials import SparsePolynomial
 from tests.conftest import reference_taylor
 
@@ -184,6 +184,13 @@ def test_to_polynomial_worked_example():
 
 def test_to_polynomial_signals_transcendental():
     assert ex.to_polynomial(ex.parse("sin(x1)", 1), (0.0,)) is None
+
+
+@pytest.mark.parametrize("text, order", [("x3", None), ("x3", 2), ("sin(x1) + x3", 2)])
+def test_a_center_shorter_than_the_expression_is_a_dimension_error(text, order):
+    expr, center = ex.parse(text, 3), (0.0, 0.0)
+    with pytest.raises(DimensionMismatchError, match="uses x3 but center has 2 components"):
+        ex.to_polynomial(expr, center) if order is None else ex.taylor(expr, center, order)
 
 
 def test_to_polynomial_recenters_exactly(rng):

@@ -13,7 +13,7 @@ import pytest
 
 from synergy.cli import main
 from synergy.combinatorics import enumerate_coalitions
-from synergy.core import InteractionReport
+from synergy.core import InteractionReport, report_from_values
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -145,7 +145,7 @@ def test_array_backed_report_reads_like_its_golden_entries(name):
     entries = _golden_report_entries(name)
     n = sum(1 for c in entries if len(c) == 1)
     order = max(map(len, entries))
-    report = InteractionReport.from_entries(n, order, entries)
+    report = report_from_values(n, order, entries)
     layout = enumerate_coalitions(n, order)
     assert list(report.entries) == layout
     assert dict(report.entries) == entries and len(report.entries) == len(layout)
@@ -165,4 +165,4 @@ def test_array_backed_report_reads_like_its_golden_entries(name):
     assert report == InteractionReport(n, order, [entries[c] for c in layout])
     bumped = dict(entries)
     bumped[layout[-1]] = 2.0 * entries[layout[-1]] + 1.0
-    assert report != InteractionReport.from_entries(n, order, bumped)
+    assert report != report_from_values(n, order, bumped)

@@ -799,6 +799,21 @@ def test_a_batch_checks_each_point_against_its_polynomial():
         _array_termwise([p, p], [(1.0, 2.0), (1.0,)], 1, "ih")
 
 
+@pytest.mark.parametrize("x", [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0)], ids=["short", "long"])
+def test_the_pairwise_oracle_checks_the_point_length(x):
+    p = SparsePolynomial((0.0,) * 3, {(1, 1, 0): 2.0, (0, 1, 1): 1.0})
+    with pytest.raises(DimensionMismatchError, match=f"point has {len(x)} components, expected 3"):
+        integrated_hessian_pairwise(p, x)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("x", [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0)], ids=["short", "long"])
+def test_the_nested_sop_oracle_checks_the_point_length(x, k):
+    p = SparsePolynomial((0.0,) * 3, {(1, 1, 0): 2.0, (0, 1, 1): 1.0})
+    with pytest.raises(DimensionMismatchError):
+        sum_of_powers_nested(p, x, k)
+
+
 def test_powers_beyond_the_float_range_are_signed_infinities():
     table = grad_exact._power_table([-1e3], np.array([0, 3, 127, 128, 3]), 129)
     assert table[[0, 3, 127, 128]].tolist() == [1.0, -1e9, -np.inf, np.inf]

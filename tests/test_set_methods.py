@@ -17,9 +17,10 @@ from synergy import set_methods
 from synergy.set_methods import (
     SetFunctionTable,
     SynergyTable,
+    _marginal_sums,
+    _retabulation_plan,
     _shapley_retabulated,
     _superset_rule,
-    _shapley_retabulated_at_full,
     augmented_recursive_shapley,
     build_table,
     discrete_derivative,
@@ -410,7 +411,8 @@ def test_retabulation_is_bit_identical_to_the_vector_loop():
                 expected = _retabulated_by_vectors(values, n, i).view(np.int64)
                 got = _shapley_retabulated(values, n, i)
                 assert np.array_equal(got.view(np.int64), expected)
-                at_full = np.float64(_shapley_retabulated_at_full(values, n, i))
+                hi, lo, weights = _retabulation_plan(n, i)
+                at_full = np.float64(_marginal_sums(values, hi[:, -1], lo[:, -1], weights[:, 0]))
                 assert at_full.view(np.int64) == expected[-1]
 
 
